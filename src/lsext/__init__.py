@@ -39,15 +39,15 @@ from .geometry import (
     IncidenceMatrix,
     PointMultiset,
     code_points,
-    format_incidence,
     incidence_matrix,
     geometric_extension_criterion,
 )
 from .pipeline import (
     ChainPolicy,
     ChainReport,
-    PunctureRecord,
     StepRecord,
+    StepStatus,
+    StopReason,
     chain_search,
     default_s,
     extend_once,

@@ -2,7 +2,9 @@
 
 Subcommands: analyze, extend, puncture, chain, incidence, dump-d.
 Exit codes: 0 success/feasible, 1 infeasible, 2 inconclusive (solver budget),
-3 input error.  LSEXT_ENUM_CAP overrides the enumeration cap.
+3 input error.  A chain exits 0 once it applied a step, or when it stopped at
+the target distance or the total-length budget.  LSEXT_ENUM_CAP overrides the
+enumeration cap.
 
 All output is deterministic: identical inputs produce byte-identical text.
 """
@@ -17,14 +19,12 @@ from .code import LinearCode
 from .errors import LsextError
 from .extension import coverage_matrix, format_matrix
 from .field import gf
-from .geometry import format_incidence, incidence_matrix
+from .geometry import incidence_matrix
 from .pipeline import (
-    STEP_APPLIED,
-    STEP_INCONCLUSIVE,
     ChainPolicy,
+    StepStatus,
+    StopReason,
     chain_search,
-    check_gap_allows,
-    default_s,
     extend_once,
     parse_code,
     serialize_code,
@@ -36,6 +36,16 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
+
+EXIT_CODES = {
+    StepStatus.APPLIED: EXIT_OK,
+    StepStatus.INFEASIBLE: EXIT_INFEASIBLE,
+    StepStatus.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    StopReason.TARGET_REACHED: EXIT_OK,
+    StopReason.LENGTH_BUDGET: EXIT_OK,
+    StopReason.SOLVER_BUDGET: EXIT_INCONCLUSIVE,
+    StopReason.NO_EXTENSION: EXIT_INFEASIBLE,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,14 +91,12 @@ def cmd_extend(args) -> int:
     code = _load(args.file)
     if args.l < 1:
         raise ValueError(f"--l must be >= 1, got {args.l}")
-    s = args.s if args.s is not None else default_s(code, args.l)
-    check_gap_allows(code, s)
     policy = ChainPolicy(
         max_l=args.l,
         projective=args.projective,
         solver=SolverConfig(strategy=args.strategy, max_solutions=args.max_solutions),
     )
-    new_code, rec = extend_once(code, args.l, s, policy)
+    new_code, rec = extend_once(code, args.l, args.s, policy)
     print(f"code: {_params(code)}")
     usable = rec.candidates_total - rec.candidates_masked
     print(f"candidates: {rec.candidates_total}  masked: {rec.candidates_masked}  usable: {usable}")
@@ -96,7 +104,7 @@ def cmd_extend(args) -> int:
     search = "complete" if rec.search_exhausted else "stopped early"
     print(f"solver: {rec.solver_strategy}  status: {rec.solver_status}  nodes: {rec.solver_nodes}  search: {search}")
     print(f"solutions found: {rec.solutions_found}")
-    if rec.status == STEP_APPLIED:
+    if rec.status is StepStatus.APPLIED:
         assert new_code is not None
         cols = " ".join(str(c) for c in rec.columns)
         vecs = " ".join(rec.column_vectors)
@@ -111,12 +119,11 @@ def cmd_extend(args) -> int:
         if args.out:
             Path(args.out).write_text(serialize_code(new_code))
             print(f"wrote: {args.out}")
-        return EXIT_OK
-    if rec.status == STEP_INCONCLUSIVE:
+    elif rec.status is StepStatus.INCONCLUSIVE:
         print("inconclusive: node budget exhausted before a solution was found")
-        return EXIT_INCONCLUSIVE
-    print(f"no (l={rec.l}, s={rec.s})-extension exists")
-    return EXIT_INFEASIBLE
+    else:
+        print(f"no (l={rec.l}, s={rec.s})-extension exists")
+    return EXIT_CODES[rec.status]
 
 
 def cmd_puncture(args) -> int:
@@ -125,21 +132,20 @@ def cmd_puncture(args) -> int:
     print(f"code: {_params(code)}")
     print(f"system: l={rec.l} s={rec.s} over {code.n} positions")
     print(f"solver: status: {rec.solver_status}  nodes: {rec.solver_nodes}")
-    if rec.status == STEP_APPLIED:
+    if rec.status is StepStatus.APPLIED:
         assert new_code is not None
         print(f"removed columns: {' '.join(str(c) for c in rec.columns)}")
-        print(f"predicted distance: >= {rec.predicted_distance} when the second-smallest weight allows")
+        print(f"predicted distance: >= {rec.guaranteed_distance} when the second-smallest weight allows")
         print(f"punctured code: {_params(new_code)}")
         if args.out:
             Path(args.out).write_text(serialize_code(new_code))
             print(f"wrote: {args.out}")
-        return EXIT_OK
-    if rec.status == STEP_INCONCLUSIVE:
+    elif rec.status is StepStatus.INCONCLUSIVE:
         print("inconclusive: node budget exhausted before a solution was found")
-        return EXIT_INCONCLUSIVE
-    print(f"no qualifying column set: some minimum-weight word has fewer than s={rec.s} "
-          f"zeros in every candidate set")
-    return EXIT_INFEASIBLE
+    else:
+        print(f"no qualifying column set: some minimum-weight word has fewer than s={rec.s} "
+              f"zeros in every candidate set")
+    return EXIT_CODES[rec.status]
 
 
 def cmd_chain(args) -> int:
@@ -155,17 +161,13 @@ def cmd_chain(args) -> int:
     sys.stdout.write(text)
     if args.report:
         Path(args.report).write_text(text)
-    if report.steps or report.stopping_reason.startswith("target distance"):
-        return EXIT_OK
-    if "budget" in report.stopping_reason:
-        return EXIT_INCONCLUSIVE
-    return EXIT_INFEASIBLE
+    return EXIT_CODES[StepStatus.APPLIED if report.steps else report.stopping_reason]
 
 
 def cmd_incidence(args) -> int:
     field = gf(args.q)
     matrix = incidence_matrix(field, args.k)
-    _emit(format_incidence(matrix), args.out)
+    _emit(format_matrix(matrix.bits), args.out)
     return EXIT_OK
 
 

@@ -51,7 +51,7 @@ def weight(word) -> int:
 class LinearCode:
     """A linear [n,k]_q code, rejected at construction unless rank(G) = k."""
 
-    def __init__(self, field: GF, matrix, cap: int | None = None) -> None:
+    def __init__(self, field: GF, matrix) -> None:
         mat = np.atleast_2d(field.check_codes(matrix))
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError(f"generator matrix must be 2-D and nonempty, got shape {mat.shape}")
@@ -64,7 +64,6 @@ class LinearCode:
         self.matrix = mat.copy()
         self.matrix.setflags(write=False)
         self.k, self.n = mat.shape
-        self._cap = cap
         self._reps: np.ndarray | None = None
         self._rep_weights: np.ndarray | None = None
         self._distribution: dict[int, int] | None = None
@@ -88,7 +87,7 @@ class LinearCode:
     def _analyze(self) -> None:
         if self._distribution is not None:
             return
-        reps = canonical_representatives(self.field, self.k, self._cap)
+        reps = canonical_representatives(self.field, self.k)
         words = self.field.vecmat(reps, self.matrix)
         weights = np.count_nonzero(words, axis=1)
         counts: dict[int, int] = {0: 1}

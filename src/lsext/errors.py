@@ -19,7 +19,7 @@ class EnumerationCapExceeded(LsextError):
         self.cap = cap
         super().__init__(
             f"{count} canonical representatives exceed the enumeration cap {cap} "
-            f"(set LSEXT_ENUM_CAP or pass cap= to raise it)"
+            f"(set LSEXT_ENUM_CAP to raise it)"
         )
 
 

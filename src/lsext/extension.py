@@ -98,10 +98,10 @@ class ExtensionSolution:
         return min(self.slacks)
 
 
-def coverage_matrix(code: LinearCode, cap: int | None = None) -> CoverageMatrix:
+def coverage_matrix(code: LinearCode) -> CoverageMatrix:
     """Build the min-weight-representative x candidate-column coverage matrix."""
     reps = code.min_weight_representatives()
-    columns = canonical_representatives(code.field, code.k, cap)
+    columns = canonical_representatives(code.field, code.k)
     bits = (code.field.inner(reps, columns) != 0).astype(np.uint8)
     bits.setflags(write=False)
     return CoverageMatrix(code=code, representatives=reps, columns=columns, bits=bits)
@@ -165,39 +165,15 @@ def apply_extension(code: LinearCode, x, matrix: CoverageMatrix) -> LinearCode:
     return LinearCode(code.field, np.concatenate([code.matrix, appended], axis=1))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of re-verifying an extended code from scratch."""
+def verify_extension(old: LinearCode, new: LinearCode, s: int) -> int:
+    """Recompute the new code's distribution, enforce the distance claim and
+    return the bound it enforced.
 
-    params_before: tuple[int, int, int]
-    params_after: tuple[int, int, int]
-    s_used: int
-    required_distance: int
-    min_weight_count_after: int
-    predicted_min_weight_count: int | None = None
-
-    @property
-    def prediction_agrees(self) -> bool | None:
-        if self.predicted_min_weight_count is None:
-            return None
-        return self.predicted_min_weight_count == self.min_weight_count_after
-
-
-def verify_extension(
-    old: LinearCode, new: LinearCode, s: int, solution: ExtensionSolution | None = None
-) -> VerificationReport:
-    """Recompute the new code's distribution and enforce the distance claim.
-
-    The required bound is d_old + s when the old code's weight gap allows a
-    guaranteed increase of s (gap >= s, or no second weight exists), else
-    d_old + 1.  Any violation, including a distance gain above the number of
-    appended columns, raises VerificationError: solutions are validated
-    before application, so failure here means an implementation bug.
-
-    When the applied solution is passed along, the slack-derived count of
-    minimum-weight words, (q-1) * #{zero-slack rows}, is reported next to the
-    recomputed A_d; the two agree exactly when every new minimum-weight word
-    descends from an old one, and the report only flags, never asserts, that.
+    The bound is d_old + s when the old code's weight gap allows a guaranteed
+    increase of s (gap >= s, or no second weight exists), else d_old + 1.
+    Any violation, including a distance gain above the number of appended
+    columns, raises VerificationError: solutions are validated before
+    application, so failure here means an implementation bug.
     """
     added = new.n - old.n
     if added < 1 or new.k != old.k or new.q != old.q:
@@ -215,18 +191,7 @@ def verify_extension(
         raise VerificationError(
             f"distance rose by {d_new - old.d} after appending only {added} columns"
         )
-    predicted = None
-    if solution is not None:
-        zero_slack = sum(1 for y in solution.slacks if y == 0)
-        predicted = zero_slack * (old.q - 1)
-    return VerificationReport(
-        params_before=old.params(),
-        params_after=new.params(),
-        s_used=s,
-        required_distance=required,
-        min_weight_count_after=new.min_weight_count,
-        predicted_min_weight_count=predicted,
-    )
+    return required
 
 
 def projective_filter(system: CoverSystem, code: LinearCode) -> CoverSystem:

@@ -260,7 +260,7 @@ def canonical_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def canonical_representatives(field: GF, k: int, cap: int | None = None) -> np.ndarray:
+def canonical_representatives(field: GF, k: int) -> np.ndarray:
     """All canonical subspace representatives of GF(q)^k, lexicographically.
 
     One vector per one-dimensional subspace, normalized so the first nonzero
@@ -270,8 +270,7 @@ def canonical_representatives(field: GF, k: int, cap: int | None = None) -> np.n
     """
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
-    if cap is None:
-        cap = enumeration_cap()
+    cap = enumeration_cap()
     q = field.q
     count = canonical_count(q, k)
     if count > cap:

@@ -76,9 +76,9 @@ def code_points(code: LinearCode) -> PointMultiset:
     return PointMultiset(field=code.field, k=code.k, multiplicities=mult)
 
 
-def incidence_matrix(field: GF, k: int, cap: int | None = None) -> IncidenceMatrix:
+def incidence_matrix(field: GF, k: int) -> IncidenceMatrix:
     """Point-hyperplane incidence matrix, 1 = point on hyperplane."""
-    points = canonical_representatives(field, k, cap)
+    points = canonical_representatives(field, k)
     bits = (field.inner(points, points) == 0).astype(np.uint8)
     bits.setflags(write=False)
     return IncidenceMatrix(field=field, k=k, points=points, bits=bits)
@@ -90,7 +90,7 @@ def hyperplane_row_weight(q: int, k: int) -> int:
 
 
 def geometric_extension_criterion(
-    points: PointMultiset, chosen, n: int, d: int, cap: int | None = None
+    points: PointMultiset, chosen, n: int, d: int
 ) -> bool:
     """Geometric extension criterion for a chosen set of points.
 
@@ -104,16 +104,9 @@ def geometric_extension_criterion(
     if chosen_arr.shape[0] == 0:
         raise ValueError("chosen point list must be nonempty")
     gf_ = points.field
-    normals = canonical_representatives(gf_, points.k, cap)
+    normals = canonical_representatives(gf_, points.k)
     touches = np.any(gf_.inner(normals, chosen_arr) == 0, axis=1)
     on_hyperplane = gf_.inner(normals, normals) == 0
     intersection = on_hyperplane @ points.as_vector(normals)
     return bool(np.all(intersection[touches] < n - d))
 
-
-def format_incidence(matrix: IncidenceMatrix) -> str:
-    """Text dump: header '<rows> <cols>' then one 0/1 string per hyperplane."""
-    lines = [f"{matrix.side} {matrix.side}"]
-    for row in matrix.bits:
-        lines.append("".join("1" if b else "0" for b in row))
-    return "\n".join(lines) + "\n"

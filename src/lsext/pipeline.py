@@ -16,6 +16,7 @@ them, which drops the length by l while costing at most l - s distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from enum import Enum
 
 import numpy as np
 
@@ -30,17 +31,37 @@ from .extension import (
     verify_extension,
 )
 from .field import gf
-from .solver import BUDGET_EXHAUSTED, FEASIBLE, SolverConfig, solve
+from .solver import BUDGET_EXHAUSTED, FEASIBLE, SolveOutcome, SolverConfig, solve
 
-STEP_APPLIED = "applied"
-STEP_INFEASIBLE = "infeasible"
-STEP_INCONCLUSIVE = "inconclusive"
+
+class _Text(str, Enum):
+    """A str-valued enum that prints as its value on every supported Python."""
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class StepStatus(_Text):
+    """Outcome of one extend or puncture step."""
+
+    APPLIED = "applied"
+    INFEASIBLE = "infeasible"
+    INCONCLUSIVE = "inconclusive"
+
+
+class StopReason(_Text):
+    """Why a chain stopped; the value is a template over the ChainPolicy fields."""
+
+    TARGET_REACHED = "target distance {target_distance} reached"
+    LENGTH_BUDGET = "total added length budget {max_total_added} reached"
+    SOLVER_BUDGET = "solver budget exhausted before finding an extension (l <= {max_l})"
+    NO_EXTENSION = "no feasible extension with l <= {max_l}"
 
 
 # -- code file I/O ---------------------------------------------------------------
 
 
-def parse_code(text: str, cap: int | None = None) -> LinearCode:
+def parse_code(text: str) -> LinearCode:
     """Parse the text format into a LinearCode; errors carry line numbers."""
     header: tuple[int, int, int] | None = None
     rows: list[list[int]] = []
@@ -81,7 +102,7 @@ def parse_code(text: str, cap: int | None = None) -> LinearCode:
         field = gf(q)
     except ValueError as exc:
         raise ParseError(str(exc), header_line) from None
-    return LinearCode(field, np.array(rows, dtype=np.uint8), cap=cap)
+    return LinearCode(field, np.array(rows, dtype=np.uint8))
 
 
 def serialize_code(code: LinearCode) -> str:
@@ -97,16 +118,22 @@ def serialize_code(code: LinearCode) -> str:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One extend/puncture attempt with its re-verified outcome."""
+    """One extend or puncture step: the search behind it and its verified outcome.
+
+    `guaranteed_distance` is the distance the step proves: for an extension
+    the bound `verify_extension` enforced on the recomputed code, for a
+    puncture d - l + s when the removed columns qualify, else None.
+    """
 
     operation: str
     l: int
     s: int
-    status: str
+    status: StepStatus
     params_before: tuple[int, int, int]
     params_after: tuple[int, int, int] | None = None
     columns: tuple[int, ...] = ()
     column_vectors: tuple[str, ...] = ()
+    guaranteed_distance: int | None = None
     min_weight_count_after: int | None = None
     predicted_min_weight_count: int | None = None
     solver_strategy: str = ""
@@ -124,7 +151,7 @@ class StepRecord:
     def describe(self) -> str:
         n, k, d = self.params_before
         head = f"{self.operation} (l={self.l}, s={self.s}) on [{n},{k},{d}]"
-        if self.status != STEP_APPLIED:
+        if self.status is not StepStatus.APPLIED:
             return f"{head}: {self.status}"
         assert self.params_after is not None
         n2, k2, d2 = self.params_after
@@ -158,7 +185,8 @@ class ChainReport:
     params_start: tuple[int, int, int]
     params_final: tuple[int, int, int]
     steps: tuple[StepRecord, ...]
-    stopping_reason: str
+    stopping_reason: StopReason
+    policy: ChainPolicy
 
     def to_text(self) -> str:
         n, k, d = self.params_start
@@ -168,7 +196,7 @@ class ChainReport:
         if not self.steps:
             lines.append("no steps applied")
         nf, kf, df = self.params_final
-        lines.append(f"stop: {self.stopping_reason}")
+        lines.append(f"stop: {self.stopping_reason.value.format_map(vars(self.policy))}")
         lines.append(f"final: [{nf},{kf},{df}]_{self.q}")
         return "\n".join(lines) + "\n"
 
@@ -200,12 +228,45 @@ def default_s(code: LinearCode, l: int) -> int:
     return l if gap is None else min(gap, l)
 
 
+def _search(
+    operation: str, code: LinearCode, system: CoverSystem, config: SolverConfig
+) -> tuple[SolveOutcome, StepRecord]:
+    """Solve a step's covering system and record it.
+
+    The status maps the solver outcome: a solution means the caller applies
+    the best one (and re-verifies it), a budget stop is inconclusive, and
+    anything else is infeasible.
+    """
+    outcome = solve(system, config)
+    if outcome.status == FEASIBLE:
+        status = StepStatus.APPLIED
+    elif outcome.status == BUDGET_EXHAUSTED:
+        status = StepStatus.INCONCLUSIVE
+    else:
+        status = StepStatus.INFEASIBLE
+    record = StepRecord(
+        operation=operation,
+        l=system.l,
+        s=system.s,
+        status=status,
+        params_before=code.params(),
+        solver_strategy=config.strategy,
+        solver_status=outcome.status,
+        solver_nodes=outcome.nodes_explored,
+        solutions_found=len(outcome.solutions),
+        search_exhausted=outcome.exhausted,
+        candidates_total=system.num_columns,
+        candidates_masked=len(system.masked),
+        rows=system.num_rows,
+    )
+    return outcome, record
+
+
 def extend_once(
     code: LinearCode,
     l: int,
     s: int | None = None,
     policy: ChainPolicy | None = None,
-    cap: int | None = None,
 ) -> tuple[LinearCode | None, StepRecord]:
     """One (l,s)-extension attempt: build the system, solve, apply, re-verify.
 
@@ -218,66 +279,37 @@ def extend_once(
     if s is None:
         s = default_s(code, l)
     check_gap_allows(code, s)
-    matrix = coverage_matrix(code, cap)
+    matrix = coverage_matrix(code)
     system = cover_system(matrix, l, s)
     if policy.projective:
         system = projective_filter(system, code)
-    outcome = solve(system, policy.solver)
-    base = StepRecord(
-        operation="extend",
-        l=l,
-        s=s,
-        status=STEP_INFEASIBLE,
-        params_before=code.params(),
-        solver_strategy=policy.solver.strategy,
-        solver_status=outcome.status,
-        solver_nodes=outcome.nodes_explored,
-        solutions_found=len(outcome.solutions),
-        search_exhausted=outcome.exhausted,
-        candidates_total=system.num_columns,
-        candidates_masked=len(system.masked),
-        rows=system.num_rows,
-    )
-    if outcome.status == BUDGET_EXHAUSTED:
-        return None, replace(base, status=STEP_INCONCLUSIVE)
-    if outcome.status != FEASIBLE:
-        return None, base
+    outcome, record = _search("extend", code, system, policy.solver)
+    if record.status is not StepStatus.APPLIED:
+        return None, record
     best = outcome.best
     assert best is not None
     new_code = apply_extension(code, best.columns, matrix)
-    report = verify_extension(code, new_code, s, best)
-    record = replace(
-        base,
-        status=STEP_APPLIED,
+    guaranteed = verify_extension(code, new_code, s)
+    # Each zero-slack row lands exactly on the new minimum weight with its
+    # q-1 scalar multiples.  The prediction equals the recomputed A_d exactly
+    # when every new minimum-weight word descends from an old one; the record
+    # only reports both counts.
+    zero_slack = sum(1 for y in best.slacks if y == 0)
+    return new_code, replace(
+        record,
         params_after=new_code.params(),
         columns=best.columns,
         column_vectors=_vector_strings(matrix.columns[list(best.columns)]),
-        min_weight_count_after=report.min_weight_count_after,
-        predicted_min_weight_count=report.predicted_min_weight_count,
+        guaranteed_distance=guaranteed,
+        min_weight_count_after=new_code.min_weight_count,
+        predicted_min_weight_count=zero_slack * (code.q - 1),
         slack_min=min(best.slacks),
         slack_max=max(best.slacks),
-        zero_slack_rows=sum(1 for y in best.slacks if y == 0),
+        zero_slack_rows=zero_slack,
     )
-    return new_code, record
 
 
 # -- special puncturing ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PunctureRecord:
-    """Outcome of a puncture attempt."""
-
-    l: int
-    s: int
-    status: str
-    params_before: tuple[int, int, int]
-    params_after: tuple[int, int, int] | None = None
-    columns: tuple[int, ...] = ()
-    qualifies: bool | None = None
-    predicted_distance: int | None = None
-    solver_status: str = ""
-    solver_nodes: int = 0
 
 
 def zero_coverage_system(code: LinearCode, l: int, s: int) -> CoverSystem:
@@ -307,13 +339,13 @@ def special_puncture(
     s: int,
     columns=None,
     solver_config: SolverConfig | None = None,
-) -> tuple[LinearCode | None, PunctureRecord]:
+) -> tuple[LinearCode | None, StepRecord]:
     """Remove l columns so every minimum-weight codeword has >= s zeros among them.
 
     With explicit `columns` the removal is performed unconditionally and the
-    record reports whether the zero-coverage property actually holds (the
-    d - l + s prediction is only quoted when it does).  Without `columns` the
-    same solver machinery as extension searches the zero-coverage system over
+    record's `guaranteed_distance` quotes the d - l + s prediction only when
+    the zero-coverage property actually holds.  Without `columns` the same
+    solver machinery as extension searches the zero-coverage system over
     generator positions; no qualifying set is an infeasibility result.
     """
     if not 1 <= l < code.n:
@@ -328,36 +360,20 @@ def special_puncture(
         coverage = system.bits[:, list(cols)].sum(axis=1, dtype=np.int64)
         qualifies = bool(np.all(coverage >= s))
         new_code = remove_columns(code, cols)
-        record = PunctureRecord(
+        record = StepRecord(
+            operation="puncture",
             l=l,
             s=s,
-            status=STEP_APPLIED,
+            status=StepStatus.APPLIED,
             params_before=code.params(),
             params_after=new_code.params(),
             columns=cols,
-            qualifies=qualifies,
-            predicted_distance=code.d - l + s if qualifies else None,
+            guaranteed_distance=code.d - l + s if qualifies else None,
         )
         return new_code, record
-    outcome = solve(system, solver_config or SolverConfig())
-    if outcome.status == BUDGET_EXHAUSTED:
-        return None, PunctureRecord(
-            l=l,
-            s=s,
-            status=STEP_INCONCLUSIVE,
-            params_before=code.params(),
-            solver_status=outcome.status,
-            solver_nodes=outcome.nodes_explored,
-        )
-    if outcome.status != FEASIBLE:
-        return None, PunctureRecord(
-            l=l,
-            s=s,
-            status=STEP_INFEASIBLE,
-            params_before=code.params(),
-            solver_status=outcome.status,
-            solver_nodes=outcome.nodes_explored,
-        )
+    outcome, record = _search("puncture", code, system, solver_config or SolverConfig())
+    if record.status is not StepStatus.APPLIED:
+        return None, record
     best = outcome.best
     assert best is not None
     new_code = remove_columns(code, best.columns)
@@ -370,25 +386,18 @@ def special_puncture(
             f"puncturing {l} columns dropped the distance from {code.d} to {new_code.d}, "
             f"below the guaranteed floor {floor}"
         )
-    record = PunctureRecord(
-        l=l,
-        s=s,
-        status=STEP_APPLIED,
-        params_before=code.params(),
+    return new_code, replace(
+        record,
         params_after=new_code.params(),
         columns=best.columns,
-        qualifies=True,
-        predicted_distance=code.d - l + s,
-        solver_status=outcome.status,
-        solver_nodes=outcome.nodes_explored,
+        guaranteed_distance=code.d - l + s,
     )
-    return new_code, record
 
 
 # -- chain search -------------------------------------------------------------------
 
 
-def chain_search(code: LinearCode, policy: ChainPolicy | None = None, cap: int | None = None) -> ChainReport:
+def chain_search(code: LinearCode, policy: ChainPolicy | None = None) -> ChainReport:
     """Greedy distance climbing: smallest feasible l first, s = min(gap, l).
 
     Stops at the target distance, when the total added length would exceed
@@ -400,10 +409,9 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None, cap: int |
     steps: list[StepRecord] = []
     current = code
     added_total = 0
-    reason = None
-    while reason is None:
+    while True:
         if policy.target_distance is not None and current.d >= policy.target_distance:
-            reason = f"target distance {policy.target_distance} reached"
+            reason = StopReason.TARGET_REACHED
             break
         applied = None
         any_inconclusive = False
@@ -412,20 +420,20 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None, cap: int |
             if policy.max_total_added is not None and added_total + l > policy.max_total_added:
                 continue
             any_tried = True
-            new_code, record = extend_once(current, l, None, policy, cap)
-            if record.status == STEP_APPLIED:
+            new_code, record = extend_once(current, l, None, policy)
+            if record.status is StepStatus.APPLIED:
                 assert new_code is not None
                 applied = (new_code, record, l)
                 break
-            if record.status == STEP_INCONCLUSIVE:
+            if record.status is StepStatus.INCONCLUSIVE:
                 any_inconclusive = True
         if applied is None:
             if not any_tried:
-                reason = f"total added length budget {policy.max_total_added} reached"
+                reason = StopReason.LENGTH_BUDGET
             elif any_inconclusive:
-                reason = f"solver budget exhausted before finding an extension (l <= {policy.max_l})"
+                reason = StopReason.SOLVER_BUDGET
             else:
-                reason = f"no feasible extension with l <= {policy.max_l}"
+                reason = StopReason.NO_EXTENSION
             break
         new_code, record, l = applied
         steps.append(record)
@@ -437,4 +445,5 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None, cap: int |
         params_final=current.params(),
         steps=tuple(steps),
         stopping_reason=reason,
+        policy=policy,
     )

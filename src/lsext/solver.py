@@ -104,15 +104,13 @@ def solve_exhaustive(system: CoverSystem, config: SolverConfig | None = None) ->
     cover = system.bits.astype(np.int64)
     solutions: list[ExtensionSolution] = []
     nodes = 0
-    budget_hit = False
     step = 1 if system.distinct else 0
 
     def rec(start: int, chosen: list[int], coverage: np.ndarray) -> bool:
         # Returns True to stop the whole search.
-        nonlocal nodes, budget_hit
+        nonlocal nodes
         if len(chosen) == system.l:
             if nodes >= config.node_limit:
-                budget_hit = True
                 return True
             nodes += 1
             if np.all(coverage >= system.s):
@@ -150,11 +148,10 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
     )
     solutions: list[ExtensionSolution] = []
     nodes = 0
-    budget_hit = False
     step = 1 if system.distinct else 0
 
     def rec(start: int, chosen: list[int], deficit: np.ndarray) -> bool:
-        nonlocal nodes, budget_hit
+        nonlocal nodes
         picks_left = system.l - len(chosen)
         if picks_left == 0:
             if not np.any(deficit > 0):
@@ -184,7 +181,6 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
                     if len(solutions) >= config.max_solutions:
                         return True
             if take < total:
-                budget_hit = True
                 return True
             return False
         open_rows = deficit > 0
@@ -208,7 +204,6 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
             return False
         for pos in range(start, len(allowed)):
             if nodes >= config.node_limit:
-                budget_hit = True
                 return True
             nodes += 1
             chosen.append(pos)

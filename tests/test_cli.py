@@ -109,6 +109,13 @@ def test_chain_target_already_met(hamming_file, capsys):
     assert "target distance 3 reached" in capsys.readouterr().out
 
 
+def test_chain_length_budget_exits_0(hamming_file, capsys):
+    # Stopping at the user's own length limit claims nothing about feasibility.
+    assert main(["chain", hamming_file, "--max-total", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "no steps applied\nstop: total added length budget 0 reached\n" in out
+
+
 def test_incidence_fano(capsys):
     assert main(["incidence", "--q", "2", "--k", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -147,8 +154,11 @@ def test_enum_cap_env(hamming_file, capsys, monkeypatch):
     assert main(["analyze", hamming_file]) == 3
     err = capsys.readouterr().err
     assert "cap 5" in err
+    assert main(["chain", hamming_file]) == 3
+    assert "cap 5" in capsys.readouterr().err
     monkeypatch.setenv("LSEXT_ENUM_CAP", "1000")
     assert main(["analyze", hamming_file]) == 0
+    assert main(["chain", hamming_file]) == 0
 
 
 def test_incidence_cap_exceeded(capsys, monkeypatch):

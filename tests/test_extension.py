@@ -139,13 +139,9 @@ def test_verify_extension_reports(hamming):
     cov = coverage_matrix(hamming)
     system = cover_system(cov, 1, 1)
     new_code = apply_extension(hamming, [13], cov)
-    report = verify_extension(hamming, new_code, 1, solution_for(system, [13]))
-    assert report.params_after == (8, 4, 4)
-    assert report.min_weight_count_after == 14
-    # 7 zero-slack rows predict 7 minimum-weight words; the count differs
-    # because old weight-4 words also land on the new minimum.
-    assert report.predicted_min_weight_count == 7
-    assert report.prediction_agrees is False
+    assert solution_for(system, [13]).slacks == (0,) * 7
+    assert new_code.params() == (8, 4, 4)
+    assert verify_extension(hamming, new_code, 1) == 4
 
 
 def test_verify_extension_rejects_false_claim(hamming):
@@ -160,8 +156,7 @@ def test_verify_extension_falls_back_to_plus_one_when_s_exceeds_gap(hamming):
     # check verification passes under the weaker bound.
     cov = coverage_matrix(hamming)
     new_code = apply_extension(hamming, [13], cov)
-    report = verify_extension(hamming, new_code, 3)
-    assert report.required_distance == hamming.d + 1
+    assert verify_extension(hamming, new_code, 3) == hamming.d + 1
 
 
 def test_projective_filter(hamming):

@@ -101,9 +101,10 @@ def test_canonical_order_lexicographic_and_stable():
     assert np.array_equal(reps, again)
 
 
-def test_cap_enforced_and_named():
+def test_cap_enforced_and_named(monkeypatch):
+    monkeypatch.setenv("LSEXT_ENUM_CAP", "100")
     with pytest.raises(EnumerationCapExceeded) as err:
-        canonical_representatives(gf(3), 8, cap=100)
+        canonical_representatives(gf(3), 8)
     assert "3280" in str(err.value) and "100" in str(err.value)
 
 

@@ -6,11 +6,10 @@ import pytest
 from conftest import random_codes, repetition
 from lsext.code import LinearCode, weight
 from lsext.errors import DegenerateCodeError
-from lsext.extension import cover_system, coverage_matrix, is_good_extension
+from lsext.extension import cover_system, coverage_matrix, format_matrix, is_good_extension
 from lsext.field import canonical_count, canonical_representatives, gf
 from lsext.geometry import (
     code_points,
-    format_incidence,
     hyperplane_row_weight,
     incidence_matrix,
     geometric_extension_criterion,
@@ -146,7 +145,7 @@ def test_geometric_criterion_requires_nonempty_choice(hamming):
 
 
 def test_format_incidence_header():
-    text = format_incidence(incidence_matrix(gf(2), 3))
+    text = format_matrix(incidence_matrix(gf(2), 3).bits)
     lines = text.splitlines()
     assert lines[0] == "7 7"
     assert len(lines) == 8

@@ -8,9 +8,9 @@ from lsext.code import LinearCode
 from lsext.errors import ParseError, RankDeficientError
 from lsext.field import gf
 from lsext.pipeline import (
-    STEP_APPLIED,
-    STEP_INFEASIBLE,
     ChainPolicy,
+    StepStatus,
+    StopReason,
     chain_search,
     check_gap_allows,
     default_s,
@@ -91,10 +91,15 @@ def test_serialize_round_trip(golay):
 
 def test_extend_once_hamming(hamming):
     new_code, rec = extend_once(hamming, 1)
-    assert rec.status == STEP_APPLIED
+    assert rec.operation == "extend"
+    assert rec.status is StepStatus.APPLIED
     assert new_code.params() == (8, 4, 4)
     assert rec.params_after == (8, 4, 4)
+    assert rec.guaranteed_distance == 4
     assert rec.min_weight_count_after == 14
+    # 7 zero-slack rows predict 7 minimum-weight words; the count differs
+    # because old weight-4 words also land on the new minimum.
+    assert rec.predicted_min_weight_count == 7
     assert rec.candidates_total == 15
     assert rec.search_exhausted
 
@@ -117,7 +122,7 @@ def test_extend_once_infeasible(hamming):
     # No [9,4,5]_2 exists, so the extended Hamming code cannot be improved.
     result, rec = extend_once(extended, 1)
     assert result is None
-    assert rec.status == STEP_INFEASIBLE
+    assert rec.status is StepStatus.INFEASIBLE
     assert rec.search_exhausted
 
 
@@ -130,7 +135,7 @@ def test_extend_once_inconclusive_on_tiny_budget(golay):
     policy = ChainPolicy(solver=SolverConfig(node_limit=1))
     result, rec = extend_once(golay, 1, policy=policy)
     assert result is None
-    assert rec.status == "inconclusive"
+    assert rec.status is StepStatus.INCONCLUSIVE
     assert rec.solver_status == "budget_exhausted"
     assert not rec.search_exhausted
 
@@ -153,7 +158,7 @@ def test_extend_once_picks_max_min_slack_solution():
     # (0,0), while (2,2) reaches min slack 1 and must be preferred.
     code = LinearCode(gf(2), [[1, 1, 0, 0], [0, 0, 1, 1]])
     new_code, rec = extend_once(code, 2, s=1, policy=ChainPolicy(solver=SolverConfig(max_solutions=50)))
-    assert rec.status == STEP_APPLIED
+    assert rec.status is StepStatus.APPLIED
     assert rec.slack_min == 1
     assert rec.columns == (2, 2)
     assert new_code.params() == (6, 2, 4)
@@ -183,8 +188,8 @@ def test_puncture_explicit_columns_reports_qualification(hamming):
     extended, _ = extend_once(hamming, 1)
     back, rec = special_puncture(extended, 1, 1, columns=[7])
     assert back.params() == (7, 4, 3)
-    assert rec.qualifies is False
-    assert rec.predicted_distance is None
+    assert rec.operation == "puncture"
+    assert rec.guaranteed_distance is None
 
 
 def test_puncture_search_mode_finds_qualifying_set(golay):
@@ -194,8 +199,8 @@ def test_puncture_search_mode_finds_qualifying_set(golay):
     padded = LinearCode(gf(2), [[1, 1, 1, 0], [0, 1, 0, 1]])
     # weight-2 word (0101): zero at columns 0, 2; weight-3 word zero at 3.
     new_code, rec = special_puncture(padded, 1, 1)
-    assert rec.status == STEP_APPLIED
-    assert rec.qualifies is True
+    assert rec.status is StepStatus.APPLIED
+    assert rec.guaranteed_distance == padded.d
     assert new_code.n == 3
 
 
@@ -203,7 +208,7 @@ def test_puncture_search_infeasible_on_repetition():
     code = repetition(2, 3)
     result, rec = special_puncture(code, 1, 1)
     assert result is None
-    assert rec.status == STEP_INFEASIBLE
+    assert rec.status is StepStatus.INFEASIBLE
 
 
 def test_puncture_parameter_validation(hamming):
@@ -268,13 +273,15 @@ def test_chain_steps_are_consistent(golay):
 def test_chain_respects_target_distance(hamming):
     report = chain_search(hamming, ChainPolicy(max_l=2, target_distance=3))
     assert report.steps == ()
-    assert report.stopping_reason == "target distance 3 reached"
+    assert report.stopping_reason is StopReason.TARGET_REACHED
+    assert "stop: target distance 3 reached\n" in report.to_text()
 
 
 def test_chain_respects_total_budget(golay):
     report = chain_search(golay, ChainPolicy(max_l=2, max_total_added=1))
     assert sum(step.l for step in report.steps) <= 1
-    assert "budget" in report.stopping_reason or "no feasible" in report.stopping_reason
+    assert report.stopping_reason is StopReason.LENGTH_BUDGET
+    assert "stop: total added length budget 1 reached\n" in report.to_text()
 
 
 def test_chain_deterministic(golay):
@@ -295,7 +302,7 @@ def test_chain_reports_budget_stop(golay):
     policy = ChainPolicy(max_l=1, solver=SolverConfig(node_limit=1))
     report = chain_search(golay, policy)
     assert report.steps == ()
-    assert "budget" in report.stopping_reason
+    assert report.stopping_reason is StopReason.SOLVER_BUDGET
 
 
 def test_chain_policy_validation():
@@ -308,7 +315,7 @@ def test_round_trip_random_extensions():
     the original parameters and distribution."""
     for code in random_codes(15, seed=61, qs=(2, 3), max_k=3, max_n=7):
         new_code, rec = extend_once(code, 1)
-        if rec.status != STEP_APPLIED:
+        if rec.status is not StepStatus.APPLIED:
             continue
         back, _ = special_puncture(new_code, 1, rec.s, columns=range(code.n, new_code.n))
         assert back.params() == code.params()
