@@ -150,6 +150,7 @@ def slacks(system: CoverSystem, x) -> np.ndarray:
 
 
 def solution_for(system: CoverSystem, x) -> ExtensionSolution:
+    """Solution record for x with its slacks; raises when x does not cover the system."""
     cols = _as_multiset(x)
     return ExtensionSolution(columns=cols, slacks=tuple(int(v) for v in slacks(system, cols)))
 

@@ -89,9 +89,9 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 class GF:
     """Arithmetic tables for GF(q), with vectorized helpers over numpy arrays.
 
-    Attributes p, e, q and modulus mirror the field description; add/sub/mul
-    are (q, q) uint8 lookup tables, neg and inv are length-q vectors (inv[0]
-    is a placeholder and must never be read).
+    Attributes p, e, q and modulus mirror the field description; add_table,
+    sub_table and mul_table are (q, q) uint8 lookup tables, neg and inv are
+    length-q vectors (inv[0] is a placeholder and must never be read).
     """
 
     def __init__(self, q: int) -> None:
@@ -192,9 +192,6 @@ class GF:
     def add(self, a, b):
         return self.add_table[self.check_codes(a), self.check_codes(b)]
 
-    def sub(self, a, b):
-        return self.sub_table[self.check_codes(a), self.check_codes(b)]
-
     def mul(self, a, b):
         return self.mul_table[self.check_codes(a), self.check_codes(b)]
 
@@ -204,9 +201,6 @@ class GF:
         if np.any(arr == 0):
             raise ZeroDivisionError(f"0 has no multiplicative inverse in GF({self.q})")
         return self.inv[arr]
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- vector helpers -------------------------------------------------------
 
@@ -229,10 +223,6 @@ class GF:
         """Pairwise inner products: (m, k) x (r, k) -> (m, r)."""
         b = np.atleast_2d(self.check_codes(b))
         return self.vecmat(a, b.T)
-
-    def dot(self, u, v) -> int:
-        """Inner product of two length-k vectors."""
-        return int(self.inner(np.atleast_2d(u), np.atleast_2d(v))[0, 0])
 
     def scale_to_canonical(self, vec) -> np.ndarray:
         """Scale a nonzero vector so its first nonzero entry becomes 1."""

@@ -60,10 +60,6 @@ class IncidenceMatrix:
     points: np.ndarray
     bits: np.ndarray
 
-    @property
-    def side(self) -> int:
-        return len(self.points)
-
 
 def code_points(code: LinearCode) -> PointMultiset:
     """Point multiset of a non-degenerate code: one point per generator column."""

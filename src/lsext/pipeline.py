@@ -27,6 +27,7 @@ from .extension import (
     apply_extension,
     coverage_matrix,
     cover_system,
+    is_good_extension,
     projective_filter,
     verify_extension,
 )
@@ -318,6 +319,7 @@ def zero_coverage_system(code: LinearCode, l: int, s: int) -> CoverSystem:
     reps = code.min_weight_representatives()
     letters = code.field.vecmat(reps, code.matrix)
     bits = (letters == 0).astype(np.uint8)
+    bits.setflags(write=False)
     return CoverSystem(bits=bits, l=l, s=s, distinct=True)
 
 
@@ -355,10 +357,7 @@ def special_puncture(
     system = zero_coverage_system(code, l, s)
     if columns is not None:
         cols = tuple(sorted(int(j) for j in columns))
-        if len(cols) != l:
-            raise ValueError(f"expected {l} columns, got {len(cols)}")
-        coverage = system.bits[:, list(cols)].sum(axis=1, dtype=np.int64)
-        qualifies = bool(np.all(coverage >= s))
+        qualifies = is_good_extension(system, cols)
         new_code = remove_columns(code, cols)
         record = StepRecord(
             operation="puncture",

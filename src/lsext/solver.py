@@ -14,6 +14,11 @@ Three strategies share one outcome type:
                 (ties to the lowest index).  A cheap probe: success yields a
                 valid solution, failure proves nothing.
 
+All strategies search `system.bits` in its stored uint8 form, with no
+widened copy.  Every solution they return is re-validated by building it
+through `extension.solution_for`, which recomputes the coverage and raises
+InfeasibleSolutionError on a short row.
+
 All strategies are deterministic: same system, same config, same outcome,
 including solution order.  `budget_exhausted` is never conflated with
 `infeasible` - a missed extension must not masquerade as a proof that none
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import CoverSystem, ExtensionSolution, is_good_extension
+from .extension import CoverSystem, ExtensionSolution, solution_for
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -75,16 +80,6 @@ class SolveOutcome:
         return max(self.solutions, key=lambda sol: (sol.min_slack, [-c for c in sol.columns]))
 
 
-def _validated(system: CoverSystem, chosen: list[int], coverage: np.ndarray) -> ExtensionSolution:
-    solution = ExtensionSolution(
-        columns=tuple(chosen), slacks=tuple(int(v) for v in coverage - system.s)
-    )
-    # Unconditional re-validation against the public predicate before returning.
-    if not is_good_extension(system, solution.columns):
-        raise AssertionError(f"solver produced an invalid solution {solution.columns}")
-    return solution
-
-
 def _outcome(solutions: list[ExtensionSolution], nodes: int, exhausted: bool) -> SolveOutcome:
     if solutions:
         status = FEASIBLE
@@ -101,7 +96,7 @@ def solve_exhaustive(system: CoverSystem, config: SolverConfig | None = None) ->
     """Enumerate candidate multisets in lexicographic order, no pruning."""
     config = config or SolverConfig(strategy="exhaustive")
     allowed = system.allowed_columns()
-    cover = system.bits.astype(np.int64)
+    cover = system.bits
     solutions: list[ExtensionSolution] = []
     nodes = 0
     step = 1 if system.distinct else 0
@@ -114,7 +109,7 @@ def solve_exhaustive(system: CoverSystem, config: SolverConfig | None = None) ->
                 return True
             nodes += 1
             if np.all(coverage >= system.s):
-                solutions.append(_validated(system, list(chosen), coverage))
+                solutions.append(solution_for(system, chosen))
                 if len(solutions) >= config.max_solutions:
                     return True
             return False
@@ -143,9 +138,7 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
     """
     config = config or SolverConfig(strategy="bnb")
     allowed = system.allowed_columns()
-    cover = system.bits.astype(np.int64)[:, allowed] if allowed else np.zeros(
-        (system.num_rows, 0), dtype=np.int64
-    )
+    cover = system.bits[:, allowed]
     solutions: list[ExtensionSolution] = []
     nodes = 0
     step = 1 if system.distinct else 0
@@ -155,10 +148,7 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
         picks_left = system.l - len(chosen)
         if picks_left == 0:
             if not np.any(deficit > 0):
-                # deficit is kept as s - coverage, so coverage = s - deficit.
-                solutions.append(
-                    _validated(system, [allowed[p] for p in chosen], system.s - deficit)
-                )
+                solutions.append(solution_for(system, [allowed[p] for p in chosen]))
                 if len(solutions) >= config.max_solutions:
                     return True
             return False
@@ -171,13 +161,7 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
                 nodes += take
                 for off in np.nonzero(ok)[0]:
                     positions = chosen + [start + int(off)]
-                    solutions.append(
-                        _validated(
-                            system,
-                            [allowed[p] for p in positions],
-                            system.s - deficit + cover[:, start + int(off)],
-                        )
-                    )
+                    solutions.append(solution_for(system, [allowed[p] for p in positions]))
                     if len(solutions) >= config.max_solutions:
                         return True
             if take < total:
@@ -187,16 +171,12 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
         if np.any(open_rows):
             if int(deficit.max()) > picks_left:
                 return False
-            remaining = cover[:, start:]
-            if remaining.shape[1] == 0:
+            remaining = cover[open_rows, start:]
+            # Some deficient row unreachable by every remaining column?  This
+            # also cuts a node with no remaining column, so best_gain >= 1 below.
+            if np.any(remaining.sum(axis=1) == 0):
                 return False
-            gains = remaining[open_rows].sum(axis=0)
-            best_gain = int(gains.max()) if gains.size else 0
-            if best_gain == 0:
-                return False
-            # Some deficient row unreachable by every remaining column?
-            if np.any(remaining[open_rows].sum(axis=1) == 0):
-                return False
+            best_gain = int(remaining.sum(axis=0).max())
             need = (int(deficit[open_rows].sum()) + best_gain - 1) // best_gain
             if need > picks_left:
                 return False
@@ -224,7 +204,7 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
     allowed = system.allowed_columns()
     if not allowed:
         return _outcome([], 0, exhausted=False)
-    cover = system.bits.astype(np.int64)
+    cover = system.bits
     deficit = np.full(system.num_rows, system.s, dtype=np.int64)
     chosen: list[int] = []
     nodes = 0
@@ -247,9 +227,7 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
         deficit = np.maximum(deficit - cover[:, best_j], 0)
     if np.any(deficit > 0):
         return _outcome([], nodes, exhausted=False)
-    chosen.sort()
-    coverage = system.bits[:, chosen].sum(axis=1, dtype=np.int64)
-    return _outcome([_validated(system, chosen, coverage)], nodes, exhausted=False)
+    return _outcome([solution_for(system, chosen)], nodes, exhausted=False)
 
 
 _SOLVERS = {

@@ -19,6 +19,7 @@ from lsext.pipeline import (
     remove_columns,
     serialize_code,
     special_puncture,
+    zero_coverage_system,
 )
 from lsext.solver import SolverConfig
 
@@ -222,6 +223,15 @@ def test_puncture_parameter_validation(hamming):
         special_puncture(hamming, 2, 1, columns=[1])
     with pytest.raises(ValueError):
         special_puncture(hamming, 2, 1, columns=[1, 1])
+    with pytest.raises(ValueError):
+        special_puncture(hamming, 1, 1, columns=[7])
+
+
+def test_zero_coverage_bits_read_only(hamming):
+    # The solvers search this matrix in place, so it must refuse writes.
+    system = zero_coverage_system(hamming, 1, 1)
+    with pytest.raises(ValueError):
+        system.bits[0, 0] = 1
 
 
 def test_puncture_rank_collapse_raises():

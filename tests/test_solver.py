@@ -3,11 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lsext.extension import CoverSystem, is_good_extension
+from lsext.extension import CoverSystem, coverage_matrix, cover_system, is_good_extension
+from lsext.pipeline import default_s
 from lsext.solver import (
     BUDGET_EXHAUSTED,
     FEASIBLE,
     INFEASIBLE,
+    STRATEGIES,
     SolverConfig,
     format_solutions,
     parse_matrix_text,
@@ -63,6 +65,13 @@ def test_masked_columns_never_selected():
         outcome = solver(system)
         assert all(0 not in sol.columns for sol in outcome.solutions)
     assert solve_exhaustive(system).solutions[0].columns == (1,)
+    for l in (1, 2):
+        none_left = system_of([[1, 1]], l, 1, masked=frozenset({0, 1}))
+        for solver in (solve_exhaustive, solve_branch_and_bound):
+            o = solver(none_left)
+            assert (o.status, o.nodes_explored, o.exhausted) == (INFEASIBLE, 0, True)
+        o = solve_greedy(none_left)
+        assert (o.status, o.nodes_explored, o.exhausted) == (BUDGET_EXHAUSTED, 0, False)
 
 
 def test_budget_exhausted_is_not_infeasible():
@@ -235,3 +244,27 @@ def test_parse_matrix_text_errors():
         parse_matrix_text("2 3\n101\n")
     with pytest.raises(ValueError):
         parse_matrix_text("1 3\n10x\n")
+
+
+@pytest.mark.parametrize(
+    "code_name, l, nodes, firsts",
+    [
+        ("hamming", 1, (15, 15, 15), ((13,), (13,), (13,))),
+        ("hamming", 2, (64, 70, 30), ((0, 13), (0, 13), (0, 13))),
+        ("golay", 1, (364, 364, 364), ((242,), (242,), (242,))),
+        ("golay", 2, (1327, 1454, 728), ((0, 241), (0, 241), (0, 242))),
+    ],
+)
+def test_node_counts_and_first_solutions_pinned(request, code_name, l, nodes, firsts):
+    # Node counts and solution order are part of every report; a change to
+    # how the strategies walk the coverage matrix must leave them as they are.
+    code = request.getfixturevalue(code_name)
+    system = cover_system(coverage_matrix(code), l, default_s(code, l))
+    # With the default max_solutions=10, exhaustive and bnb stop early at l=2.
+    complete = l == 1
+    for strategy, node_count, first in zip(STRATEGIES, nodes, firsts):
+        outcome = solve(system, SolverConfig(strategy=strategy))
+        assert outcome.status == FEASIBLE
+        assert outcome.nodes_explored == node_count
+        assert outcome.exhausted == (complete and strategy != "greedy")
+        assert outcome.solutions[0].columns == first
