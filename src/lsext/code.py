@@ -7,6 +7,12 @@ one-per-subspace message representatives: nonzero weights are invariant under
 scalar multiples of the message, so each canonical representative stands for
 (q-1) codewords of equal weight.
 
+The representatives are streamed in chunks by `field.canonical_supports`, and
+the analysis keeps only the weight histogram and the minimum-weight
+representatives.  Its memory does not grow with the number of
+representatives h = (q^k-1)/(q-1), only with the number of those of minimum
+weight.
+
 Analysis results are cached on first use; afterwards the object is immutable
 and safe to share read-only across threads.
 """
@@ -16,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateCodeError, RankDeficientError, WeightGapUndefinedError
-from .field import GF, canonical_representatives
+from .field import GF, canonical_supports, representatives_at
 
 
 def gf_rank(field: GF, matrix: np.ndarray) -> int:
@@ -64,8 +70,7 @@ class LinearCode:
         self.matrix = mat.copy()
         self.matrix.setflags(write=False)
         self.k, self.n = mat.shape
-        self._reps: np.ndarray | None = None
-        self._rep_weights: np.ndarray | None = None
+        self._min_reps: np.ndarray | None = None
         self._distribution: dict[int, int] | None = None
 
     @property
@@ -87,15 +92,23 @@ class LinearCode:
     def _analyze(self) -> None:
         if self._distribution is not None:
             return
-        reps = canonical_representatives(self.field, self.k)
-        words = self.field.vecmat(reps, self.matrix)
-        weights = np.count_nonzero(words, axis=1)
+        histogram = np.zeros(self.n + 1, dtype=np.int64)
+        lowest = self.n + 1
+        hits: list[np.ndarray] = []  # canonical indices of the representatives of weight `lowest`
+        start = 0
+        for support in canonical_supports(self.field, self.matrix):
+            weights = np.count_nonzero(support, axis=1)
+            histogram += np.bincount(weights, minlength=self.n + 1)
+            low = int(weights.min())
+            if low < lowest:
+                lowest, hits = low, []
+            if low == lowest:
+                hits.append(start + np.flatnonzero(weights == low))
+            start += len(weights)
         counts: dict[int, int] = {0: 1}
-        vals, freq = np.unique(weights, return_counts=True)
-        for w, c in zip(vals.tolist(), freq.tolist()):
-            counts[int(w)] = int(c) * (self.q - 1)
-        self._reps = reps
-        self._rep_weights = weights
+        for w in np.flatnonzero(histogram).tolist():
+            counts[w] = int(histogram[w]) * (self.q - 1)
+        self._min_reps = representatives_at(self.field, self.k, np.concatenate(hits))
         self._distribution = counts
 
     def weight_distribution(self) -> dict[int, int]:
@@ -124,8 +137,8 @@ class LinearCode:
         encoding of exactly one.
         """
         self._analyze()
-        assert self._reps is not None and self._rep_weights is not None
-        return self._reps[self._rep_weights == self.d]
+        assert self._min_reps is not None
+        return self._min_reps.copy()
 
     @property
     def num_min_weight_representatives(self) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .code import LinearCode
 from .errors import ConsistencyError, InfeasibleSolutionError, VerificationError
-from .field import canonical_representatives
+from .field import canonical_representatives, canonical_supports
 from .geometry import code_points
 
 
@@ -102,7 +102,12 @@ def coverage_matrix(code: LinearCode) -> CoverageMatrix:
     """Build the min-weight-representative x candidate-column coverage matrix."""
     reps = code.min_weight_representatives()
     columns = canonical_representatives(code.field, code.k)
-    bits = (code.field.inner(reps, columns) != 0).astype(np.uint8)
+    bits = np.empty((len(reps), len(columns)), dtype=np.uint8)
+    # Column j's bits are the support of columns[j] @ reps.T, streamed in column order.
+    start = 0
+    for support in canonical_supports(code.field, reps.T):
+        bits[:, start : start + len(support)] = support.T
+        start += len(support)
     bits.setflags(write=False)
     return CoverageMatrix(code=code, representatives=reps, columns=columns, bits=bits)
 

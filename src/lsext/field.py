@@ -21,6 +21,7 @@ read-only between any number of threads, and every operation is pure.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +32,9 @@ DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV_VAR = "LSEXT_ENUM_CAP"
 
 _MAX_PRIME = 101
+
+# Boolean cells in one chunk of `canonical_supports`; bounds its working memory.
+_CHUNK_CELLS = 1 << 20
 
 # Modulus polynomials for the supported extension fields, keyed by q.
 _MODULI: dict[int, tuple[int, ...]] = {
@@ -250,6 +254,23 @@ def canonical_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
+def _check_enum_cap(q: int, k: int) -> int:
+    """Number of canonical representatives of GF(q)^k; raises when it exceeds the cap."""
+    cap = enumeration_cap()
+    count = canonical_count(q, k)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap)
+    return count
+
+
+def _fill_lexicographic(dest: np.ndarray, q: int) -> None:
+    """Write all q^m vectors of GF(q)^m, lexicographically, into the (q^m, m) array dest."""
+    m = dest.shape[1]
+    digits = np.arange(q, dtype=np.uint8)
+    for j in range(m):
+        dest[:, j] = np.tile(np.repeat(digits, q ** (m - 1 - j)), q**j)
+
+
 def canonical_representatives(field: GF, k: int) -> np.ndarray:
     """All canonical subspace representatives of GF(q)^k, lexicographically.
 
@@ -260,21 +281,66 @@ def canonical_representatives(field: GF, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
-    cap = enumeration_cap()
     q = field.q
-    count = canonical_count(q, k)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap)
-    out = np.zeros((count, k), dtype=np.uint8)
+    out = np.zeros((_check_enum_cap(q, k), k), dtype=np.uint8)
     row = 0
     # Lexicographic order: vectors led by a later 1 sort first.
     for lead in range(k - 1, -1, -1):
-        tail = k - 1 - lead
-        block = q**tail
+        block = q ** (k - 1 - lead)
         out[row : row + block, lead] = 1
-        if tail:
-            grids = np.unravel_index(np.arange(block), (q,) * tail)
-            for j, g in enumerate(grids):
-                out[row : row + block, lead + 1 + j] = g
+        _fill_lexicographic(out[row : row + block, lead + 1 :], q)
         row += block
     return out
+
+
+def representatives_at(field: GF, k: int, index) -> np.ndarray:
+    """Rows `index` of `canonical_representatives(field, k)`, without building it."""
+    q = field.q
+    index = np.asarray(index, dtype=np.int64)
+    # Representatives with a tail of length T (leading 1 at k-1-T) start at row canonical_count(q, T).
+    starts = np.array([canonical_count(q, tail) for tail in range(k + 1)], dtype=np.int64)
+    tail = np.searchsorted(starts, index, side="right") - 1
+    lead = k - 1 - tail
+    rest = index - starts[tail]
+    out = np.zeros((len(index), k), dtype=np.uint8)
+    out[np.arange(len(index)), lead] = 1
+    # The tail is `rest` in base q, its last digit in column k-1.
+    for col in range(k - 1, 0, -1):
+        in_tail = col > lead
+        out[in_tail, col] = rest[in_tail] % q
+        rest[in_tail] //= q
+    return out
+
+
+def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
+    """Nonzero patterns of r @ matrix for every canonical representative r.
+
+    For a (k, n) matrix, yields boolean (rows, n) chunks whose concatenation
+    has one row per representative of GF(q)^k, in `canonical_representatives`
+    order, without holding all of them: memory stays bounded by a fixed
+    cell budget per chunk plus two tables of about q^(k/2) partial words.
+    The tail after the leading 1 of the representatives led by position i
+    is split into a high and a low half; with H and L the partial words of
+    each half (row i of the matrix added into H), the word H[a] + L[b] is
+    nonzero exactly where H[a] != -L[b].  One chunk covers whole high rows,
+    at least one.  Checks the enumeration cap, like
+    `canonical_representatives`, when iteration starts.
+    """
+    mat = field.check_codes(matrix)
+    k, n = mat.shape
+    _check_enum_cap(field.q, k)
+    for lead in range(k - 1, -1, -1):
+        split = lead + 1 + (k - lead) // 2
+        high = field.add_table[_partial_words(field, mat[lead + 1 : split]), mat[lead]]
+        neg_low = field.neg[_partial_words(field, mat[split:])]
+        step = max(1, _CHUNK_CELLS // (len(neg_low) * n))
+        for start in range(0, len(high), step):
+            chunk = high[start : start + step, None, :] != neg_low[None, :, :]
+            yield chunk.reshape(-1, n)
+
+
+def _partial_words(field: GF, rows: np.ndarray) -> np.ndarray:
+    """m @ rows for every m in GF(q)^len(rows), in lexicographic order of m."""
+    messages = np.empty((field.q ** len(rows), len(rows)), dtype=np.uint8)
+    _fill_lexicographic(messages, field.q)
+    return field.vecmat(messages, rows)

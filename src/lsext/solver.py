@@ -210,15 +210,9 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
     nodes = 0
     pool = list(allowed)
     for _ in range(system.l):
-        best_j = None
-        best_gain = -1
-        for j in pool:
-            nodes += 1
-            gain = int(cover[deficit > 0, j].sum())
-            if gain > best_gain:
-                best_gain = gain
-                best_j = j
-        assert best_j is not None
+        nodes += len(pool)
+        gains = cover[deficit > 0][:, pool].sum(axis=0)
+        best_j = pool[int(np.argmax(gains))]  # the first maximum: ties go to the lowest index
         chosen.append(best_j)
         if system.distinct:
             pool.remove(best_j)

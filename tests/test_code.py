@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_codes, repetition
 from lsext.code import LinearCode, gf_rank, weight
 from lsext.errors import DegenerateCodeError, RankDeficientError, WeightGapUndefinedError
-from lsext.field import gf
+from lsext.field import canonical_representatives, gf
 from oracles import oracle_weight_distribution
 
 
@@ -91,6 +93,14 @@ def test_distribution_copies_are_independent(hamming):
     lambda: LinearCode(gf(4), [[1, 0, 2], [0, 1, 3]]),
     lambda: LinearCode(gf(5), [[1, 0, 4, 2], [0, 1, 3, 3]]),
     lambda: LinearCode(gf(9), [[1, 0, 5], [0, 1, 7]]),
+    lambda: repetition(2, 5),
+    lambda: LinearCode(gf(3), [[1, 0, 1, 2], [0, 1, 1, 1]]),
+    lambda: LinearCode(gf(7), [[1, 0, 0, 3, 6, 2], [0, 1, 0, 5, 4, 4], [0, 0, 1, 1, 2, 5]]),
+    lambda: LinearCode(gf(8), [[1, 0, 0, 3, 7, 5], [0, 1, 0, 6, 2, 4], [0, 0, 1, 1, 5, 7]]),
+    lambda: LinearCode(gf(4), [[1, 2, 3, 1]]),
+    # n > 64: a codeword longer than one 64-bit word.
+    lambda: LinearCode(gf(3), np.concatenate(
+        [np.eye(3, dtype=np.uint8), np.random.default_rng(4).integers(0, 3, size=(3, 67))], axis=1)),
 ])
 def test_distribution_matches_full_enumeration(code_factory):
     code = code_factory()
@@ -98,7 +108,8 @@ def test_distribution_matches_full_enumeration(code_factory):
 
 
 def test_distribution_matches_oracle_on_random_codes():
-    for code in random_codes(25, seed=11):
+    codes = random_codes(25, seed=11) + random_codes(20, seed=12, qs=(4, 5, 7, 8, 9), max_k=3)
+    for code in codes:
         assert code.weight_distribution() == oracle_weight_distribution(code.field, code.matrix)
 
 
@@ -130,3 +141,23 @@ def test_min_weight_reps_in_canonical_order(golay):
     reps = [tuple(map(int, r)) for r in golay.min_weight_representatives()]
     assert reps == sorted(reps)
     assert all(r[np.nonzero(r)[0][0]] == 1 for r in golay.min_weight_representatives())
+    codes = [golay] + random_codes(30, seed=31, qs=(2, 3, 4, 5, 7, 8, 9), max_k=4)
+    for code in codes:
+        every = canonical_representatives(code.field, code.k)
+        expected = [r for r in every if weight(code.encode(r)) == code.d]
+        assert np.array_equal(code.min_weight_representatives(), np.array(expected))
+
+
+def test_analysis_memory_does_not_grow_with_representatives():
+    # [40,20]_2 has 2^20 - 1 representatives; holding them with their codewords took ~700 MB.
+    rng = np.random.default_rng(20)
+    mat = np.concatenate([np.eye(20, dtype=np.uint8), rng.integers(0, 2, size=(20, 20))], axis=1)
+    code = LinearCode(gf(2), mat)
+    tracemalloc.start()
+    try:
+        dist = code.weight_distribution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(dist.values()) == 2**20
+    assert peak < 64 * 1024 * 1024

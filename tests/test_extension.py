@@ -57,6 +57,16 @@ def test_coverage_bits_scalar_invariant(golay):
     assert np.array_equal(rescaled_bits, cov.bits)
 
 
+def test_coverage_bits_match_inner_products():
+    for code in random_codes(30, seed=17, qs=(2, 3, 4, 5, 7, 8, 9), max_k=4):
+        cov = coverage_matrix(code)
+        reps = code.min_weight_representatives()
+        assert np.array_equal(cov.representatives, reps)
+        expected = (code.field.inner(reps, cov.columns) != 0).astype(np.uint8)
+        assert cov.bits.dtype == np.uint8
+        assert np.array_equal(cov.bits, expected)
+
+
 def test_is_good_extension_small_cases():
     one = CoverSystem(bits=np.array([[1]], dtype=np.uint8), l=1, s=1)
     assert is_good_extension(one, [0])
