@@ -22,45 +22,89 @@ import numpy as np
 
 from .code import LinearCode
 from .errors import ConsistencyError, InfeasibleSolutionError, VerificationError
-from .field import canonical_representatives, canonical_supports
+from .field import canonical_index, canonical_representatives, canonical_supports
 from .geometry import code_points
+
+
+def packed_words(t: int) -> int:
+    """uint64 words per packed column of t rows."""
+    return -(-t // 64)
+
+
+def pack_columns(rows: np.ndarray) -> np.ndarray:
+    """Pack (m, t) 0/1 rows into (m, packed_words(t)) uint64 row bitsets.
+
+    Entry i of row j becomes bit i % 64 of word i // 64 of row j; the bits
+    past t in the last word are zero.
+    """
+    m, t = rows.shape
+    packed = np.zeros((m, packed_words(t)), dtype="<u8")
+    _pack_into(packed, 0, rows)
+    return packed
+
+
+def _pack_into(packed: np.ndarray, start: int, rows: np.ndarray) -> None:
+    row_bytes = np.packbits(rows, axis=1, bitorder="little")
+    packed.view(np.uint8)[start : start + len(rows), : row_bytes.shape[1]] = row_bytes
+
+
+def unpack_columns(packed: np.ndarray, t: int) -> np.ndarray:
+    """Read-only (t, m) uint8 0/1 matrix whose column j is packed row j."""
+    bits = np.unpackbits(
+        np.ascontiguousarray(packed, dtype="<u8").view(np.uint8), axis=1, count=t, bitorder="little"
+    ).T
+    bits.setflags(write=False)
+    return bits
 
 
 @dataclass(frozen=True, eq=False)
 class CoverageMatrix:
     """0/1 matrix pairing min-weight representatives with candidate columns.
 
-    bits[i, j] = 1 iff the inner product of representative i with candidate
-    column j is nonzero.  Rows follow min-weight-representative order, columns
-    follow canonical-representative order; both orders are fixed by
-    `canonical_representatives`.  No row is all zero.
+    Entry (i, j) is 1 iff the inner product of representative i with
+    candidate column j is nonzero.  Rows follow min-weight-representative
+    order, columns follow canonical-representative order; both orders are
+    fixed by `canonical_representatives`.  No row is all zero.
+
+    The matrix is stored only column by column as packed row bitsets:
+    `packed` is (h, W) uint64 with W = ceil(t/64), and entry (i, j) is bit
+    i % 64 of word packed[j, i // 64].  `bits`, the (t, h) uint8 matrix, is
+    a read-only view derived from it on each access, for display and checks.
     """
 
     code: LinearCode = dc_field(repr=False)
     representatives: np.ndarray
     columns: np.ndarray
-    bits: np.ndarray
+    packed: np.ndarray
 
     @property
     def t(self) -> int:
-        return self.bits.shape[0]
+        return len(self.representatives)
 
     @property
     def h(self) -> int:
-        return self.bits.shape[1]
+        return len(self.packed)
+
+    @property
+    def bits(self) -> np.ndarray:
+        return unpack_columns(self.packed, self.t)
 
 
 @dataclass(frozen=True, eq=False)
 class CoverSystem:
     """Covering instance: choose l columns so every row is covered >= s times.
 
+    `packed` holds the columns as row bitsets, laid out as in
+    `CoverageMatrix`: (h, W) uint64 over `num_rows` rows.  `from_bits` builds
+    a system from a (rows, columns) 0/1 matrix, and `bits` unpacks it again.
     `masked` columns may never be selected; `distinct` forbids picking the
     same column twice (needed when columns are generator positions to remove,
     as in puncturing).  `matrix` is set when the columns are candidate
     extension columns and is required by the projective filter.
     """
 
-    bits: np.ndarray
+    packed: np.ndarray
+    num_rows: int
     l: int
     s: int
     masked: frozenset[int] = frozenset()
@@ -70,20 +114,38 @@ class CoverSystem:
     def __post_init__(self) -> None:
         if self.l < 1 or self.s < 1:
             raise ValueError(f"need l >= 1 and s >= 1, got l={self.l}, s={self.s}")
-        bad = [j for j in self.masked if not 0 <= j < self.bits.shape[1]]
+        if self.packed.ndim != 2 or self.packed.shape[1] != packed_words(self.num_rows):
+            raise ValueError(
+                f"packed columns of {self.num_rows} rows need {packed_words(self.num_rows)} "
+                f"words each, got shape {self.packed.shape}"
+            )
+        bad = [j for j in self.masked if not 0 <= j < self.num_columns]
         if bad:
             raise ValueError(f"masked column indices out of range: {sorted(bad)}")
 
+    @classmethod
+    def from_bits(cls, bits, l: int, s: int, **kwargs) -> CoverSystem:
+        """System over the columns of a (rows, columns) 0/1 matrix."""
+        bits = np.asarray(bits)
+        packed = pack_columns(bits.T)
+        packed.setflags(write=False)
+        return cls(packed=packed, num_rows=bits.shape[0], l=l, s=s, **kwargs)
+
     @property
     def num_columns(self) -> int:
-        return self.bits.shape[1]
+        return len(self.packed)
 
     @property
-    def num_rows(self) -> int:
-        return self.bits.shape[0]
+    def bits(self) -> np.ndarray:
+        return unpack_columns(self.packed, self.num_rows)
 
-    def allowed_columns(self) -> list[int]:
-        return [j for j in range(self.num_columns) if j not in self.masked]
+    def allowed_columns(self) -> np.ndarray:
+        """Indices of the columns not masked, ascending."""
+        if not self.masked:
+            return np.arange(self.num_columns)
+        keep = np.ones(self.num_columns, dtype=bool)
+        keep[list(self.masked)] = False
+        return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True, order=True)
@@ -102,19 +164,19 @@ def coverage_matrix(code: LinearCode) -> CoverageMatrix:
     """Build the min-weight-representative x candidate-column coverage matrix."""
     reps = code.min_weight_representatives()
     columns = canonical_representatives(code.field, code.k)
-    bits = np.empty((len(reps), len(columns)), dtype=np.uint8)
-    # Column j's bits are the support of columns[j] @ reps.T, streamed in column order.
+    packed = np.zeros((len(columns), packed_words(len(reps))), dtype="<u8")
+    # Column j's rows are the support of columns[j] @ reps.T, streamed in column order.
     start = 0
     for support in canonical_supports(code.field, reps.T):
-        bits[:, start : start + len(support)] = support.T
+        _pack_into(packed, start, support)
         start += len(support)
-    bits.setflags(write=False)
-    return CoverageMatrix(code=code, representatives=reps, columns=columns, bits=bits)
+    packed.setflags(write=False)
+    return CoverageMatrix(code=code, representatives=reps, columns=columns, packed=packed)
 
 
 def cover_system(matrix: CoverageMatrix, l: int, s: int) -> CoverSystem:
     """Covering system asking for l candidate columns covering every row >= s times."""
-    return CoverSystem(bits=matrix.bits, l=l, s=s, matrix=matrix)
+    return CoverSystem(packed=matrix.packed, num_rows=matrix.t, l=l, s=s, matrix=matrix)
 
 
 def _as_multiset(x) -> tuple[int, ...]:
@@ -136,7 +198,7 @@ def coverage_of(system: CoverSystem, x) -> np.ndarray:
         raise ValueError("solution repeats a column but the system requires distinct columns")
     if cols[0] < 0 or cols[-1] >= system.num_columns:
         raise ValueError(f"column index out of range 0..{system.num_columns - 1}")
-    return system.bits[:, list(cols)].sum(axis=1, dtype=np.int64)
+    return unpack_columns(system.packed[list(cols)], system.num_rows).sum(axis=1, dtype=np.int64)
 
 
 def is_good_extension(system: CoverSystem, x) -> bool:
@@ -208,11 +270,9 @@ def projective_filter(system: CoverSystem, code: LinearCode) -> CoverSystem:
     """
     if system.matrix is None:
         raise ValueError("projective filtering needs a system built from a coverage matrix")
-    points = code_points(code)
-    extra = {
-        j for j, col in enumerate(system.matrix.columns) if points.contains(col)
-    }
-    return replace(system, masked=frozenset(system.masked | extra))
+    points = np.array(list(code_points(code).multiplicities), dtype=np.uint8)
+    extra = canonical_index(code.field, points).tolist()
+    return replace(system, masked=frozenset(system.masked.union(extra)))
 
 
 def format_matrix(bits: np.ndarray) -> str:

@@ -312,6 +312,28 @@ def representatives_at(field: GF, k: int, index) -> np.ndarray:
     return out
 
 
+def canonical_index(field: GF, vectors) -> np.ndarray:
+    """Rows of `canonical_representatives` equal to the given canonical vectors.
+
+    The inverse of `representatives_at`: each (k,) row must be nonzero with
+    leading nonzero entry 1; its index is where representatives with its tail
+    length start plus the tail read in base q.
+    """
+    vecs = np.atleast_2d(field.check_codes(vectors))
+    m, k = vecs.shape
+    lead = np.argmax(vecs != 0, axis=1)
+    if np.any(vecs[np.arange(m), lead] != 1):
+        raise ValueError("canonical vectors must be nonzero with leading entry 1")
+    q = field.q
+    starts = np.array([canonical_count(q, tail) for tail in range(k)], dtype=np.int64)
+    index = starts[k - 1 - lead]
+    rest = np.zeros(m, dtype=np.int64)
+    for col in range(1, k):
+        in_tail = col > lead
+        rest[in_tail] = rest[in_tail] * q + vecs[in_tail, col]
+    return index + rest
+
+
 def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
     """Nonzero patterns of r @ matrix for every canonical representative r.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .code import LinearCode
-from .field import GF, canonical_count, canonical_representatives
+from .field import GF, canonical_count, canonical_index, canonical_representatives, canonical_supports
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class PointMultiset:
         for i, pt in enumerate(points):
             out[i] = self.multiplicities.get(tuple(int(x) for x in pt), 0)
         return out
-
-    def contains(self, point) -> bool:
-        return tuple(int(x) for x in np.asarray(point)) in self.multiplicities
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +72,12 @@ def code_points(code: LinearCode) -> PointMultiset:
 def incidence_matrix(field: GF, k: int) -> IncidenceMatrix:
     """Point-hyperplane incidence matrix, 1 = point on hyperplane."""
     points = canonical_representatives(field, k)
-    bits = (field.inner(points, points) == 0).astype(np.uint8)
+    bits = np.empty((len(points), len(points)), dtype=np.uint8)
+    # Row i is the zero pattern of points[i] @ points.T, streamed in row order.
+    start = 0
+    for support in canonical_supports(field, points.T):
+        np.logical_not(support, out=bits[start : start + len(support)])
+        start += len(support)
     bits.setflags(write=False)
     return IncidenceMatrix(field=field, k=k, points=points, bits=bits)
 
@@ -100,9 +102,11 @@ def geometric_extension_criterion(
     if chosen_arr.shape[0] == 0:
         raise ValueError("chosen point list must be nonempty")
     gf_ = points.field
-    normals = canonical_representatives(gf_, points.k)
-    touches = np.any(gf_.inner(normals, chosen_arr) == 0, axis=1)
-    on_hyperplane = gf_.inner(normals, normals) == 0
-    intersection = on_hyperplane @ points.as_vector(normals)
+    incidence = incidence_matrix(gf_, points.k)
+    touches = np.any(gf_.inner(incidence.points, chosen_arr) == 0, axis=1)
+    # Only the code's own points have a multiplicity, so only their columns count.
+    used = np.array(list(points.multiplicities), dtype=np.uint8).reshape(-1, points.k)
+    multiplicity = np.array(list(points.multiplicities.values()), dtype=np.int64)
+    intersection = incidence.bits[:, canonical_index(gf_, used)] @ multiplicity
     return bool(np.all(intersection[touches] < n - d))
 

@@ -318,9 +318,7 @@ def zero_coverage_system(code: LinearCode, l: int, s: int) -> CoverSystem:
     the minimum-weight codeword i has letter zero at j."""
     reps = code.min_weight_representatives()
     letters = code.field.vecmat(reps, code.matrix)
-    bits = (letters == 0).astype(np.uint8)
-    bits.setflags(write=False)
-    return CoverSystem(bits=bits, l=l, s=s, distinct=True)
+    return CoverSystem.from_bits(letters == 0, l=l, s=s, distinct=True)
 
 
 def remove_columns(code: LinearCode, columns) -> LinearCode:

@@ -14,9 +14,17 @@ Three strategies share one outcome type:
                 (ties to the lowest index).  A cheap probe: success yields a
                 valid solution, failure proves nothing.
 
-All strategies search `system.bits` in its stored uint8 form, with no
-widened copy.  Every solution they return is re-validated by building it
-through `extension.solution_for`, which recomputes the coverage and raises
+All strategies search `system.packed`, the columns as row bitsets: row i
+of column j is bit i % 64 of word packed[j, i // 64].  The (rows, columns)
+uint8 matrix `system.bits` is only derived from it for display and checks.
+A node's state is s deficit levels, U_j = the rows still short of j or
+more covers (j = 1..s), and picking column P maps U_j to
+U_{j+1} | (U_j & ~P).  The tests on them are masks and popcounts: a row
+needing more than r covers is U_{r+1} nonempty, the last pick is the
+superset test (P & U_1) == U_1 once U_2 is empty, a column's gain is
+popcount(P & U_1) and the total deficit is the sum of popcount(U_j).
+Every solution they return is re-validated by building it through
+`extension.solution_for`, which recomputes the coverage and raises
 InfeasibleSolutionError on a short row.
 
 All strategies are deterministic: same system, same config, same outcome,
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import CoverSystem, ExtensionSolution, solution_for
+from .extension import CoverSystem, ExtensionSolution, pack_columns, solution_for
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -92,37 +100,55 @@ def _outcome(solutions: list[ExtensionSolution], nodes: int, exhausted: bool) ->
     )
 
 
+def _candidates(system: CoverSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the allowed columns and their packed bitsets, position by position."""
+    allowed = system.allowed_columns()
+    return allowed, system.packed[allowed] if system.masked else system.packed
+
+
+def _full_levels(system: CoverSystem) -> np.ndarray:
+    """Deficit levels before any pick: every row has deficit s, so all s levels are full."""
+    everything = pack_columns(np.ones((1, system.num_rows), dtype=np.uint8))
+    return np.repeat(everything, system.s, axis=0)
+
+
+def _pick(levels: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Deficit levels after one pick: U_j <- U_{j+1} | (U_j & ~P)."""
+    after = levels & ~column
+    if len(levels) > 1:
+        after[:-1] |= levels[1:]
+    return after
+
+
 def solve_exhaustive(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutcome:
     """Enumerate candidate multisets in lexicographic order, no pruning."""
     config = config or SolverConfig(strategy="exhaustive")
-    allowed = system.allowed_columns()
-    cover = system.bits
+    allowed, cover = _candidates(system)
     solutions: list[ExtensionSolution] = []
     nodes = 0
     step = 1 if system.distinct else 0
 
-    def rec(start: int, chosen: list[int], coverage: np.ndarray) -> bool:
+    def rec(start: int, chosen: list[int], levels: np.ndarray) -> bool:
         # Returns True to stop the whole search.
         nonlocal nodes
         if len(chosen) == system.l:
             if nodes >= config.node_limit:
                 return True
             nodes += 1
-            if np.all(coverage >= system.s):
-                solutions.append(solution_for(system, chosen))
+            if not np.count_nonzero(levels[0]):
+                solutions.append(solution_for(system, allowed[chosen]))
                 if len(solutions) >= config.max_solutions:
                     return True
             return False
         for pos in range(start, len(allowed)):
-            j = allowed[pos]
-            chosen.append(j)
-            if rec(pos + step, chosen, coverage + cover[:, j]):
+            chosen.append(pos)
+            if rec(pos + step, chosen, _pick(levels, cover[pos])):
                 chosen.pop()
                 return True
             chosen.pop()
         return False
 
-    stopped = rec(0, [], np.zeros(system.num_rows, dtype=np.int64))
+    stopped = rec(0, [], _full_levels(system))
     # Stopping early (budget or max_solutions) means the space was not exhausted.
     return _outcome(solutions, nodes, exhausted=not stopped)
 
@@ -137,91 +163,92 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
     node budget its `infeasible` verdict is a proof.
     """
     config = config or SolverConfig(strategy="bnb")
-    allowed = system.allowed_columns()
-    cover = system.bits[:, allowed]
+    allowed, cover = _candidates(system)
+    count = len(allowed)
+    if system.l > 1:
+        # reach[p]: the rows covered by some column at position p or later.
+        reach = np.zeros((count + 1, cover.shape[1]), dtype=cover.dtype)
+        reach[:-1] = np.bitwise_or.accumulate(cover[::-1], axis=0)[::-1]
     solutions: list[ExtensionSolution] = []
     nodes = 0
     step = 1 if system.distinct else 0
 
-    def rec(start: int, chosen: list[int], deficit: np.ndarray) -> bool:
+    def rec(start: int, chosen: list[int], levels: np.ndarray) -> bool:
         nonlocal nodes
         picks_left = system.l - len(chosen)
-        if picks_left == 0:
-            if not np.any(deficit > 0):
-                solutions.append(solution_for(system, [allowed[p] for p in chosen]))
-                if len(solutions) >= config.max_solutions:
-                    return True
-            return False
+        deficient = levels[0]
         if picks_left == 1:
-            # Vectorized last pick: any remaining column meeting every deficit.
-            total = len(allowed) - start
+            # Vectorized last pick: any remaining column containing every
+            # deficient row, when no row still needs two.
+            total = count - start
             take = max(0, min(total, config.node_limit - nodes))
             if take:
-                ok = np.all(cover[:, start : start + take] >= deficit[:, None], axis=0)
                 nodes += take
-                for off in np.nonzero(ok)[0]:
-                    positions = chosen + [start + int(off)]
-                    solutions.append(solution_for(system, [allowed[p] for p in positions]))
-                    if len(solutions) >= config.max_solutions:
-                        return True
-            if take < total:
-                return True
-            return False
-        open_rows = deficit > 0
-        if np.any(open_rows):
-            if int(deficit.max()) > picks_left:
+                if not np.count_nonzero(levels[1:]):
+                    hits = cover[start : start + take] & deficient
+                    ok = np.all(hits == deficient, axis=1)
+                    for off in np.flatnonzero(ok):
+                        solutions.append(solution_for(system, allowed[chosen + [start + off]]))
+                        if len(solutions) >= config.max_solutions:
+                            return True
+            return take < total
+        if np.count_nonzero(deficient):
+            if picks_left < system.s and np.count_nonzero(levels[picks_left]):
                 return False
-            remaining = cover[open_rows, start:]
             # Some deficient row unreachable by every remaining column?  This
             # also cuts a node with no remaining column, so best_gain >= 1 below.
-            if np.any(remaining.sum(axis=1) == 0):
+            if np.count_nonzero(deficient & ~reach[start]):
                 return False
-            best_gain = int(remaining.sum(axis=0).max())
-            need = (int(deficit[open_rows].sum()) + best_gain - 1) // best_gain
+            best_gain = int(_popcount(cover[start:] & deficient).max())
+            need = -(-int(_popcount(levels).sum()) // best_gain)
             if need > picks_left:
                 return False
-        elif system.distinct and len(allowed) - start < picks_left:
+        elif system.distinct and count - start < picks_left:
             return False
-        for pos in range(start, len(allowed)):
+        for pos in range(start, count):
             if nodes >= config.node_limit:
                 return True
             nodes += 1
             chosen.append(pos)
-            if rec(pos + step, chosen, deficit - cover[:, pos]):
+            if rec(pos + step, chosen, _pick(levels, cover[pos])):
                 chosen.pop()
                 return True
             chosen.pop()
         return False
 
-    start_deficit = np.full(system.num_rows, system.s, dtype=np.int64)
-    stopped = rec(0, [], start_deficit)
+    stopped = rec(0, [], _full_levels(system))
     return _outcome(solutions, nodes, exhausted=not stopped)
 
 
 def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutcome:
     """Pick, l times, the column covering the most deficient rows (ties: lowest index)."""
     config = config or SolverConfig(strategy="greedy")
-    allowed = system.allowed_columns()
-    if not allowed:
+    allowed, cover = _candidates(system)
+    if not len(allowed):
         return _outcome([], 0, exhausted=False)
-    cover = system.bits
-    deficit = np.full(system.num_rows, system.s, dtype=np.int64)
+    levels = _full_levels(system)
     chosen: list[int] = []
     nodes = 0
-    pool = list(allowed)
     for _ in range(system.l):
-        nodes += len(pool)
-        gains = cover[deficit > 0][:, pool].sum(axis=0)
-        best_j = pool[int(np.argmax(gains))]  # the first maximum: ties go to the lowest index
-        chosen.append(best_j)
+        gains = _popcount(cover & levels[0])
         if system.distinct:
-            pool.remove(best_j)
-            if not pool and len(chosen) < system.l:
-                return _outcome([], nodes, exhausted=False)
-        deficit = np.maximum(deficit - cover[:, best_j], 0)
-    if np.any(deficit > 0):
+            nodes += len(allowed) - len(chosen)
+            gains[chosen] = -1
+        else:
+            nodes += len(allowed)
+        best = int(np.argmax(gains))  # the first maximum: ties go to the lowest index
+        chosen.append(best)
+        if system.distinct and len(chosen) == len(allowed) < system.l:
+            return _outcome([], nodes, exhausted=False)
+        levels = _pick(levels, cover[best])
+    if np.count_nonzero(levels[0]):
         return _outcome([], nodes, exhausted=False)
-    return _outcome([solution_for(system, chosen)], nodes, exhausted=False)
+    return _outcome([solution_for(system, allowed[chosen])], nodes, exhausted=False)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a (m, W) uint64 array, as int64."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 _SOLVERS = {
@@ -264,7 +291,7 @@ def solve_matrix_text(
 ) -> SolveOutcome:
     """Solve a covering instance given as a text matrix dump."""
     bits = parse_matrix_text(text)
-    return solve(CoverSystem(bits=bits, l=l, s=s, distinct=distinct), config)
+    return solve(CoverSystem.from_bits(bits, l=l, s=s, distinct=distinct), config)
 
 
 def format_solutions(outcome: SolveOutcome) -> str:

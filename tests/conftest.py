@@ -66,3 +66,18 @@ def hamming_file_text() -> str:
 
 def golay_file_text() -> str:
     return GOLAY_FILE
+
+
+def extended_golay() -> LinearCode:
+    """[24,12,8]_2: the cyclic Golay code of g(x) = 1+x^2+x^4+x^5+x^6+x^10+x^11 plus a parity bit."""
+    poly = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    rows = [[0] * i + poly + [0] * (11 - i) for i in range(12)]
+    return LinearCode(gf(2), [row + [sum(row) % 2] for row in rows])
+
+
+def reed_muller_2_5() -> LinearCode:
+    """RM(2,5), [32,16,8]_2: evaluations of the monomials of degree <= 2 on GF(2)^5."""
+    pts = [[(x >> i) & 1 for i in range(5)] for x in range(32)]
+    rows = [[1] * 32] + [[p[i] for p in pts] for i in range(5)]
+    rows += [[p[i] * p[j] for p in pts] for i in range(5) for j in range(i + 1, 5)]
+    return LinearCode(gf(2), rows)

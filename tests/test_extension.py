@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_codes, repetition
+from conftest import random_codes, reed_muller_2_5, repetition
 from lsext.code import LinearCode, weight
 from lsext.errors import (
     ConsistencyError,
@@ -24,6 +26,7 @@ from lsext.extension import (
     verify_extension,
 )
 from lsext.field import gf
+from lsext.geometry import code_points
 from lsext.solver import solve_exhaustive
 
 
@@ -67,34 +70,64 @@ def test_coverage_bits_match_inner_products():
         assert np.array_equal(cov.bits, expected)
 
 
+def test_coverage_packed_layout():
+    # Row i of column j is bit i % 64 of word packed[j, i // 64]; bits past t are zero.
+    for code in random_codes(10, seed=23, qs=(2, 3), max_k=4, max_n=10):
+        cov = coverage_matrix(code)
+        assert cov.packed.dtype == np.dtype("<u8")
+        assert cov.packed.shape == (cov.h, (cov.t + 63) // 64)
+        rows = np.arange(cov.t)
+        words = cov.packed[:, rows // 64]
+        unpacked = ((words >> (rows % 64).astype(np.uint64)) & np.uint64(1)).T
+        assert np.array_equal(unpacked, cov.bits)
+        assert not cov.bits.flags.writeable and not cov.packed.flags.writeable
+    system = CoverSystem.from_bits(np.ones((65, 2), dtype=np.uint8), l=1, s=1)
+    assert system.packed.tolist() == [[2**64 - 1, 1]] * 2
+
+
+def test_coverage_matrix_memory_is_packed():
+    # RM(2,5): t = 620 rows, h = 65535 columns.  A (t, h) uint8 matrix
+    # alone would take 40.6 MB; the packed columns take 5.2 MB.
+    code = reed_muller_2_5()
+    code.weight_distribution()
+    tracemalloc.start()
+    try:
+        cov = coverage_matrix(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cov.t, cov.h) == (620, 65535)
+    assert peak < 16 * 1024 * 1024
+
+
 def test_is_good_extension_small_cases():
-    one = CoverSystem(bits=np.array([[1]], dtype=np.uint8), l=1, s=1)
+    one = CoverSystem.from_bits(np.array([[1]], dtype=np.uint8), l=1, s=1)
     assert is_good_extension(one, [0])
-    two = CoverSystem(bits=np.array([[1, 0], [0, 1]], dtype=np.uint8), l=1, s=1)
+    two = CoverSystem.from_bits(np.array([[1, 0], [0, 1]], dtype=np.uint8), l=1, s=1)
     assert not is_good_extension(two, [0])
     assert not is_good_extension(two, [1])
-    both = CoverSystem(bits=np.array([[1, 0], [0, 1]], dtype=np.uint8), l=2, s=1)
+    both = CoverSystem.from_bits(np.array([[1, 0], [0, 1]], dtype=np.uint8), l=2, s=1)
     assert is_good_extension(both, [0, 1])
 
 
 def test_is_good_extension_argument_errors():
-    system = CoverSystem(bits=np.array([[1, 1]], dtype=np.uint8), l=2, s=1)
+    system = CoverSystem.from_bits(np.array([[1, 1]], dtype=np.uint8), l=2, s=1)
     with pytest.raises(ValueError):
         is_good_extension(system, [0])
-    masked = CoverSystem(bits=np.array([[1, 1]], dtype=np.uint8), l=1, s=1, masked=frozenset({0}))
+    masked = CoverSystem.from_bits(np.array([[1, 1]], dtype=np.uint8), l=1, s=1, masked=frozenset({0}))
     with pytest.raises(ValueError):
         is_good_extension(masked, [0])
-    distinct = CoverSystem(bits=np.array([[1, 1]], dtype=np.uint8), l=2, s=1, distinct=True)
+    distinct = CoverSystem.from_bits(np.array([[1, 1]], dtype=np.uint8), l=2, s=1, distinct=True)
     with pytest.raises(ValueError):
         is_good_extension(distinct, [0, 0])
 
 
 def test_slacks_examples():
-    one = CoverSystem(bits=np.array([[1]], dtype=np.uint8), l=1, s=1)
+    one = CoverSystem.from_bits(np.array([[1]], dtype=np.uint8), l=1, s=1)
     assert slacks(one, [0]).tolist() == [0]
-    double = CoverSystem(bits=np.array([[1, 1]], dtype=np.uint8), l=2, s=1)
+    double = CoverSystem.from_bits(np.array([[1, 1]], dtype=np.uint8), l=2, s=1)
     assert slacks(double, [0, 1]).tolist() == [1]
-    split = CoverSystem(bits=np.array([[1, 0], [0, 1]], dtype=np.uint8), l=1, s=1)
+    split = CoverSystem.from_bits(np.array([[1, 0], [0, 1]], dtype=np.uint8), l=1, s=1)
     with pytest.raises(InfeasibleSolutionError):
         slacks(split, [0])
 
@@ -177,8 +210,18 @@ def test_projective_filter(hamming):
     rep = repetition(2, 3)
     rcov = coverage_matrix(rep)
     rsystem = projective_filter(cover_system(rcov, 1, 1), rep)
-    assert rsystem.allowed_columns() == []
+    assert len(rsystem.allowed_columns()) == 0
     assert solve_exhaustive(rsystem).status == "infeasible"
+
+
+def test_projective_filter_masks_exactly_the_code_points():
+    for code in random_codes(40, seed=43, qs=(2, 3, 4, 5, 7, 8, 9), max_k=4, max_n=10):
+        if code.is_degenerate:
+            continue
+        cov = coverage_matrix(code)
+        points = code_points(code).multiplicities
+        walked = {j for j, col in enumerate(cov.columns) if tuple(map(int, col)) in points}
+        assert projective_filter(cover_system(cov, 1, 1), code).masked == walked
 
 
 def test_projective_filter_full_point_set():

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from lsext.errors import EnumerationCapExceeded
-from lsext.field import GF, canonical_count, canonical_representatives, gf
+from lsext.field import (
+    GF,
+    canonical_count,
+    canonical_index,
+    canonical_representatives,
+    gf,
+    representatives_at,
+)
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9]
 
@@ -143,3 +150,19 @@ def test_tables_immutable():
     f = gf(3)
     with pytest.raises(ValueError):
         f.add_table[0, 0] = 1
+
+
+@pytest.mark.parametrize("q", SUPPORTED)
+def test_canonical_index_inverts_representatives_at(q):
+    f = gf(q)
+    for k in range(1, 5):
+        index = np.arange(canonical_count(q, k))
+        assert np.array_equal(canonical_index(f, representatives_at(f, k, index)), index)
+        assert np.array_equal(canonical_index(f, canonical_representatives(f, k)), index)
+
+
+def test_canonical_index_rejects_non_canonical_vectors():
+    f = gf(3)
+    for bad in ([0, 0, 0], [0, 2, 1]):
+        with pytest.raises(ValueError):
+            canonical_index(f, [bad])

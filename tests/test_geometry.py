@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,29 @@ def test_incidence_row_sums():
         side = canonical_count(q, k)
         assert inc.bits.shape == (side, side)
         assert (inc.bits.sum(axis=1) == hyperplane_row_weight(q, k)).all()
+
+
+def test_incidence_bits_match_inner_products():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for k in (1, 2, 3):
+            f = gf(q)
+            inc = incidence_matrix(f, k)
+            expected = (f.inner(inc.points, inc.points) == 0).astype(np.uint8)
+            assert inc.bits.dtype == np.uint8
+            assert np.array_equal(inc.bits, expected)
+
+
+def test_incidence_memory_is_bounded_by_its_result():
+    # PG(11,2): the 4095 x 4095 result is 16 MB; int64 inner products of all
+    # point pairs would peak at 256 MB.
+    tracemalloc.start()
+    try:
+        inc = incidence_matrix(gf(2), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (inc.bits.sum(axis=1) == hyperplane_row_weight(2, 12)).all()
+    assert peak < 48 * 1024 * 1024
 
 
 def test_pg_1_3_hyperplanes_are_points():

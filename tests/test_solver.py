@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import extended_golay, reed_muller_2_5
 from lsext.extension import CoverSystem, coverage_matrix, cover_system, is_good_extension
-from lsext.pipeline import default_s
+from lsext.pipeline import default_s, zero_coverage_system
 from lsext.solver import (
     BUDGET_EXHAUSTED,
     FEASIBLE,
@@ -23,7 +24,7 @@ from oracles import oracle_cover_feasible
 
 
 def system_of(rows, l, s, **kw):
-    return CoverSystem(bits=np.array(rows, dtype=np.uint8), l=l, s=s, **kw)
+    return CoverSystem.from_bits(np.array(rows, dtype=np.uint8), l=l, s=s, **kw)
 
 
 def test_single_cell_feasible():
@@ -41,8 +42,8 @@ def test_two_rows_one_column_infeasible():
 
 def test_identity_matrix_needs_all_columns():
     eye = np.eye(4, dtype=np.uint8)
-    assert solve_branch_and_bound(CoverSystem(bits=eye, l=3, s=1)).status == INFEASIBLE
-    assert solve_branch_and_bound(CoverSystem(bits=eye, l=4, s=1)).status == FEASIBLE
+    assert solve_branch_and_bound(CoverSystem.from_bits(eye, l=3, s=1)).status == INFEASIBLE
+    assert solve_branch_and_bound(CoverSystem.from_bits(eye, l=4, s=1)).status == FEASIBLE
 
 
 def test_multiset_repeats_allowed_for_multicover():
@@ -145,7 +146,7 @@ def test_cross_strategy_agreement_random():
         bits = rng.integers(0, 2, size=(t, h)).astype(np.uint8)
         l = int(rng.integers(1, 4))
         s = int(rng.integers(1, 3))
-        system = CoverSystem(bits=bits, l=l, s=s)
+        system = CoverSystem.from_bits(bits, l=l, s=s)
         cfg = SolverConfig(strategy="exhaustive", max_solutions=6, node_limit=500_000)
         a = solve_exhaustive(system, cfg)
         b = solve_branch_and_bound(system, cfg)
@@ -162,7 +163,7 @@ def test_cross_strategy_agreement_wide_instances():
     for _ in range(10):
         bits = (rng.random((20, 50)) < 0.25).astype(np.uint8)
         for l, s in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
-            system = CoverSystem(bits=bits, l=l, s=s)
+            system = CoverSystem.from_bits(bits, l=l, s=s)
             cfg = SolverConfig(strategy="exhaustive", max_solutions=3, node_limit=2_000_000)
             a = solve_exhaustive(system, cfg)
             b = solve_branch_and_bound(system, cfg)
@@ -179,15 +180,15 @@ def test_monotonicity_in_l():
         bits = rng.integers(0, 2, size=(t, h)).astype(np.uint8)
         s = int(rng.integers(1, 3))
         for l in (1, 2):
-            if solve_exhaustive(CoverSystem(bits=bits, l=l, s=s)).status == FEASIBLE:
-                bigger = solve_exhaustive(CoverSystem(bits=bits, l=l + 1, s=s))
+            if solve_exhaustive(CoverSystem.from_bits(bits, l=l, s=s)).status == FEASIBLE:
+                bigger = solve_exhaustive(CoverSystem.from_bits(bits, l=l + 1, s=s))
                 assert bigger.status == FEASIBLE
 
 
 def test_determinism():
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, size=(6, 9)).astype(np.uint8)
-    system = CoverSystem(bits=bits, l=2, s=1)
+    system = CoverSystem.from_bits(bits, l=2, s=1)
     for solver in (solve_exhaustive, solve_branch_and_bound, solve_greedy):
         first = solver(system)
         second = solver(system)
@@ -268,3 +269,52 @@ def test_node_counts_and_first_solutions_pinned(request, code_name, l, nodes, fi
         assert outcome.nodes_explored == node_count
         assert outcome.exhausted == (complete and strategy != "greedy")
         assert outcome.solutions[0].columns == first
+
+
+@pytest.mark.parametrize("t", [1, 63, 64, 65, 129])
+def test_packed_rows_across_word_boundaries(t):
+    # Rows on both sides of each 64-bit word boundary, in plain, masked and
+    # distinct systems: bnb agrees with exhaustive and with a brute-force oracle.
+    rng = np.random.default_rng(t)
+    for _ in range(12):
+        h = int(rng.integers(1, 7))
+        # Dense columns, so that covers of 2-3 columns, and multicovers, exist at large t.
+        bits = (rng.random((t, h)) < rng.choice([0.8, 0.97, 0.995])).astype(np.uint8)
+        system = CoverSystem.from_bits(bits, l=1, s=1)
+        assert np.array_equal(system.bits, bits)
+        assert system.packed.shape == (h, (t + 63) // 64)
+        for l in (1, 2, 3):
+            for s in range(1, min(l, 3) + 1):
+                masked = frozenset(int(j) for j in rng.choice(h, size=h // 3, replace=False))
+                for kw in ({}, {"masked": masked}, {"distinct": True}):
+                    system = CoverSystem.from_bits(bits, l=l, s=s, **kw)
+                    cfg = SolverConfig(strategy="exhaustive", max_solutions=6)
+                    a = solve_exhaustive(system, cfg)
+                    b = solve_branch_and_bound(system, cfg)
+                    assert (a.status, a.solutions) == (b.status, b.solutions)
+                    allowed = system.allowed_columns()
+                    feasible, first = oracle_cover_feasible(
+                        bits[:, allowed], l, s, distinct=system.distinct
+                    )
+                    assert (a.status == FEASIBLE) == feasible
+                    if feasible:
+                        assert a.solutions[0].columns == tuple(int(allowed[p]) for p in first)
+
+
+@pytest.mark.parametrize(
+    "build, t, status, nodes",
+    [
+        (lambda: zero_coverage_system(extended_golay(), 5, 1), 759, INFEASIBLE, 54_237),
+        (lambda: zero_coverage_system(extended_golay(), 6, 2), 759, INFEASIBLE, 178_129),
+        (lambda: cover_system(coverage_matrix(reed_muller_2_5()), 1, 1), 620, INFEASIBLE, 65_535),
+        (lambda: cover_system(coverage_matrix(extended_golay()), 2, 1), 759, BUDGET_EXHAUSTED, 1_000_000),
+    ],
+)
+def test_bnb_node_counts_pinned_on_multiword_rows(build, t, status, nodes):
+    # Systems with t > 64 rows span several words per column; the tree walked
+    # must not depend on the layout.
+    system = build()
+    assert system.num_rows == t
+    outcome = solve_branch_and_bound(system)
+    assert (outcome.status, outcome.nodes_explored) == (status, nodes)
+    assert outcome.exhausted == (status == INFEASIBLE)
