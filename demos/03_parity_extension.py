@@ -45,7 +45,7 @@ print("\nfeasible columns:", [s.columns for s in outcome.solutions],
       "(search complete:", outcome.exhausted, ")")
 
 sol = outcome.solutions[0]
-column = cov.columns[sol.columns[0]]
+column = cov.columns_at(sol.columns)[0]
 print("the unique winner is column", tuple(int(x) for x in column),
       "- the parity check on the first three message bits")
 

@@ -55,7 +55,7 @@ print("\ncoverage row 0 == complement of incidence row", row0, "-> verified")
 # hyperplane through it misses enough of the code's points.
 system = cover_system(cov, 1, 1)
 for j in (13, 0):
-    geo = geometric_extension_criterion(points, [cov.columns[j]], code.n, code.d)
+    geo = geometric_extension_criterion(points, cov.columns_at([j]), code.n, code.d)
     comb = is_good_extension(system, [j])
     print(f"column {j}: geometric criterion {geo}, coverage criterion {comb}")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .code import LinearCode
 from .errors import ConsistencyError, InfeasibleSolutionError, VerificationError
-from .field import canonical_index, canonical_representatives, canonical_supports
+from .field import canonical_index, canonical_supports, checked_count, representatives_at
 from .geometry import code_points
 
 
@@ -70,11 +70,12 @@ class CoverageMatrix:
     `packed` is (h, W) uint64 with W = ceil(t/64), and entry (i, j) is bit
     i % 64 of word packed[j, i // 64].  `bits`, the (t, h) uint8 matrix, is
     a read-only view derived from it on each access, for display and checks.
+    The candidate columns themselves are not stored: `columns_at` decodes the
+    ones asked for from their indices.
     """
 
     code: LinearCode = dc_field(repr=False)
     representatives: np.ndarray
-    columns: np.ndarray
     packed: np.ndarray
 
     @property
@@ -88,6 +89,10 @@ class CoverageMatrix:
     @property
     def bits(self) -> np.ndarray:
         return unpack_columns(self.packed, self.t)
+
+    def columns_at(self, index) -> np.ndarray:
+        """Candidate columns `index`, as (len(index), k) canonical vectors."""
+        return representatives_at(self.code.field, self.code.k, index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,15 +168,14 @@ class ExtensionSolution:
 def coverage_matrix(code: LinearCode) -> CoverageMatrix:
     """Build the min-weight-representative x candidate-column coverage matrix."""
     reps = code.min_weight_representatives()
-    columns = canonical_representatives(code.field, code.k)
-    packed = np.zeros((len(columns), packed_words(len(reps))), dtype="<u8")
-    # Column j's rows are the support of columns[j] @ reps.T, streamed in column order.
+    packed = np.zeros((checked_count(code.q, code.k), packed_words(len(reps))), dtype="<u8")
+    # Column j's rows are the support of column j @ reps.T, streamed in column order.
     start = 0
     for support in canonical_supports(code.field, reps.T):
         _pack_into(packed, start, support)
         start += len(support)
     packed.setflags(write=False)
-    return CoverageMatrix(code=code, representatives=reps, columns=columns, packed=packed)
+    return CoverageMatrix(code=code, representatives=reps, packed=packed)
 
 
 def cover_system(matrix: CoverageMatrix, l: int, s: int) -> CoverSystem:
@@ -229,7 +233,7 @@ def apply_extension(code: LinearCode, x, matrix: CoverageMatrix) -> LinearCode:
     cols = _as_multiset(x)
     if cols[0] < 0 or cols[-1] >= matrix.h:
         raise ValueError(f"column index out of range 0..{matrix.h - 1}")
-    appended = matrix.columns[list(cols)].T
+    appended = matrix.columns_at(list(cols)).T
     return LinearCode(code.field, np.concatenate([code.matrix, appended], axis=1))
 
 

@@ -254,7 +254,7 @@ def canonical_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def _check_enum_cap(q: int, k: int) -> int:
+def checked_count(q: int, k: int) -> int:
     """Number of canonical representatives of GF(q)^k; raises when it exceeds the cap."""
     cap = enumeration_cap()
     count = canonical_count(q, k)
@@ -282,7 +282,7 @@ def canonical_representatives(field: GF, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
     q = field.q
-    out = np.zeros((_check_enum_cap(q, k), k), dtype=np.uint8)
+    out = np.zeros((checked_count(q, k), k), dtype=np.uint8)
     row = 0
     # Lexicographic order: vectors led by a later 1 sort first.
     for lead in range(k - 1, -1, -1):
@@ -350,7 +350,7 @@ def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
     """
     mat = field.check_codes(matrix)
     k, n = mat.shape
-    _check_enum_cap(field.q, k)
+    checked_count(field.q, k)
     for lead in range(k - 1, -1, -1):
         split = lead + 1 + (k - lead) // 2
         high = field.add_table[_partial_words(field, mat[lead + 1 : split]), mat[lead]]

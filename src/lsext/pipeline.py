@@ -21,8 +21,9 @@ from enum import Enum
 import numpy as np
 
 from .code import LinearCode
-from .errors import ParseError, VerificationError
+from .errors import ConsistencyError, ParseError, VerificationError
 from .extension import (
+    CoverageMatrix,
     CoverSystem,
     apply_extension,
     coverage_matrix,
@@ -268,19 +269,25 @@ def extend_once(
     l: int,
     s: int | None = None,
     policy: ChainPolicy | None = None,
+    *,
+    matrix: CoverageMatrix | None = None,
 ) -> tuple[LinearCode | None, StepRecord]:
     """One (l,s)-extension attempt: build the system, solve, apply, re-verify.
 
     Among returned solutions the one maximizing the minimum slack is applied
     (ties to lexicographically smallest), pushing former minimum-weight words
     as high as possible for the next step.  Infeasibility is a result, not an
-    error; a solver budget stop is reported as inconclusive.
+    error; a solver budget stop is reported as inconclusive.  `matrix` is the
+    code's coverage matrix when the caller has already built it.
     """
     policy = policy or ChainPolicy()
     if s is None:
         s = default_s(code, l)
     check_gap_allows(code, s)
-    matrix = coverage_matrix(code)
+    if matrix is None:
+        matrix = coverage_matrix(code)
+    elif matrix.code is not code:
+        raise ConsistencyError("coverage matrix was built from a different code")
     system = cover_system(matrix, l, s)
     if policy.projective:
         system = projective_filter(system, code)
@@ -300,7 +307,7 @@ def extend_once(
         record,
         params_after=new_code.params(),
         columns=best.columns,
-        column_vectors=_vector_strings(matrix.columns[list(best.columns)]),
+        column_vectors=_vector_strings(matrix.columns_at(list(best.columns))),
         guaranteed_distance=guaranteed,
         min_weight_count_after=new_code.min_weight_count,
         predicted_min_weight_count=zero_slack * (code.q - 1),
@@ -412,12 +419,13 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None) -> ChainRe
             break
         applied = None
         any_inconclusive = False
-        any_tried = False
+        matrix = None
         for l in range(1, policy.max_l + 1):
             if policy.max_total_added is not None and added_total + l > policy.max_total_added:
                 continue
-            any_tried = True
-            new_code, record = extend_once(current, l, None, policy)
+            if matrix is None:  # built once per round: every l searches the same matrix
+                matrix = coverage_matrix(current)
+            new_code, record = extend_once(current, l, None, policy, matrix=matrix)
             if record.status is StepStatus.APPLIED:
                 assert new_code is not None
                 applied = (new_code, record, l)
@@ -425,7 +433,7 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None) -> ChainRe
             if record.status is StepStatus.INCONCLUSIVE:
                 any_inconclusive = True
         if applied is None:
-            if not any_tried:
+            if matrix is None:  # no l fit the length budget
                 reason = StopReason.LENGTH_BUDGET
             elif any_inconclusive:
                 reason = StopReason.SOLVER_BUDGET

@@ -14,16 +14,30 @@ Three strategies share one outcome type:
                 (ties to the lowest index).  A cheap probe: success yields a
                 valid solution, failure proves nothing.
 
+Exhaustive and bnb are one recursive search with pruning off or on; each
+keeps its own node count (exhaustive counts leaves, bnb counts branches
+plus the columns each last pick tests).
+
 All strategies search `system.packed`, the columns as row bitsets: row i
 of column j is bit i % 64 of word packed[j, i // 64].  The (rows, columns)
 uint8 matrix `system.bits` is only derived from it for display and checks.
 A node's state is s deficit levels, U_j = the rows still short of j or
-more covers (j = 1..s), and picking column P maps U_j to
-U_{j+1} | (U_j & ~P).  The tests on them are masks and popcounts: a row
-needing more than r covers is U_{r+1} nonempty, the last pick is the
+more covers (j = 1..s), each a t-bit Python int whose bit i is row i (the
+little-endian reading of a packed row), and picking column P maps U_j to
+U_{j+1} | (U_j & ~P).  The tests on them are `&`, `~` and `int.bit_count`:
+a row needing more than r covers is U_{r+1} nonempty, the last pick is the
 superset test (P & U_1) == U_1 once U_2 is empty, a column's gain is
 popcount(P & U_1) and the total deficit is the sum of popcount(U_j).
-Every solution they return is re-validated by building it through
+
+Two scans run over every remaining column: the best-gain bound and the
+last pick.  A scan over at most `_NARROW` columns tests Python ints,
+precomputed for the last `_NARROW` columns only; a wider scan is one numpy
+expression over the packed rows.  Deep trees over few columns thus pay no
+numpy call per node, wide systems keep their vectorised scans, and no
+per-column int or byte copy of a wide matrix is ever made.  The rule is
+fixed, not an option: both forms give the same answers and node counts.
+
+Every solution returned is re-validated by building it through
 `extension.solution_for`, which recomputes the coverage and raises
 InfeasibleSolutionError on a short row.
 
@@ -39,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import CoverSystem, ExtensionSolution, pack_columns, solution_for
+from .extension import CoverSystem, ExtensionSolution, solution_for
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -100,57 +114,153 @@ def _outcome(solutions: list[ExtensionSolution], nodes: int, exhausted: bool) ->
     )
 
 
-def _candidates(system: CoverSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the allowed columns and their packed bitsets, position by position."""
-    allowed = system.allowed_columns()
-    return allowed, system.packed[allowed] if system.masked else system.packed
+# Widest scan run on Python ints (see the module docstring).  One numpy call
+# costs about as much as testing a few dozen ints.
+_NARROW = 64
 
 
-def _full_levels(system: CoverSystem) -> np.ndarray:
+class _Columns:
+    """The allowed columns of a system, read as Python ints or as packed rows.
+
+    A column or a deficit level is a t-bit int, row i being bit i, which is
+    the little-endian reading of a packed row.  Ints for the last `_NARROW`
+    columns are built once; any other column is read on demand from a
+    zero-copy byte view of the packed rows.
+    """
+
+    def __init__(self, system: CoverSystem) -> None:
+        self.allowed = system.allowed_columns()
+        self.packed = system.packed[self.allowed] if system.masked else system.packed
+        self.count = len(self.allowed)
+        self.nbytes = 8 * self.packed.shape[1]
+        self._bytes = memoryview(np.ascontiguousarray(self.packed).reshape(-1).view(np.uint8))
+        self.narrow_from = max(0, self.count - _NARROW)
+        self.tail = [self._read(pos) for pos in range(self.narrow_from, self.count)]
+        self._tail_reach = self.tail + [0]
+        for i in range(len(self.tail) - 1, -1, -1):
+            self._tail_reach[i] |= self._tail_reach[i + 1]
+        self._wide_reach: np.ndarray | None = None
+
+    def _read(self, pos: int) -> int:
+        return int.from_bytes(self._bytes[pos * self.nbytes : (pos + 1) * self.nbytes], "little")
+
+    def at(self, pos: int) -> int:
+        if pos >= self.narrow_from:
+            return self.tail[pos - self.narrow_from]
+        return self._read(pos)
+
+    def reach(self, start: int) -> int:
+        """The rows covered by some column at position >= start."""
+        if start >= self.narrow_from:
+            return self._tail_reach[start - self.narrow_from]
+        if self._wide_reach is None:
+            self._wide_reach = np.bitwise_or.accumulate(self.packed[::-1], axis=0)[::-1]
+        return int.from_bytes(self._wide_reach[start].tobytes(), "little")
+
+    def words(self, level: int) -> np.ndarray:
+        """A level as one packed row, for the numpy scans."""
+        return np.frombuffer(level.to_bytes(self.nbytes, "little"), dtype="<u8")
+
+    def best_gain(self, start: int, deficient: int) -> int:
+        """Most deficient rows one column at position >= start covers."""
+        if start >= self.narrow_from:
+            return max([(col & deficient).bit_count() for col in self.tail[start - self.narrow_from :]])
+        return int(_popcount(self.packed[start:] & self.words(deficient)).max())
+
+    def covering(self, start: int, stop: int, deficient: int, wanted: int) -> list[int]:
+        """The first `wanted` positions in [start, stop) whose column covers every deficient row."""
+        if start >= self.narrow_from:
+            tail = self.tail[start - self.narrow_from : stop - self.narrow_from]
+            return [start + i for i, col in enumerate(tail) if not deficient & ~col][:wanted]
+        target = self.words(deficient)
+        ok = np.all((self.packed[start:stop] & target) == target, axis=1)
+        return (start + np.flatnonzero(ok)[:wanted]).tolist()
+
+
+def _full_levels(system: CoverSystem) -> list[int]:
     """Deficit levels before any pick: every row has deficit s, so all s levels are full."""
-    everything = pack_columns(np.ones((1, system.num_rows), dtype=np.uint8))
-    return np.repeat(everything, system.s, axis=0)
+    return [(1 << system.num_rows) - 1] * system.s
 
 
-def _pick(levels: np.ndarray, column: np.ndarray) -> np.ndarray:
+def _pick(levels: list[int], column: int) -> list[int]:
     """Deficit levels after one pick: U_j <- U_{j+1} | (U_j & ~P)."""
-    after = levels & ~column
-    if len(levels) > 1:
-        after[:-1] |= levels[1:]
-    return after
+    keep = ~column
+    return [upper | (level & keep) for level, upper in zip(levels, levels[1:] + [0])]
 
 
-def solve_exhaustive(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutcome:
-    """Enumerate candidate multisets in lexicographic order, no pruning."""
-    config = config or SolverConfig(strategy="exhaustive")
-    allowed, cover = _candidates(system)
+def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutcome:
+    """Depth-first search of the size-l multisets (or sets) in lexicographic order.
+
+    With `prune`, the branch-and-bound rules of `solve_branch_and_bound` cut
+    subtrees, and every branch taken counts as a node, as does every column
+    the last pick tests.  Without it, the search is plain enumeration and
+    the nodes are the leaves: the multisets tested, up to and including the
+    one that stops the search.
+    """
+    columns = _Columns(system)
+    count = columns.count
     solutions: list[ExtensionSolution] = []
     nodes = 0
     step = 1 if system.distinct else 0
 
-    def rec(start: int, chosen: list[int], levels: np.ndarray) -> bool:
+    def last_pick(start: int, chosen: list[int], levels: list[int]) -> bool:
+        # Every remaining column is one leaf; it is a solution when it
+        # contains every deficient row and no row still needs two covers.
+        # The budget is charged for the leaves tested, all in one scan.
+        nonlocal nodes
+        total = count - start
+        take = min(total, config.node_limit - nodes)
+        if not any(levels[1:]):
+            wanted = config.max_solutions - len(solutions)
+            for pos in columns.covering(start, start + take, levels[0], wanted):
+                solutions.append(solution_for(system, columns.allowed[chosen + [pos]]))
+                if len(solutions) >= config.max_solutions:
+                    nodes += take if prune else pos - start + 1
+                    return True
+        nodes += take
+        return take < total
+
+    def bounded_out(start: int, picks_left: int, levels: list[int]) -> bool:
+        deficient = levels[0]
+        if not deficient:
+            return system.distinct and count - start < picks_left
+        if picks_left < system.s and levels[picks_left]:
+            return True
+        # Some deficient row unreachable by every remaining column?  This
+        # also cuts a node with no remaining column, so the best gain is >= 1.
+        if deficient & ~columns.reach(start):
+            return True
+        need = -(-sum(level.bit_count() for level in levels) // columns.best_gain(start, deficient))
+        return need > picks_left
+
+    def rec(start: int, chosen: list[int], levels: list[int]) -> bool:
         # Returns True to stop the whole search.
         nonlocal nodes
-        if len(chosen) == system.l:
-            if nodes >= config.node_limit:
-                return True
-            nodes += 1
-            if not np.count_nonzero(levels[0]):
-                solutions.append(solution_for(system, allowed[chosen]))
-                if len(solutions) >= config.max_solutions:
-                    return True
+        picks_left = system.l - len(chosen)
+        if picks_left == 1:
+            return last_pick(start, chosen, levels)
+        if prune and bounded_out(start, picks_left, levels):
             return False
-        for pos in range(start, len(allowed)):
+        for pos in range(start, count):
+            if prune:
+                if nodes >= config.node_limit:
+                    return True
+                nodes += 1
             chosen.append(pos)
-            if rec(pos + step, chosen, _pick(levels, cover[pos])):
-                chosen.pop()
-                return True
+            stop = rec(pos + step, chosen, _pick(levels, columns.at(pos)))
             chosen.pop()
+            if stop:
+                return True
         return False
 
     stopped = rec(0, [], _full_levels(system))
     # Stopping early (budget or max_solutions) means the space was not exhausted.
     return _outcome(solutions, nodes, exhausted=not stopped)
+
+
+def solve_exhaustive(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutcome:
+    """Enumerate candidate multisets in lexicographic order, no pruning."""
+    return _search(system, config or SolverConfig(strategy="exhaustive"), prune=False)
 
 
 def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutcome:
@@ -162,88 +272,32 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
     is covered by no remaining column.  The search is complete, so within the
     node budget its `infeasible` verdict is a proof.
     """
-    config = config or SolverConfig(strategy="bnb")
-    allowed, cover = _candidates(system)
-    count = len(allowed)
-    if system.l > 1:
-        # reach[p]: the rows covered by some column at position p or later.
-        reach = np.zeros((count + 1, cover.shape[1]), dtype=cover.dtype)
-        reach[:-1] = np.bitwise_or.accumulate(cover[::-1], axis=0)[::-1]
-    solutions: list[ExtensionSolution] = []
-    nodes = 0
-    step = 1 if system.distinct else 0
-
-    def rec(start: int, chosen: list[int], levels: np.ndarray) -> bool:
-        nonlocal nodes
-        picks_left = system.l - len(chosen)
-        deficient = levels[0]
-        if picks_left == 1:
-            # Vectorized last pick: any remaining column containing every
-            # deficient row, when no row still needs two.
-            total = count - start
-            take = max(0, min(total, config.node_limit - nodes))
-            if take:
-                nodes += take
-                if not np.count_nonzero(levels[1:]):
-                    hits = cover[start : start + take] & deficient
-                    ok = np.all(hits == deficient, axis=1)
-                    for off in np.flatnonzero(ok):
-                        solutions.append(solution_for(system, allowed[chosen + [start + off]]))
-                        if len(solutions) >= config.max_solutions:
-                            return True
-            return take < total
-        if np.count_nonzero(deficient):
-            if picks_left < system.s and np.count_nonzero(levels[picks_left]):
-                return False
-            # Some deficient row unreachable by every remaining column?  This
-            # also cuts a node with no remaining column, so best_gain >= 1 below.
-            if np.count_nonzero(deficient & ~reach[start]):
-                return False
-            best_gain = int(_popcount(cover[start:] & deficient).max())
-            need = -(-int(_popcount(levels).sum()) // best_gain)
-            if need > picks_left:
-                return False
-        elif system.distinct and count - start < picks_left:
-            return False
-        for pos in range(start, count):
-            if nodes >= config.node_limit:
-                return True
-            nodes += 1
-            chosen.append(pos)
-            if rec(pos + step, chosen, _pick(levels, cover[pos])):
-                chosen.pop()
-                return True
-            chosen.pop()
-        return False
-
-    stopped = rec(0, [], _full_levels(system))
-    return _outcome(solutions, nodes, exhausted=not stopped)
+    return _search(system, config or SolverConfig(strategy="bnb"), prune=True)
 
 
 def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutcome:
     """Pick, l times, the column covering the most deficient rows (ties: lowest index)."""
-    config = config or SolverConfig(strategy="greedy")
-    allowed, cover = _candidates(system)
-    if not len(allowed):
+    columns = _Columns(system)
+    if not columns.count:
         return _outcome([], 0, exhausted=False)
     levels = _full_levels(system)
     chosen: list[int] = []
     nodes = 0
     for _ in range(system.l):
-        gains = _popcount(cover & levels[0])
+        gains = _popcount(columns.packed & columns.words(levels[0]))
         if system.distinct:
-            nodes += len(allowed) - len(chosen)
+            nodes += columns.count - len(chosen)
             gains[chosen] = -1
         else:
-            nodes += len(allowed)
+            nodes += columns.count
         best = int(np.argmax(gains))  # the first maximum: ties go to the lowest index
         chosen.append(best)
-        if system.distinct and len(chosen) == len(allowed) < system.l:
+        if system.distinct and len(chosen) == columns.count < system.l:
             return _outcome([], nodes, exhausted=False)
-        levels = _pick(levels, cover[best])
-    if np.count_nonzero(levels[0]):
+        levels = _pick(levels, columns.at(best))
+    if levels[0]:
         return _outcome([], nodes, exhausted=False)
-    return _outcome([solution_for(system, allowed[chosen])], nodes, exhausted=False)
+    return _outcome([solution_for(system, columns.allowed[chosen])], nodes, exhausted=False)
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:

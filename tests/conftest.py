@@ -68,6 +68,12 @@ def golay_file_text() -> str:
     return GOLAY_FILE
 
 
+def binary_golay() -> LinearCode:
+    """[23,12,7]_2: the cyclic Golay code of g(x) = 1+x^2+x^4+x^5+x^6+x^10+x^11."""
+    poly = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    return LinearCode(gf(2), [[0] * i + poly + [0] * (11 - i) for i in range(12)])
+
+
 def extended_golay() -> LinearCode:
     """[24,12,8]_2: the cyclic Golay code of g(x) = 1+x^2+x^4+x^5+x^6+x^10+x^11 plus a parity bit."""
     poly = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]

@@ -198,7 +198,7 @@ def test_criterion_6_geometry_cross_check():
         pts = code_points(code)
         system = cover_system(cov, 1, 1)
         for j in range(cov.h):
-            assert geometric_extension_criterion(pts, [cov.columns[j]], code.n, code.d) == is_good_extension(system, [j])
+            assert geometric_extension_criterion(pts, cov.columns_at([j]), code.n, code.d) == is_good_extension(system, [j])
             sampled += 1
     fano = incidence_matrix(gf(2), 3)
     assert fano.bits.shape == (7, 7) and (fano.bits.sum(axis=1) == 3).all()

@@ -25,7 +25,7 @@ from lsext.extension import (
     solution_for,
     verify_extension,
 )
-from lsext.field import gf
+from lsext.field import canonical_representatives, gf
 from lsext.geometry import code_points
 from lsext.solver import solve_exhaustive
 
@@ -55,7 +55,7 @@ def test_coverage_bits_scalar_invariant(golay):
     cov = coverage_matrix(golay)
     rng = np.random.default_rng(2)
     lams = rng.integers(1, golay.q, size=cov.h)
-    scaled = golay.field.mul_table[lams[:, None], cov.columns]
+    scaled = golay.field.mul_table[lams[:, None], canonical_representatives(golay.field, golay.k)]
     rescaled_bits = (golay.field.inner(cov.representatives, scaled) != 0).astype(np.uint8)
     assert np.array_equal(rescaled_bits, cov.bits)
 
@@ -65,7 +65,9 @@ def test_coverage_bits_match_inner_products():
         cov = coverage_matrix(code)
         reps = code.min_weight_representatives()
         assert np.array_equal(cov.representatives, reps)
-        expected = (code.field.inner(reps, cov.columns) != 0).astype(np.uint8)
+        columns = canonical_representatives(code.field, code.k)
+        assert np.array_equal(cov.columns_at(np.arange(cov.h)), columns)
+        expected = (code.field.inner(reps, columns) != 0).astype(np.uint8)
         assert cov.bits.dtype == np.uint8
         assert np.array_equal(cov.bits, expected)
 
@@ -98,6 +100,25 @@ def test_coverage_matrix_memory_is_packed():
         tracemalloc.stop()
     assert (cov.t, cov.h) == (620, 65535)
     assert peak < 16 * 1024 * 1024
+
+
+def test_coverage_matrix_stores_no_candidate_table():
+    # A [30,18]_2 code with one minimum-weight representative: its packed
+    # coverage is 2 MB (h = 262,143 one-word columns), while the h x k table
+    # of candidate columns would be 4.5 MB.  Columns are decoded on demand.
+    rng = np.random.default_rng(3)
+    parity = rng.integers(0, 2, size=(18, 12), dtype=np.uint8)
+    code = LinearCode(gf(2), np.concatenate([np.eye(18, dtype=np.uint8), parity], axis=1))
+    code.weight_distribution()
+    tracemalloc.start()
+    try:
+        cov = coverage_matrix(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cov.t, cov.h) == (1, 262_143)
+    assert peak < 1.5 * cov.packed.nbytes
+    assert np.array_equal(cov.columns_at([0, cov.h - 1]), [[0] * 17 + [1], [1] * 18])
 
 
 def test_is_good_extension_small_cases():
@@ -167,9 +188,7 @@ def test_apply_extension_orders_repeats_adjacent(hamming):
     cov = coverage_matrix(hamming)
     new_code = apply_extension(hamming, [5, 13, 5], cov)
     assert new_code.n == 10
-    assert np.array_equal(new_code.matrix[:, 7], cov.columns[5])
-    assert np.array_equal(new_code.matrix[:, 8], cov.columns[5])
-    assert np.array_equal(new_code.matrix[:, 9], cov.columns[13])
+    assert np.array_equal(new_code.matrix[:, 7:].T, cov.columns_at([5, 5, 13]))
 
 
 def test_apply_extension_consistency_error(hamming, golay):
@@ -220,7 +239,8 @@ def test_projective_filter_masks_exactly_the_code_points():
             continue
         cov = coverage_matrix(code)
         points = code_points(code).multiplicities
-        walked = {j for j, col in enumerate(cov.columns) if tuple(map(int, col)) in points}
+        columns = canonical_representatives(code.field, code.k)
+        walked = {j for j, col in enumerate(columns) if tuple(map(int, col)) in points}
         assert projective_filter(cover_system(cov, 1, 1), code).masked == walked
 
 

@@ -128,7 +128,7 @@ def test_geometric_criterion_parity_point(hamming):
     pts = code_points(hamming)
     cov = coverage_matrix(hamming)
     # The unique feasible single column found by the extension machinery.
-    assert geometric_extension_criterion(pts, [cov.columns[13]], hamming.n, hamming.d)
+    assert geometric_extension_criterion(pts, cov.columns_at([13]), hamming.n, hamming.d)
 
 
 def test_geometric_criterion_rejects_point_on_max_hyperplane(hamming):
@@ -136,7 +136,7 @@ def test_geometric_criterion_rejects_point_on_max_hyperplane(hamming):
     cov = coverage_matrix(hamming)
     system = cover_system(cov, 1, 1)
     bad = next(j for j in range(cov.h) if not is_good_extension(system, [j]))
-    assert not geometric_extension_criterion(pts, [cov.columns[bad]], hamming.n, hamming.d)
+    assert not geometric_extension_criterion(pts, cov.columns_at([bad]), hamming.n, hamming.d)
 
 
 def test_geometric_criterion_agrees_with_coverage_for_single_columns(hamming, golay):
@@ -147,7 +147,7 @@ def test_geometric_criterion_agrees_with_coverage_for_single_columns(hamming, go
         cov = coverage_matrix(code)
         system = cover_system(cov, 1, 1)
         for j in range(cov.h):
-            geometric = geometric_extension_criterion(pts, [cov.columns[j]], code.n, code.d)
+            geometric = geometric_extension_criterion(pts, cov.columns_at([j]), code.n, code.d)
             combinatorial = is_good_extension(system, [j])
             assert geometric == combinatorial, (code.params(), j)
 
@@ -160,7 +160,7 @@ def test_geometric_criterion_implies_good_extension_for_pairs(hamming):
     system = cover_system(cov, 2, 1)
     for a in range(cov.h):
         for b in range(a + 1, cov.h):
-            if geometric_extension_criterion(pts, [cov.columns[a], cov.columns[b]], hamming.n, hamming.d):
+            if geometric_extension_criterion(pts, cov.columns_at([a, b]), hamming.n, hamming.d):
                 assert is_good_extension(system, [a, b])
 
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import lsext.pipeline as pipeline
 from conftest import GOLAY_FILE, HAMMING_FILE, random_codes, repetition
 from lsext.code import LinearCode
-from lsext.errors import ParseError, RankDeficientError
+from lsext.errors import ConsistencyError, ParseError, RankDeficientError
+from lsext.extension import coverage_matrix
 from lsext.field import gf
 from lsext.pipeline import (
     ChainPolicy,
@@ -313,6 +315,34 @@ def test_chain_reports_budget_stop(golay):
     report = chain_search(golay, policy)
     assert report.steps == ()
     assert report.stopping_reason is StopReason.SOLVER_BUDGET
+
+
+def test_chain_round_builds_its_coverage_matrix_once(hamming, monkeypatch):
+    # Round 1 extends [7,4,3] at l=1; round 2 tries l = 1, 2, 3 on [8,4,4],
+    # none feasible, all on the one matrix built for that round.
+    built, tried = [], []
+
+    def build(code):
+        built.append(coverage_matrix(code))
+        return built[-1]
+
+    def extend(code, l, s=None, policy=None, *, matrix=None):
+        tried.append((l, matrix))
+        return extend_once(code, l, s, policy, matrix=matrix)
+
+    monkeypatch.setattr(pipeline, "coverage_matrix", build)
+    monkeypatch.setattr(pipeline, "extend_once", extend)
+    report = chain_search(hamming, ChainPolicy(max_l=3))
+    assert [step.params_after for step in report.steps] == [(8, 4, 4)]
+    assert report.stopping_reason is StopReason.NO_EXTENSION
+    assert len(built) == 2
+    assert tried == [(1, built[0]), (1, built[1]), (2, built[1]), (3, built[1])]
+
+
+def test_extend_once_with_prebuilt_matrix(hamming, golay):
+    assert extend_once(hamming, 1, matrix=coverage_matrix(hamming))[1] == extend_once(hamming, 1)[1]
+    with pytest.raises(ConsistencyError):
+        extend_once(hamming, 1, matrix=coverage_matrix(golay))
 
 
 def test_chain_policy_validation():

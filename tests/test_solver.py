@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import extended_golay, reed_muller_2_5
+from conftest import binary_golay, extended_golay, reed_muller_2_5
 from lsext.extension import CoverSystem, coverage_matrix, cover_system, is_good_extension
 from lsext.pipeline import default_s, zero_coverage_system
 from lsext.solver import (
@@ -19,6 +22,7 @@ from lsext.solver import (
     solve_exhaustive,
     solve_greedy,
     solve_matrix_text,
+    _NARROW,
 )
 from oracles import oracle_cover_feasible
 
@@ -318,3 +322,83 @@ def test_bnb_node_counts_pinned_on_multiword_rows(build, t, status, nodes):
     outcome = solve_branch_and_bound(system)
     assert (outcome.status, outcome.nodes_explored) == (status, nodes)
     assert outcome.exhausted == (status == INFEASIBLE)
+
+
+@pytest.mark.parametrize("h", [_NARROW - 1, _NARROW, _NARROW + 1, 3 * _NARROW])
+def test_narrow_and_wide_scans_agree(h):
+    # Scans over at most _NARROW remaining columns test Python ints, wider ones
+    # test the packed rows in numpy.  Column counts on both sides of that rule,
+    # over two-word rows, in plain, masked and distinct systems: bnb lists the
+    # same complete solution set as exhaustive, and both agree with a
+    # brute-force oracle where it is tractable.
+    rng = np.random.default_rng(h)
+    masked = frozenset(int(j) for j in rng.choice(h, size=h // 3, replace=False))
+    for l, s, density in [(2, 1, 0.7), (2, 2, 0.97), (3, 1, 0.5), (3, 2, 0.8)]:
+        bits = (rng.random((70, h)) < density).astype(np.uint8)
+        for kw in ({}, {"masked": masked}, {"distinct": True}):
+            system = CoverSystem.from_bits(bits, l=l, s=s, **kw)
+            cfg = SolverConfig(strategy="exhaustive", max_solutions=1000, node_limit=2_000_000)
+            a = solve_exhaustive(system, cfg)
+            b = solve_branch_and_bound(system, cfg)
+            assert a.exhausted
+            assert (a.status, a.solutions, a.exhausted) == (b.status, b.solutions, b.exhausted)
+            allowed = system.allowed_columns()
+            count = len(allowed)
+            combos = math.comb(count, l) if system.distinct else math.comb(count + l - 1, l)
+            if combos <= 50_000:
+                feasible, first = oracle_cover_feasible(bits[:, allowed], l, s, distinct=system.distinct)
+                assert (a.status == FEASIBLE) == feasible
+                if feasible:
+                    assert a.solutions[0].columns == tuple(int(allowed[p]) for p in first)
+
+
+def _golay23_l2():
+    return cover_system(coverage_matrix(binary_golay()), 2, 1)
+
+
+def _golay24_puncture_10_4():
+    return zero_coverage_system(extended_golay(), 10, 4)
+
+
+@pytest.mark.parametrize(
+    "build, strategy, cfg, expected",
+    [
+        # Wide: t = 253 rows, h = 4095 columns.  The defaults stop at the tenth
+        # solution inside a last pick; 5000 nodes cut the second last pick.
+        (_golay23_l2, "exhaustive", {}, (FEASIBLE, 20_465, False, 10)),
+        (_golay23_l2, "bnb", {}, (FEASIBLE, 20_470, False, 10)),
+        (_golay23_l2, "exhaustive", {"max_solutions": 1}, (FEASIBLE, 4_094, False, 1)),
+        (_golay23_l2, "bnb", {"max_solutions": 1}, (FEASIBLE, 4_096, False, 1)),
+        (_golay23_l2, "exhaustive", {"node_limit": 3000}, (BUDGET_EXHAUSTED, 3_000, False, 0)),
+        (_golay23_l2, "bnb", {"node_limit": 3000}, (BUDGET_EXHAUSTED, 3_000, False, 0)),
+        (_golay23_l2, "exhaustive", {"node_limit": 5000}, (FEASIBLE, 5_000, False, 2)),
+        (_golay23_l2, "bnb", {"node_limit": 5000}, (FEASIBLE, 5_000, False, 2)),
+        # Narrow: t = 759 rows, h = 24 positions.
+        (_golay24_puncture_10_4, "exhaustive", {"max_solutions": 3}, (FEASIBLE, 29, False, 3)),
+        (_golay24_puncture_10_4, "bnb", {"max_solutions": 3}, (FEASIBLE, 39, False, 3)),
+        (_golay24_puncture_10_4, "exhaustive", {"node_limit": 60}, (FEASIBLE, 60, False, 6)),
+        (_golay24_puncture_10_4, "bnb", {"node_limit": 60}, (FEASIBLE, 60, False, 5)),
+        (_golay24_puncture_10_4, "bnb", {"node_limit": 15}, (BUDGET_EXHAUSTED, 15, False, 0)),
+    ],
+)
+def test_node_counts_pinned_at_budget_and_solution_stops(build, strategy, cfg, expected):
+    # Each stop falls inside one last pick.  Exhaustive counts the leaves up to
+    # and including the one that stops it; bnb counts every column the stopped
+    # pick tests, and both charge the budget for the columns a pick tests.
+    outcome = solve(build(), SolverConfig(strategy=strategy, **cfg))
+    assert (outcome.status, outcome.nodes_explored, outcome.exhausted, len(outcome.solutions)) == expected
+
+
+def test_wide_solve_memory_is_bounded():
+    # RM(2,5) at l=1 is one vectorised pick over h = 65,535 columns of 620
+    # rows (5.2 MB packed).  Its peak is about 6.2 MB; reading every column into
+    # a Python int, or copying the packed matrix, would add 5 MB or more.
+    system = cover_system(coverage_matrix(reed_muller_2_5()), 1, 1)
+    tracemalloc.start()
+    try:
+        outcome = solve_branch_and_bound(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.nodes_explored) == (INFEASIBLE, 65_535)
+    assert peak < 8 * 1024 * 1024
