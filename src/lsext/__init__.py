@@ -36,8 +36,6 @@ from .extension import (
 )
 from .field import GF, canonical_count, canonical_representatives, enumeration_cap, gf
 from .geometry import (
-    IncidenceMatrix,
-    PointMultiset,
     code_points,
     incidence_matrix,
     geometric_extension_criterion,

@@ -165,9 +165,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_incidence(args) -> int:
-    field = gf(args.q)
-    matrix = incidence_matrix(field, args.k)
-    _emit(format_matrix(matrix.bits), args.out)
+    _emit(format_matrix(incidence_matrix(gf(args.q), args.k)), args.out)
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .code import LinearCode
 from .errors import ConsistencyError, InfeasibleSolutionError, VerificationError
-from .field import canonical_index, canonical_supports, checked_count, representatives_at
+from .field import canonical_supports, checked_count, representatives_at
 from .geometry import code_points
 
 
@@ -266,16 +266,15 @@ def verify_extension(old: LinearCode, new: LinearCode, s: int) -> int:
     return required
 
 
-def projective_filter(system: CoverSystem, code: LinearCode) -> CoverSystem:
-    """Mask every candidate column whose point already lies in the code's multiset.
+def projective_filter(system: CoverSystem) -> CoverSystem:
+    """Mask every candidate column whose point is a column of the system's code.
 
     Solutions of the filtered system use only points outside the code, so a
     projective code stays projective after extension by distinct columns.
     """
     if system.matrix is None:
         raise ValueError("projective filtering needs a system built from a coverage matrix")
-    points = np.array(list(code_points(code).multiplicities), dtype=np.uint8)
-    extra = canonical_index(code.field, points).tolist()
+    extra = code_points(system.matrix.code).tolist()
     return replace(system, masked=frozenset(system.masked.union(extra)))
 
 

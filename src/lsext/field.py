@@ -229,14 +229,12 @@ class GF:
         return self.vecmat(a, b.T)
 
     def scale_to_canonical(self, vec) -> np.ndarray:
-        """Scale a nonzero vector so its first nonzero entry becomes 1."""
+        """Scale nonzero vectors along the last axis so each first nonzero entry becomes 1."""
         vec = self.check_codes(vec)
-        nz = np.nonzero(vec)[0]
-        if len(nz) == 0:
+        nonzero = vec != 0
+        if not nonzero.any(axis=-1).all():
             raise ValueError("cannot normalize the zero vector")
-        lead = int(vec[nz[0]])
-        if lead == 1:
-            return vec.copy()
+        lead = np.take_along_axis(vec, np.argmax(nonzero, axis=-1)[..., None], axis=-1)
         return self.mul_table[self.inv[lead], vec]
 
     def __repr__(self) -> str:

@@ -290,7 +290,7 @@ def extend_once(
         raise ConsistencyError("coverage matrix was built from a different code")
     system = cover_system(matrix, l, s)
     if policy.projective:
-        system = projective_filter(system, code)
+        system = projective_filter(system)
     outcome, record = _search("extend", code, system, policy.solver)
     if record.status is not StepStatus.APPLIED:
         return None, record

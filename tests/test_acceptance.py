@@ -28,7 +28,7 @@ from lsext.extension import (
     solution_for,
 )
 from lsext.field import canonical_count, canonical_representatives, gf
-from lsext.geometry import code_points, incidence_matrix, geometric_extension_criterion
+from lsext.geometry import incidence_matrix, geometric_extension_criterion
 from lsext.pipeline import ChainPolicy, chain_search, extend_once, special_puncture
 from lsext.solver import FEASIBLE, SolverConfig, solve_branch_and_bound, solve_exhaustive
 from oracles import oracle_weight_distribution
@@ -190,18 +190,17 @@ def test_criterion_6_geometry_cross_check():
     for code in codes:
         inc = incidence_matrix(code.field, code.k)
         expected = canonical_count(code.q, code.k - 1) if code.k > 1 else 0
-        assert (inc.bits.sum(axis=1) == expected).all()
+        assert (inc.sum(axis=1) == expected).all()
         cov = coverage_matrix(code)
-        index = {tuple(map(int, p)): i for i, p in enumerate(inc.points)}
+        index = {tuple(map(int, p)): i for i, p in enumerate(canonical_representatives(code.field, code.k))}
         for row_i, rep in enumerate(cov.representatives):
-            assert np.array_equal(cov.bits[row_i], 1 - inc.bits[index[tuple(map(int, rep))]])
-        pts = code_points(code)
+            assert np.array_equal(cov.bits[row_i], 1 - inc[index[tuple(map(int, rep))]])
         system = cover_system(cov, 1, 1)
         for j in range(cov.h):
-            assert geometric_extension_criterion(pts, cov.columns_at([j]), code.n, code.d) == is_good_extension(system, [j])
+            assert geometric_extension_criterion(code, cov.columns_at([j])) == is_good_extension(system, [j])
             sampled += 1
     fano = incidence_matrix(gf(2), 3)
-    assert fano.bits.shape == (7, 7) and (fano.bits.sum(axis=1) == 3).all()
+    assert fano.shape == (7, 7) and (fano.sum(axis=1) == 3).all()
     _pass(6, f"geometry agrees with coverage on {len(codes)} codes, {sampled} column choices")
 
 

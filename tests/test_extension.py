@@ -26,7 +26,6 @@ from lsext.extension import (
     verify_extension,
 )
 from lsext.field import canonical_representatives, gf
-from lsext.geometry import code_points
 from lsext.solver import solve_exhaustive
 
 
@@ -223,12 +222,12 @@ def test_verify_extension_falls_back_to_plus_one_when_s_exceeds_gap(hamming):
 
 def test_projective_filter(hamming):
     cov = coverage_matrix(hamming)
-    system = projective_filter(cover_system(cov, 1, 1), hamming)
+    system = projective_filter(cover_system(cov, 1, 1))
     assert len(system.masked) == 7
     assert len(system.allowed_columns()) == 8
     rep = repetition(2, 3)
     rcov = coverage_matrix(rep)
-    rsystem = projective_filter(cover_system(rcov, 1, 1), rep)
+    rsystem = projective_filter(cover_system(rcov, 1, 1))
     assert len(rsystem.allowed_columns()) == 0
     assert solve_exhaustive(rsystem).status == "infeasible"
 
@@ -238,17 +237,22 @@ def test_projective_filter_masks_exactly_the_code_points():
         if code.is_degenerate:
             continue
         cov = coverage_matrix(code)
-        points = code_points(code).multiplicities
+        generators = {tuple(map(int, col)) for col in code.matrix.T}
         columns = canonical_representatives(code.field, code.k)
-        walked = {j for j, col in enumerate(columns) if tuple(map(int, col)) in points}
-        assert projective_filter(cover_system(cov, 1, 1), code).masked == walked
+        # Column j is a code point when some nonzero multiple of it is a generator column.
+        walked = {
+            j
+            for j, col in enumerate(columns)
+            if any(tuple(map(int, code.field.mul_table[a, col])) in generators for a in range(1, code.q))
+        }
+        assert projective_filter(cover_system(cov, 1, 1)).masked == walked
 
 
 def test_projective_filter_full_point_set():
     # Every point of PG(1,2) used: nothing left to append in projective mode.
     code = LinearCode(gf(2), [[1, 0, 1], [0, 1, 1]])
     cov = coverage_matrix(code)
-    system = projective_filter(cover_system(cov, 1, 1), code)
+    system = projective_filter(cover_system(cov, 1, 1))
     assert len(system.masked) == cov.h
     assert solve_exhaustive(system).status == "infeasible"
 
@@ -257,7 +261,7 @@ def test_projective_filter_rejects_degenerate():
     code = LinearCode(gf(2), [[1, 0, 0], [0, 1, 0]])
     cov = coverage_matrix(code)
     with pytest.raises(DegenerateCodeError):
-        projective_filter(cover_system(cov, 1, 1), code)
+        projective_filter(cover_system(cov, 1, 1))
 
 
 def test_extension_counts_invariant():

@@ -144,6 +144,21 @@ def test_scale_to_canonical():
     assert f.scale_to_canonical([0, 2]).tolist() == [0, 1]
     with pytest.raises(ValueError):
         f.scale_to_canonical([0, 0])
+    rng = np.random.default_rng(7)
+    for q in (4, 8, 9):
+        f = gf(q)
+        batch = rng.integers(0, q, size=(40, 3))
+        batch[0] = [0, 0, q - 1]
+        batch = batch[batch.any(axis=1)]
+        scaled = f.scale_to_canonical(batch)
+        assert scaled.shape == batch.shape
+        for vec, row in zip(batch, scaled):
+            assert row.tolist() == f.scale_to_canonical(vec).tolist()
+            # A scalar multiple of the input whose first nonzero entry is 1.
+            assert row[np.flatnonzero(row)[0]] == 1
+            assert any(np.array_equal(f.mul_table[a, vec], row) for a in range(1, q))
+        with pytest.raises(ValueError):
+            f.scale_to_canonical(np.vstack([batch[:2], [0, 0, 0]]))
 
 
 def test_tables_immutable():
