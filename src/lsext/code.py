@@ -7,9 +7,10 @@ one-per-subspace message representatives: nonzero weights are invariant under
 scalar multiples of the message, so each canonical representative stands for
 (q-1) codewords of equal weight.
 
-The representatives are streamed in chunks by `field.canonical_supports`, and
-the analysis keeps only the weight histogram and the minimum-weight
-representatives.  Its memory does not grow with the number of
+The representatives' codeword supports are streamed in chunks of packed row
+bitsets by `field.canonical_supports`, so a codeword's weight is the popcount
+of its row, and the analysis keeps only the weight histogram and the
+minimum-weight representatives.  Its memory does not grow with the number of
 representatives h = (q^k-1)/(q-1), only with the number of those of minimum
 weight.
 
@@ -97,7 +98,7 @@ class LinearCode:
         hits: list[np.ndarray] = []  # canonical indices of the representatives of weight `lowest`
         start = 0
         for support in canonical_supports(self.field, self.matrix):
-            weights = np.count_nonzero(support, axis=1)
+            weights = np.bitwise_count(support).sum(axis=1, dtype=np.intp)
             histogram += np.bincount(weights, minlength=self.n + 1)
             low = int(weights.min())
             if low < lowest:

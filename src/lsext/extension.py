@@ -22,37 +22,20 @@ import numpy as np
 
 from .code import LinearCode
 from .errors import ConsistencyError, InfeasibleSolutionError, VerificationError
-from .field import canonical_supports, checked_count, representatives_at
+from .field import (
+    canonical_supports,
+    checked_count,
+    pack_rows,
+    packed_words,
+    representatives_at,
+    unpack_rows,
+)
 from .geometry import code_points
-
-
-def packed_words(t: int) -> int:
-    """uint64 words per packed column of t rows."""
-    return -(-t // 64)
-
-
-def pack_columns(rows: np.ndarray) -> np.ndarray:
-    """Pack (m, t) 0/1 rows into (m, packed_words(t)) uint64 row bitsets.
-
-    Entry i of row j becomes bit i % 64 of word i // 64 of row j; the bits
-    past t in the last word are zero.
-    """
-    m, t = rows.shape
-    packed = np.zeros((m, packed_words(t)), dtype="<u8")
-    _pack_into(packed, 0, rows)
-    return packed
-
-
-def _pack_into(packed: np.ndarray, start: int, rows: np.ndarray) -> None:
-    row_bytes = np.packbits(rows, axis=1, bitorder="little")
-    packed.view(np.uint8)[start : start + len(rows), : row_bytes.shape[1]] = row_bytes
 
 
 def unpack_columns(packed: np.ndarray, t: int) -> np.ndarray:
     """Read-only (t, m) uint8 0/1 matrix whose column j is packed row j."""
-    bits = np.unpackbits(
-        np.ascontiguousarray(packed, dtype="<u8").view(np.uint8), axis=1, count=t, bitorder="little"
-    ).T
+    bits = unpack_rows(packed, t).T
     bits.setflags(write=False)
     return bits
 
@@ -68,8 +51,11 @@ class CoverageMatrix:
 
     The matrix is stored only column by column as packed row bitsets:
     `packed` is (h, W) uint64 with W = ceil(t/64), and entry (i, j) is bit
-    i % 64 of word packed[j, i // 64].  `bits`, the (t, h) uint8 matrix, is
-    a read-only view derived from it on each access, for display and checks.
+    i % 64 of word packed[j, i // 64].  This is the layout in which
+    `field.canonical_supports` streams the supports of the candidate columns
+    against the representatives, so the build copies each chunk straight in.
+    `bits`, the (t, h) uint8 matrix, is a read-only view derived from it on
+    each access, for display and checks.
     The candidate columns themselves are not stored: `columns_at` decodes the
     ones asked for from their indices.
     """
@@ -132,7 +118,7 @@ class CoverSystem:
     def from_bits(cls, bits, l: int, s: int, **kwargs) -> CoverSystem:
         """System over the columns of a (rows, columns) 0/1 matrix."""
         bits = np.asarray(bits)
-        packed = pack_columns(bits.T)
+        packed = pack_rows(bits.T)
         packed.setflags(write=False)
         return cls(packed=packed, num_rows=bits.shape[0], l=l, s=s, **kwargs)
 
@@ -172,7 +158,7 @@ def coverage_matrix(code: LinearCode) -> CoverageMatrix:
     # Column j's rows are the support of column j @ reps.T, streamed in column order.
     start = 0
     for support in canonical_supports(code.field, reps.T):
-        _pack_into(packed, start, support)
+        packed[start : start + len(support)] = support
         start += len(support)
     packed.setflags(write=False)
     return CoverageMatrix(code=code, representatives=reps, packed=packed)

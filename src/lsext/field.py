@@ -33,8 +33,8 @@ ENUM_CAP_ENV_VAR = "LSEXT_ENUM_CAP"
 
 _MAX_PRIME = 101
 
-# Boolean cells in one chunk of `canonical_supports`; bounds its working memory.
-_CHUNK_CELLS = 1 << 20
+# uint64 words in one chunk of `canonical_supports`; bounds its working memory.
+_CHUNK_WORDS = 1 << 14
 
 # Modulus polynomials for the supported extension fields, keyed by q.
 _MODULI: dict[int, tuple[int, ...]] = {
@@ -333,30 +333,52 @@ def canonical_index(field: GF, vectors) -> np.ndarray:
 
 
 def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
-    """Nonzero patterns of r @ matrix for every canonical representative r.
+    """Nonzero patterns of r @ matrix for every canonical representative r, packed.
 
-    For a (k, n) matrix, yields boolean (rows, n) chunks whose concatenation
-    has one row per representative of GF(q)^k, in `canonical_representatives`
-    order, without holding all of them: memory stays bounded by a fixed
-    cell budget per chunk plus two tables of about q^(k/2) partial words.
-    The tail after the leading 1 of the representatives led by position i
-    is split into a high and a low half; with H and L the partial words of
-    each half (row i of the matrix added into H), the word H[a] + L[b] is
-    nonzero exactly where H[a] != -L[b].  One chunk covers whole high rows,
-    at least one.  Checks the enumeration cap, like
-    `canonical_representatives`, when iteration starts.
+    For a (k, n) matrix, yields read-only (rows, packed_words(n)) uint64
+    chunks of row bitsets, letter j of a row being bit j % 64 of word j // 64
+    and the bits past n zero (the layout of `CoverageMatrix.packed`).  Their
+    concatenation has one row per representative of GF(q)^k, in
+    `canonical_representatives` order, without holding all of them.
+
+    With s = k // 2, the partial words of every message are tabled once for
+    the rows [:s] of the matrix (A) and once for the rows [s:] (B), both in
+    lexicographic order.  A representative led by position i >= s is zero
+    on [:s], so its rows are the supports of B[q^(k-1-i) : 2q^(k-1-i)], read
+    as slices of one shared table.  One led by i < s is a row of
+    A[q^(s-1-i) : 2q^(s-1-i)] followed by any row of B; the word A[a] + B[b]
+    is nonzero exactly where A[a] != -B[b], tested on the ceil(log2 q)
+    packed bit-planes of the two tables by XOR within each plane and OR
+    across them.  A chunk holds at most `_CHUNK_WORDS` words, except one
+    row of A paired with all of B when that is larger.  Memory stays bounded
+    by that budget plus the two tables of about q^(k/2) packed rows.
+    Checks the enumeration cap, like `canonical_representatives`, when
+    iteration starts.
     """
     mat = field.check_codes(matrix)
     k, n = mat.shape
     checked_count(field.q, k)
-    for lead in range(k - 1, -1, -1):
-        split = lead + 1 + (k - lead) // 2
-        high = field.add_table[_partial_words(field, mat[lead + 1 : split]), mat[lead]]
-        neg_low = field.neg[_partial_words(field, mat[split:])]
-        step = max(1, _CHUNK_CELLS // (len(neg_low) * n))
-        for start in range(0, len(high), step):
-            chunk = high[start : start + step, None, :] != neg_low[None, :, :]
-            yield chunk.reshape(-1, n)
+    q, split, words = field.q, k // 2, packed_words(n)
+    planes_a = _bit_planes(field, _partial_words(field, mat[:split]))
+    planes_neg_b = _bit_planes(field, field.neg[_partial_words(field, mat[split:])])
+    support_b = np.bitwise_or.reduce(planes_neg_b, axis=0)
+    support_b.setflags(write=False)
+    step = max(1, _CHUNK_WORDS // words)
+    for lead in range(k - 1, split - 1, -1):
+        first = q ** (k - 1 - lead)
+        for start in range(first, 2 * first, step):
+            yield support_b[start : min(start + step, 2 * first)]
+    step = max(1, _CHUNK_WORDS // (len(support_b) * words))
+    for lead in range(split - 1, -1, -1):
+        first = q ** (split - 1 - lead)
+        for start in range(first, 2 * first, step):
+            rows = slice(start, min(start + step, 2 * first))
+            chunk = planes_a[0, rows, None] ^ planes_neg_b[0, None]
+            for plane in range(1, len(planes_a)):
+                chunk |= planes_a[plane, rows, None] ^ planes_neg_b[plane, None]
+            chunk = chunk.reshape(-1, words)
+            chunk.setflags(write=False)
+            yield chunk
 
 
 def _partial_words(field: GF, rows: np.ndarray) -> np.ndarray:
@@ -364,3 +386,33 @@ def _partial_words(field: GF, rows: np.ndarray) -> np.ndarray:
     messages = np.empty((field.q ** len(rows), len(rows)), dtype=np.uint8)
     _fill_lexicographic(messages, field.q)
     return field.vecmat(messages, rows)
+
+
+def _bit_planes(field: GF, words: np.ndarray) -> np.ndarray:
+    """Packed bit-planes of (m, n) words: plane b packs bit b of every letter."""
+    bits = np.arange((field.q - 1).bit_length(), dtype=np.uint8)[:, None, None]
+    return pack_rows((words[None] >> bits) & 1)
+
+
+def packed_words(n: int) -> int:
+    """uint64 words per packed row of n letters."""
+    return -(-n // 64)
+
+
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Pack (..., n) 0/1 rows into (..., packed_words(n)) uint64 row bitsets.
+
+    Letter j of a row becomes bit j % 64 of its word j // 64; the bits past
+    n in the last word are zero.
+    """
+    n = rows.shape[-1]
+    packed = np.zeros(rows.shape[:-1] + (packed_words(n),), dtype="<u8")
+    packed.view(np.uint8)[..., : -(-n // 8)] = np.packbits(rows, axis=-1, bitorder="little")
+    return packed
+
+
+def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
+    """(m, n) uint8 0/1 rows of (m, packed_words(n)) uint64 row bitsets."""
+    return np.unpackbits(
+        np.ascontiguousarray(packed, dtype="<u8").view(np.uint8), axis=1, count=n, bitorder="little"
+    )

@@ -9,7 +9,10 @@ indices in which a repeated index is a multiplicity.  The codeword rG has
 weight n minus the number of those points on the hyperplane of normal r.
 
 The incidence matrix stores 1 where a point lies ON its hyperplane (inner
-product zero); the extension machinery works with the complement.
+product zero); the extension machinery works with the complement.  Both it
+and the geometric extension criterion stream the hyperplane normals through
+`field.canonical_supports`, which yields packed row bitsets built from two
+half tables of partial words, and unpack each chunk they read.
 
 Everything here is pure.
 """
@@ -19,7 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from .code import LinearCode
-from .field import GF, canonical_count, canonical_index, canonical_representatives, canonical_supports
+from .field import (
+    GF,
+    canonical_count,
+    canonical_index,
+    canonical_representatives,
+    canonical_supports,
+    unpack_rows,
+)
 
 
 def code_points(code: LinearCode) -> np.ndarray:
@@ -40,7 +50,7 @@ def incidence_matrix(field: GF, k: int) -> np.ndarray:
     # Row i is the zero pattern of points[i] @ points.T, streamed in row order.
     start = 0
     for support in canonical_supports(field, points.T):
-        np.logical_not(support, out=bits[start : start + len(support)])
+        np.logical_not(unpack_rows(support, len(points)), out=bits[start : start + len(support)])
         start += len(support)
     bits.setflags(write=False)
     return bits
@@ -72,7 +82,8 @@ def geometric_extension_criterion(code: LinearCode, chosen) -> bool:
     if chosen.ndim != 2 or chosen.shape[1] != code.k:
         raise ValueError(f"chosen points must be vectors of length k={code.k}, got shape {chosen.shape}")
     n, d = code.n, code.d
-    for support in canonical_supports(code.field, np.concatenate([code.matrix, chosen.T], axis=1)):
+    for packed in canonical_supports(code.field, np.concatenate([code.matrix, chosen.T], axis=1)):
+        support = unpack_rows(packed, n + len(chosen))
         touches = ~support[:, n:].all(axis=1)
         if np.any(touches & (np.count_nonzero(support[:, :n], axis=1) <= d)):
             return False

@@ -139,6 +139,7 @@ class _Columns:
         self._tail_reach = self.tail + [0]
         for i in range(len(self.tail) - 1, -1, -1):
             self._tail_reach[i] |= self._tail_reach[i + 1]
+        self._root_reach: int | None = None
         self._wide_reach: np.ndarray | None = None
 
     def _read(self, pos: int) -> int:
@@ -153,6 +154,13 @@ class _Columns:
         """The rows covered by some column at position >= start."""
         if start >= self.narrow_from:
             return self._tail_reach[start - self.narrow_from]
+        # The root needs only the OR of all columns; the suffix-OR table is
+        # built when a node further in asks.
+        if start == 0:
+            if self._root_reach is None:
+                union = np.bitwise_or.reduce(self.packed, axis=0)
+                self._root_reach = int.from_bytes(union.tobytes(), "little")
+            return self._root_reach
         if self._wide_reach is None:
             self._wide_reach = np.bitwise_or.accumulate(self.packed[::-1], axis=0)[::-1]
         return int.from_bytes(self._wide_reach[start].tobytes(), "little")

@@ -3,13 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lsext import field as field_module
 from lsext.errors import EnumerationCapExceeded
 from lsext.field import (
     GF,
     canonical_count,
     canonical_index,
     canonical_representatives,
+    canonical_supports,
     gf,
+    packed_words,
     representatives_at,
 )
 
@@ -181,3 +184,48 @@ def test_canonical_index_rejects_non_canonical_vectors():
     for bad in ([0, 0, 0], [0, 2, 1]):
         with pytest.raises(ValueError):
             canonical_index(f, [bad])
+
+
+def _packed_supports(f, mat):
+    """Reference: the nonzero pattern of every representative's word, packed with np.packbits."""
+    words = f.vecmat(canonical_representatives(f, len(mat)), mat)
+    row_bytes = np.packbits(words != 0, axis=1, bitorder="little")
+    padded = np.zeros((len(row_bytes), 8 * packed_words(mat.shape[1])), dtype=np.uint8)
+    padded[:, : row_bytes.shape[1]] = row_bytes
+    return padded.view("<u8")
+
+
+@pytest.mark.parametrize("budget", [None, 5])
+@pytest.mark.parametrize("q", SUPPORTED + [11])
+def test_canonical_supports_are_packed_nonzero_patterns(q, budget, monkeypatch):
+    """Every chunk is packed row bitsets within the word budget (or one row of
+    the first-half table paired with all of the second half), zero past n,
+    and the chunks concatenate to the packed supports of all representatives
+    in canonical order.  k = 1 leaves the first-half table without leads."""
+    if budget is not None:
+        monkeypatch.setattr(field_module, "_CHUNK_WORDS", budget)
+    f = gf(q)
+    rng = np.random.default_rng(q)
+    for k in range(1, 6):
+        low_rows = q ** (k - k // 2)
+        for n in (1, 63, 64, 65, 129):
+            mat = rng.integers(0, q, size=(k, n))
+            chunks = list(canonical_supports(f, mat))
+            for chunk in chunks:
+                assert chunk.dtype == np.uint64 and chunk.shape[1] == packed_words(n)
+                assert chunk.size <= field_module._CHUNK_WORDS or len(chunk) == low_rows
+                if n % 64:
+                    assert not np.any(chunk[:, -1] >> np.uint64(n % 64))
+            assert np.array_equal(np.concatenate(chunks), _packed_supports(f, mat))
+
+
+def test_canonical_supports_chunks_are_read_only():
+    # Chunks of representatives led in the second half are slices of a table
+    # shared by the call; the others are fresh arrays.  Neither may be written.
+    f = gf(3)
+    mat = np.random.default_rng(1).integers(0, 3, size=(4, 70))
+    chunks = list(canonical_supports(f, mat))
+    assert len(chunks) >= 2
+    for chunk in chunks:
+        with pytest.raises(ValueError):
+            chunk[0, 0] = 0

@@ -22,6 +22,7 @@ from lsext.solver import (
     solve_exhaustive,
     solve_greedy,
     solve_matrix_text,
+    _Columns,
     _NARROW,
 )
 from oracles import oracle_cover_feasible
@@ -402,3 +403,14 @@ def test_wide_solve_memory_is_bounded():
         tracemalloc.stop()
     assert (outcome.status, outcome.nodes_explored) == (INFEASIBLE, 65_535)
     assert peak < 8 * 1024 * 1024
+
+
+def test_reach_is_the_or_of_the_columns_from_start():
+    # Wide starts read the OR of all columns at the root and a suffix-OR
+    # table further in; the last _NARROW starts read Python ints.
+    rng = np.random.default_rng(4)
+    bits = (rng.random((70, 3 * _NARROW)) < 0.02).astype(np.uint8)
+    columns = _Columns(CoverSystem.from_bits(bits, l=2, s=1))
+    for start in (0, 1, 0, 2 * _NARROW - 1, 2 * _NARROW, 3 * _NARROW - 1, 3 * _NARROW):
+        rows = np.flatnonzero(bits[:, start:].any(axis=1))
+        assert columns.reach(start) == sum(1 << int(i) for i in rows)
