@@ -32,6 +32,7 @@ from .extension import (
     projective_filter,
     slacks,
     solution_for,
+    solutions_for,
     verify_extension,
 )
 from .field import GF, canonical_count, canonical_representatives, enumeration_cap, gf

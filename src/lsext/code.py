@@ -23,27 +23,27 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateCodeError, RankDeficientError, WeightGapUndefinedError
-from .field import GF, canonical_supports, representatives_at
+from .field import GF, canonical_supports, popcounts, representatives_at
 
 
 def gf_rank(field: GF, matrix: np.ndarray) -> int:
-    """Row rank of a matrix over GF(q) by Gaussian elimination."""
+    """Row rank of a matrix over GF(q) by Gaussian elimination.
+
+    Each pivot row is scaled to lead with 1, and its column is cleared from
+    every row below it in one table expression.
+    """
     mat = field.check_codes(matrix).copy()
     rows, cols = mat.shape
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if mat[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        found = np.flatnonzero(mat[r:, c])
+        if not len(found):
             continue
+        pivot = r + int(found[0])
         mat[[r, pivot]] = mat[[pivot, r]]
         mat[r] = field.mul_table[field.inv[mat[r, c]], mat[r]]
-        for i in range(rows):
-            if i != r and mat[i, c]:
-                mat[i] = field.sub_table[mat[i], field.mul_table[mat[i, c], mat[r]]]
+        below = mat[r + 1 :]
+        below[...] = field.sub_table[below, field.mul_table[below[:, c, None], mat[r]]]
         r += 1
         if r == rows:
             break
@@ -98,7 +98,7 @@ class LinearCode:
         hits: list[np.ndarray] = []  # canonical indices of the representatives of weight `lowest`
         start = 0
         for support in canonical_supports(self.field, self.matrix):
-            weights = np.bitwise_count(support).sum(axis=1, dtype=np.intp)
+            weights = popcounts(support)
             histogram += np.bincount(weights, minlength=self.n + 1)
             low = int(weights.min())
             if low < lowest:

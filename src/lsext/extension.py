@@ -17,6 +17,7 @@ representatives; `lsext.geometry` provides that view.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,11 @@ class CoverageMatrix:
     def columns_at(self, index) -> np.ndarray:
         """Candidate columns `index`, as (len(index), k) canonical vectors."""
         return representatives_at(self.code.field, self.code.k, index)
+
+    @cached_property
+    def code_points(self) -> frozenset[int]:
+        """The candidate columns whose point is a column of the code, found on first use."""
+        return frozenset(code_points(self.code).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +182,8 @@ def _as_multiset(x) -> tuple[int, ...]:
     return cols
 
 
-def coverage_of(system: CoverSystem, x) -> np.ndarray:
-    """Per-row coverage of a column multiset, counting multiplicity."""
+def _checked(system: CoverSystem, x) -> tuple[int, ...]:
+    """x as a sorted multiset of l allowed columns; raises ValueError otherwise."""
     cols = _as_multiset(x)
     if len(cols) != system.l:
         raise ValueError(f"solution must choose exactly l={system.l} columns, got {len(cols)}")
@@ -188,7 +194,19 @@ def coverage_of(system: CoverSystem, x) -> np.ndarray:
         raise ValueError("solution repeats a column but the system requires distinct columns")
     if cols[0] < 0 or cols[-1] >= system.num_columns:
         raise ValueError(f"column index out of range 0..{system.num_columns - 1}")
-    return unpack_columns(system.packed[list(cols)], system.num_rows).sum(axis=1, dtype=np.int64)
+    return cols
+
+
+def _coverages(system: CoverSystem, multisets: list[tuple[int, ...]]) -> np.ndarray:
+    """(len(multisets), num_rows) per-row coverage of checked multisets, in one gather and unpack."""
+    words = np.ascontiguousarray(system.packed[np.array(multisets)], dtype="<u8")
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=system.num_rows, bitorder="little")
+    return bits.sum(axis=1, dtype=np.int64)
+
+
+def coverage_of(system: CoverSystem, x) -> np.ndarray:
+    """Per-row coverage of a column multiset, counting multiplicity."""
+    return _coverages(system, [_checked(system, x)])[0]
 
 
 def is_good_extension(system: CoverSystem, x) -> bool:
@@ -196,20 +214,44 @@ def is_good_extension(system: CoverSystem, x) -> bool:
     return bool(np.all(coverage_of(system, x) >= system.s))
 
 
+def _short_rows_error(system: CoverSystem, slack: np.ndarray) -> InfeasibleSolutionError:
+    short = np.flatnonzero(slack < 0).tolist()
+    return InfeasibleSolutionError(f"rows {short} are covered fewer than s={system.s} times")
+
+
 def slacks(system: CoverSystem, x) -> np.ndarray:
     """Per-row slack (coverage - s); raises when x does not cover the system."""
-    cov = coverage_of(system, x)
-    y = cov - system.s
+    y = coverage_of(system, x) - system.s
     if np.any(y < 0):
-        short = np.nonzero(y < 0)[0].tolist()
-        raise InfeasibleSolutionError(f"rows {short} are covered fewer than s={system.s} times")
+        raise _short_rows_error(system, y)
     return y
+
+
+def solutions_for(system: CoverSystem, picks) -> list[ExtensionSolution]:
+    """Solution records for many column multisets, with their slacks.
+
+    Every multiset is checked first (ValueError on a wrong count, a masked,
+    repeated or out-of-range column); then the coverage of all of them is
+    read in one gather and unpack of the packed rows.  Raises
+    InfeasibleSolutionError, naming the short rows, for the first multiset
+    that does not cover the system.
+    """
+    multisets = [_checked(system, x) for x in picks]
+    if not multisets:
+        return []
+    slack = _coverages(system, multisets) - system.s
+    short = np.flatnonzero((slack < 0).any(axis=1))
+    if len(short):
+        raise _short_rows_error(system, slack[short[0]])
+    return [
+        ExtensionSolution(columns=cols, slacks=tuple(row))
+        for cols, row in zip(multisets, slack.tolist())
+    ]
 
 
 def solution_for(system: CoverSystem, x) -> ExtensionSolution:
     """Solution record for x with its slacks; raises when x does not cover the system."""
-    cols = _as_multiset(x)
-    return ExtensionSolution(columns=cols, slacks=tuple(int(v) for v in slacks(system, cols)))
+    return solutions_for(system, [x])[0]
 
 
 def apply_extension(code: LinearCode, x, matrix: CoverageMatrix) -> LinearCode:
@@ -257,11 +299,11 @@ def projective_filter(system: CoverSystem) -> CoverSystem:
 
     Solutions of the filtered system use only points outside the code, so a
     projective code stays projective after extension by distinct columns.
+    The points come from the coverage matrix, which finds them once.
     """
     if system.matrix is None:
         raise ValueError("projective filtering needs a system built from a coverage matrix")
-    extra = code_points(system.matrix.code).tolist()
-    return replace(system, masked=frozenset(system.masked.union(extra)))
+    return replace(system, masked=system.masked | system.matrix.code_points)
 
 
 def format_matrix(bits: np.ndarray) -> str:

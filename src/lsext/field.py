@@ -343,8 +343,10 @@ def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
 
     With s = k // 2, the partial words of every message are tabled once for
     the rows [:s] of the matrix (A) and once for the rows [s:] (B), both in
-    lexicographic order.  A representative led by position i >= s is zero
-    on [:s], so its rows are the supports of B[q^(k-1-i) : 2q^(k-1-i)], read
+    lexicographic order and each built one message position at a time by
+    lookups in the addition and multiplication tables (`_partial_words`),
+    with no message array and no matrix product.  A representative led by
+    position i >= s is zero on [:s], so its rows are the supports of B[q^(k-1-i) : 2q^(k-1-i)], read
     as slices of one shared table.  One led by i < s is a row of
     A[q^(s-1-i) : 2q^(s-1-i)] followed by any row of B; the word A[a] + B[b]
     is nonzero exactly where A[a] != -B[b], tested on the ceil(log2 q)
@@ -382,16 +384,44 @@ def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
 
 
 def _partial_words(field: GF, rows: np.ndarray) -> np.ndarray:
-    """m @ rows for every m in GF(q)^len(rows), in lexicographic order of m."""
-    messages = np.empty((field.q ** len(rows), len(rows)), dtype=np.uint8)
-    _fill_lexicographic(messages, field.q)
-    return field.vecmat(messages, rows)
+    """m @ rows for every m in GF(q)^len(rows), in lexicographic order of m.
+
+    Built one message position at a time, last row first, in one (q^m, n)
+    uint8 array: once the table over rows[i+1:] fills its first P rows, the
+    table over rows[i:] is q blocks of P rows, block c being
+    add_table[prev, mul_table[c, rows[i]]] (block 0 is prev itself).  Each
+    step is one table lookup, the same for every q, and no temporary is
+    larger than the table.
+    """
+    m, n = rows.shape
+    q = field.q
+    table = np.zeros((q**m, n), dtype=np.uint8)
+    size = 1
+    for row in rows[::-1]:
+        prev = table[:size]
+        scaled = field.mul_table[1:, row]
+        table[size : q * size].reshape(q - 1, size, n)[...] = field.add_table[prev[None], scaled[:, None]]
+        size *= q
+    return table
 
 
 def _bit_planes(field: GF, words: np.ndarray) -> np.ndarray:
     """Packed bit-planes of (m, n) words: plane b packs bit b of every letter."""
     bits = np.arange((field.q - 1).bit_length(), dtype=np.uint8)[:, None, None]
     return pack_rows((words[None] >> bits) & 1)
+
+
+def popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of an (m, W) uint64 array with W >= 1, as intp.
+
+    The popcounts of all words at once, then their W columns added: faster
+    than a row sum over a short word axis.
+    """
+    counts = np.bitwise_count(words)
+    total = counts[:, 0].astype(np.intp)
+    for column in range(1, words.shape[1]):
+        total += counts[:, column]
+    return total
 
 
 def packed_words(n: int) -> int:

@@ -307,7 +307,7 @@ def extend_once(
         record,
         params_after=new_code.params(),
         columns=best.columns,
-        column_vectors=_vector_strings(matrix.columns_at(list(best.columns))),
+        column_vectors=_vector_strings(new_code.matrix[:, code.n :].T),
         guaranteed_distance=guaranteed,
         min_weight_count_after=new_code.min_weight_count,
         predicted_min_weight_count=zero_slack * (code.q - 1),
@@ -423,7 +423,7 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None) -> ChainRe
         for l in range(1, policy.max_l + 1):
             if policy.max_total_added is not None and added_total + l > policy.max_total_added:
                 continue
-            if matrix is None:  # built once per round: every l searches the same matrix
+            if matrix is None:  # built once per round: every l searches the same matrix and mask
                 matrix = coverage_matrix(current)
             new_code, record = extend_once(current, l, None, policy, matrix=matrix)
             if record.status is StepStatus.APPLIED:

@@ -31,14 +31,25 @@ popcount(P & U_1) and the total deficit is the sum of popcount(U_j).
 
 Two scans run over every remaining column: the best-gain bound and the
 last pick.  A scan over at most `_NARROW` columns tests Python ints,
-precomputed for the last `_NARROW` columns only; a wider scan is one numpy
-expression over the packed rows.  Deep trees over few columns thus pay no
-numpy call per node, wide systems keep their vectorised scans, and no
-per-column int or byte copy of a wide matrix is ever made.  The rule is
-fixed, not an option: both forms give the same answers and node counts.
+precomputed for the last `_NARROW` columns only; a wider scan runs in
+numpy over the packed rows, in blocks of at most `_SCAN_WORDS` words, so
+that its temporaries stay small next to the packed rows.  Deep trees over
+few columns thus pay no numpy call per node, wide systems keep their
+vectorised scans, and no per-column int or byte copy of a wide matrix is
+ever made.  The rule is fixed, not an option: both forms give the same
+answers and node counts.
 
-Every solution returned is re-validated by building it through
-`extension.solution_for`, which recomputes the coverage and raises
+A wide last pick scans blocks that double in width from `_NARROW` and
+stops after the block in which it has the solutions it wants, so a pick
+whose solutions lie among its first columns does not test the rest.  Its
+node charge is computed from positions, not from the columns it tested:
+bnb charges every column the pick could test, exhaustive the leaves up to
+the one that stops it.  So node counts do not depend on where the scan
+stops.
+
+The search records the positions of each solution it finds and builds
+all the solutions once at the end through `extension.solutions_for`,
+which recomputes their coverage in one batch and raises
 InfeasibleSolutionError on a short row.
 
 All strategies are deterministic: same system, same config, same outcome,
@@ -53,7 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import CoverSystem, ExtensionSolution, solution_for
+from .extension import CoverSystem, ExtensionSolution, solutions_for
+from .field import popcounts
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -118,6 +130,10 @@ def _outcome(solutions: list[ExtensionSolution], nodes: int, exhausted: bool) ->
 # costs about as much as testing a few dozen ints.
 _NARROW = 64
 
+# Most packed words one step of a numpy scan reads, so that its temporaries
+# stay small next to a wide system's packed rows.
+_SCAN_WORDS = 1 << 16
+
 
 class _Columns:
     """The allowed columns of a system, read as Python ints or as packed rows.
@@ -129,10 +145,16 @@ class _Columns:
     """
 
     def __init__(self, system: CoverSystem) -> None:
-        self.allowed = system.allowed_columns()
-        self.packed = system.packed[self.allowed] if system.masked else system.packed
-        self.count = len(self.allowed)
+        # Positions map to system columns through `allowed` only when some are masked.
+        self.allowed = system.allowed_columns() if system.masked else None
+        packed = system.packed if self.allowed is None else system.packed[self.allowed]
+        # A system of no rows has no words; one zero word per column gives every scan one to read.
+        self.packed = packed if packed.shape[1] else np.zeros((len(packed), 1), dtype="<u8")
+        self.count = len(self.packed)
         self.nbytes = 8 * self.packed.shape[1]
+        self.block = max(_NARROW, _SCAN_WORDS // self.packed.shape[1])
+        # One scalar per packed row, so the superset test is one comparison per column.
+        self._row = np.dtype("<u8") if self.nbytes == 8 else np.dtype((np.void, self.nbytes))
         self._bytes = memoryview(np.ascontiguousarray(self.packed).reshape(-1).view(np.uint8))
         self.narrow_from = max(0, self.count - _NARROW)
         self.tail = [self._read(pos) for pos in range(self.narrow_from, self.count)]
@@ -141,6 +163,10 @@ class _Columns:
             self._tail_reach[i] |= self._tail_reach[i + 1]
         self._root_reach: int | None = None
         self._wide_reach: np.ndarray | None = None
+
+    def index(self, positions):
+        """The system columns at the given positions."""
+        return positions if self.allowed is None else self.allowed[positions]
 
     def _read(self, pos: int) -> int:
         return int.from_bytes(self._bytes[pos * self.nbytes : (pos + 1) * self.nbytes], "little")
@@ -169,20 +195,38 @@ class _Columns:
         """A level as one packed row, for the numpy scans."""
         return np.frombuffer(level.to_bytes(self.nbytes, "little"), dtype="<u8")
 
+    def gains(self, start: int, deficient: int) -> np.ndarray:
+        """Deficient rows covered by each column at position >= start, scanned in numpy."""
+        target = self.words(deficient)
+        blocks = range(start, self.count, self.block)
+        return np.concatenate([popcounts(self.packed[low : low + self.block] & target) for low in blocks])
+
     def best_gain(self, start: int, deficient: int) -> int:
         """Most deficient rows one column at position >= start covers."""
         if start >= self.narrow_from:
             return max([(col & deficient).bit_count() for col in self.tail[start - self.narrow_from :]])
-        return int(_popcount(self.packed[start:] & self.words(deficient)).max())
+        return int(self.gains(start, deficient).max())
 
     def covering(self, start: int, stop: int, deficient: int, wanted: int) -> list[int]:
-        """The first `wanted` positions in [start, stop) whose column covers every deficient row."""
+        """The first `wanted` positions in [start, stop) whose column covers every deficient row.
+
+        A wide range is scanned in blocks of `_NARROW`, 2 `_NARROW`,
+        4 `_NARROW`, ... columns, at most `self.block` each, and the scan stops
+        after the block in which the `wanted`-th position is found.
+        """
         if start >= self.narrow_from:
             tail = self.tail[start - self.narrow_from : stop - self.narrow_from]
             return [start + i for i, col in enumerate(tail) if not deficient & ~col][:wanted]
         target = self.words(deficient)
-        ok = np.all((self.packed[start:stop] & target) == target, axis=1)
-        return (start + np.flatnonzero(ok)[:wanted]).tolist()
+        row = target.view(self._row)[0]
+        found: list[int] = []
+        low, width = start, _NARROW
+        while low < stop and len(found) < wanted:
+            high = min(stop, low + width)
+            ok = (self.packed[low:high] & target).view(self._row)[:, 0] == row
+            found += (low + np.flatnonzero(ok)[: wanted - len(found)]).tolist()
+            low, width = high, min(2 * width, self.block)
+        return found
 
 
 def _full_levels(system: CoverSystem) -> list[int]:
@@ -207,7 +251,7 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
     """
     columns = _Columns(system)
     count = columns.count
-    solutions: list[ExtensionSolution] = []
+    picks: list[list[int]] = []  # the positions of each solution, in the order found
     nodes = 0
     step = 1 if system.distinct else 0
 
@@ -219,10 +263,10 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         total = count - start
         take = min(total, config.node_limit - nodes)
         if not any(levels[1:]):
-            wanted = config.max_solutions - len(solutions)
+            wanted = config.max_solutions - len(picks)
             for pos in columns.covering(start, start + take, levels[0], wanted):
-                solutions.append(solution_for(system, columns.allowed[chosen + [pos]]))
-                if len(solutions) >= config.max_solutions:
+                picks.append(chosen + [pos])
+                if len(picks) >= config.max_solutions:
                     nodes += take if prune else pos - start + 1
                     return True
         nodes += take
@@ -262,6 +306,7 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         return False
 
     stopped = rec(0, [], _full_levels(system))
+    solutions = solutions_for(system, columns.index(np.array(picks, dtype=np.intp)))
     # Stopping early (budget or max_solutions) means the space was not exhausted.
     return _outcome(solutions, nodes, exhausted=not stopped)
 
@@ -292,7 +337,7 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
     chosen: list[int] = []
     nodes = 0
     for _ in range(system.l):
-        gains = _popcount(columns.packed & columns.words(levels[0]))
+        gains = columns.gains(0, levels[0])
         if system.distinct:
             nodes += columns.count - len(chosen)
             gains[chosen] = -1
@@ -305,12 +350,7 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
         levels = _pick(levels, columns.at(best))
     if levels[0]:
         return _outcome([], nodes, exhausted=False)
-    return _outcome([solution_for(system, columns.allowed[chosen])], nodes, exhausted=False)
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per row of a (m, W) uint64 array, as int64."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    return _outcome(solutions_for(system, [columns.index(chosen)]), nodes, exhausted=False)
 
 
 _SOLVERS = {

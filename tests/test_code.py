@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -161,3 +162,25 @@ def test_analysis_memory_does_not_grow_with_representatives():
         tracemalloc.stop()
     assert sum(dist.values()) == 2**20
     assert peak < 64 * 1024 * 1024
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_gf_rank_matches_row_space_size(q):
+    # Reference: the row space of a rank-r matrix has exactly q^r vectors.
+    f = gf(q)
+    rng = np.random.default_rng(q)
+    full_rank = set()
+    for _ in range(12):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 7))
+        mat = rng.integers(0, q, size=(k, n))
+        if k > 1 and rng.random() < 0.5:
+            # Rank-deficient: the last row is a combination of the others.
+            mat[-1] = f.vecmat(rng.integers(0, q, size=k - 1), mat[:-1])[0]
+        messages = np.array(list(itertools.product(range(q), repeat=k)))
+        space = {tuple(row) for row in f.vecmat(messages, mat).tolist()}
+        reference = round(np.log(len(space)) / np.log(q))
+        assert q**reference == len(space)
+        assert gf_rank(f, mat) == reference
+        full_rank.add(reference == min(k, n))
+    assert full_rank == {True, False}

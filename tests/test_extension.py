@@ -23,8 +23,10 @@ from lsext.extension import (
     projective_filter,
     slacks,
     solution_for,
+    solutions_for,
     verify_extension,
 )
+from lsext import extension as extension_module
 from lsext.field import canonical_representatives, gf
 from lsext.solver import solve_exhaustive
 
@@ -291,3 +293,39 @@ def test_format_matrix_header(hamming):
     lines = text.splitlines()
     assert lines[0] == "7 15"
     assert len(lines) == 8
+
+
+def test_solutions_for_is_solution_for_in_one_batch(golay):
+    system = cover_system(coverage_matrix(golay), 2, 1)
+    picks = [(0, 241), (5, 300), (241, 0), (7, 7)]
+    good = [p for p in picks if is_good_extension(system, p)]
+    assert len(good) >= 2
+    batch = solutions_for(system, good)
+    assert batch == [solution_for(system, p) for p in good]
+    assert [sol.slacks for sol in batch] == [tuple(slacks(system, p)) for p in good]
+    assert batch[1].columns == (0, 241)
+    assert solutions_for(system, []) == []
+
+
+def test_solutions_for_errors():
+    bits = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+    system = CoverSystem.from_bits(bits, l=1, s=1, masked=frozenset({1}))
+    assert [sol.columns for sol in solutions_for(system, [[2], [2]])] == [(2,), (2,)]
+    for bad, text in [([[2], [2, 2]], "exactly l=1"), ([[2], [1]], "masked"), ([[2], [3]], "out of range")]:
+        with pytest.raises(ValueError, match=text):
+            solutions_for(system, bad)
+    with pytest.raises(InfeasibleSolutionError, match=r"rows \[1\]"):
+        solutions_for(system, [[2], [0]])
+    distinct = CoverSystem.from_bits(np.ones((1, 2), dtype=np.uint8), l=2, s=1, distinct=True)
+    with pytest.raises(ValueError, match="repeats"):
+        solutions_for(distinct, [[0, 1], [1, 1]])
+
+
+def test_projective_mask_found_once_per_coverage_matrix(hamming, monkeypatch):
+    calls = []
+    original = extension_module.code_points
+    monkeypatch.setattr(extension_module, "code_points", lambda code: calls.append(code) or original(code))
+    cov = coverage_matrix(hamming)
+    masks = [projective_filter(cover_system(cov, l, 1)).masked for l in (1, 2, 3)]
+    assert masks[0] == masks[1] == masks[2] == cov.code_points
+    assert len(masks[0]) == 7 and len(calls) == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from lsext.field import (
     canonical_supports,
     gf,
     packed_words,
+    popcounts,
     representatives_at,
 )
 
@@ -229,3 +232,32 @@ def test_canonical_supports_chunks_are_read_only():
     for chunk in chunks:
         with pytest.raises(ValueError):
             chunk[0, 0] = 0
+
+
+@pytest.mark.parametrize("q", SUPPORTED + [11])
+def test_partial_words_match_vecmat(q):
+    """The kernel's tables, built one position at a time by table lookups,
+    equal every message times the rows through `GF.vecmat`, messages in
+    lexicographic order (first position most significant)."""
+    f = gf(q)
+    rng = np.random.default_rng(100 + q)
+    for m in range(6):
+        messages = np.array(list(itertools.product(range(q), repeat=m)), dtype=np.uint8).reshape(q**m, m)
+        for n in (1, 12, 40):
+            rows = rng.integers(0, q, size=(m, n)).astype(np.uint8)
+            table = field_module._partial_words(f, rows)
+            assert table.shape == (q**m, n) and table.dtype == np.uint8
+            for low in range(0, q**m, 4096):
+                assert np.array_equal(table[low : low + 4096], f.vecmat(messages[low : low + 4096], rows))
+
+
+def test_popcounts_match_row_sums():
+    rng = np.random.default_rng(7)
+    for width in range(1, 13):
+        for m in (0, 1, 5, 300):
+            words = rng.integers(0, 1 << 64, size=(m, width), dtype=np.uint64)
+            words[: m // 3] = 0
+            counts = popcounts(words)
+            assert counts.dtype == np.intp and counts.shape == (m,)
+            assert np.array_equal(counts, np.bitwise_count(words).sum(axis=1))
+    assert popcounts(np.full((2, 3), np.uint64(2**64 - 1))).tolist() == [192, 192]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -414,3 +415,124 @@ def test_reach_is_the_or_of_the_columns_from_start():
     for start in (0, 1, 0, 2 * _NARROW - 1, 2 * _NARROW, 3 * _NARROW - 1, 3 * _NARROW):
         rows = np.flatnonzero(bits[:, start:].any(axis=1))
         assert columns.reach(start) == sum(1 << int(i) for i in rows)
+
+
+# Offsets from the start of a last pick at which the wide-pick tests plant
+# covering columns: on both sides of the ends of the pick's first blocks
+# (64, 192, 448, 960 and 1984 columns in) and of the powers 256 and 1024.
+_PLANTED = [63, 64, 191, 192, 255, 256, 447, 448, 959, 960, 1023, 1024, 1983, 1984]
+
+
+def _planted_wide_system(l, t, masked):
+    # 2100 sparse random columns that never cover the system on their own.
+    # At l = 1 the planted columns cover every row; at l = 2 (distinct) column 3
+    # covers the first half of the rows and the planted columns, counted
+    # from 4 where the last pick after column 3 starts, the second half.
+    rng = np.random.default_rng(t)
+    bits = (rng.random((t, 2100)) < 0.05).astype(np.uint8)
+    if l == 1:
+        bits[:, _PLANTED] = 1
+    else:
+        bits[: t // 2, 3] = 1
+        bits[t // 2 :, [4 + j for j in _PLANTED]] = 1
+    mask = frozenset((5, 70, 300) if masked else ())
+    return CoverSystem.from_bits(bits, l=l, s=1, distinct=l == 2, masked=mask)
+
+
+@pytest.mark.parametrize("t", [40, 70])
+@pytest.mark.parametrize(
+    "l, masked, strategy, cfg, nodes, found",
+    [
+        # Pinned from the search that tested every column of a wide last pick.
+        (1, False, "exhaustive", {"max_solutions": 1}, 64, 1),
+        (1, False, "exhaustive", {}, 961, 10),
+        (1, False, "exhaustive", {"node_limit": 500}, 500, 8),
+        (1, False, "exhaustive", {"node_limit": 1100, "max_solutions": 20}, 1100, 12),
+        (1, False, "bnb", {"max_solutions": 1}, 2100, 1),
+        (1, False, "bnb", {}, 2100, 10),
+        (1, False, "bnb", {"node_limit": 500}, 500, 8),
+        (1, False, "bnb", {"node_limit": 1100, "max_solutions": 20}, 1100, 12),
+        (1, True, "exhaustive", {"max_solutions": 1}, 63, 1),
+        (1, True, "exhaustive", {}, 958, 10),
+        (1, True, "exhaustive", {"node_limit": 500}, 500, 8),
+        (1, True, "exhaustive", {"node_limit": 1100, "max_solutions": 20}, 1100, 12),
+        (1, True, "bnb", {"max_solutions": 1}, 2097, 1),
+        (1, True, "bnb", {}, 2097, 10),
+        (1, True, "bnb", {"node_limit": 500}, 500, 8),
+        (1, True, "bnb", {"node_limit": 1100, "max_solutions": 20}, 1100, 12),
+        (2, False, "exhaustive", {"max_solutions": 1}, 6358, 1),
+        (2, False, "exhaustive", {}, 7255, 10),
+        (2, False, "exhaustive", {"node_limit": 6800}, 6800, 8),
+        (2, False, "exhaustive", {"node_limit": 7400, "max_solutions": 20}, 7400, 12),
+        (2, False, "bnb", {"max_solutions": 1}, 8394, 1),
+        (2, False, "bnb", {}, 8394, 10),
+        (2, False, "bnb", {"node_limit": 6800}, 6800, 8),
+        (2, False, "bnb", {"node_limit": 7400, "max_solutions": 20}, 7400, 12),
+        (2, True, "exhaustive", {"max_solutions": 1}, 6348, 1),
+        (2, True, "exhaustive", {}, 7243, 10),
+        (2, True, "exhaustive", {"node_limit": 6800}, 6800, 8),
+        (2, True, "exhaustive", {"node_limit": 7400, "max_solutions": 20}, 7400, 12),
+        (2, True, "bnb", {"max_solutions": 1}, 8382, 1),
+        (2, True, "bnb", {}, 8382, 10),
+        (2, True, "bnb", {"node_limit": 6800}, 6800, 8),
+        (2, True, "bnb", {"node_limit": 7400, "max_solutions": 20}, 7400, 12),
+    ],
+)
+def test_wide_last_pick_stops_at_its_solutions_with_nodes_unchanged(t, l, masked, strategy, cfg, nodes, found):
+    # A wide last pick may stop scanning once it has the solutions it wants,
+    # but its solutions and node charge are those of a scan of every column:
+    # first, tenth and budget stops land at and across the scan's block ends,
+    # over one-word (t = 40) and two-word (t = 70) rows, with and without masked columns.
+    outcome = solve(_planted_wide_system(l, t, masked), SolverConfig(strategy=strategy, **cfg))
+    expected = [(j,) if l == 1 else (3, 4 + j) for j in _PLANTED[:found]]
+    assert (outcome.status, outcome.nodes_explored, outcome.exhausted) == (FEASIBLE, nodes, False)
+    assert [sol.columns for sol in outcome.solutions] == expected
+
+
+def test_wide_covering_scan_agrees_with_a_full_scan():
+    # Every start, stop and wanted count near the block ends of one column set.
+    system = _planted_wide_system(1, 70, False)
+    columns = _Columns(system)
+    full = (1 << 70) - 1
+    planted = np.array(_PLANTED)
+    for start in (0, 1, 62, 63, 64, 65, 191, 500, 1984, 2036, 2099):
+        for stop in (start + 1, start + 65, start + 129, 1025, 2100):
+            for wanted in (1, 2, 5, 100):
+                hits = planted[(planted >= start) & (planted < stop)][:wanted]
+                assert columns.covering(start, stop, full, wanted) == hits.tolist()
+
+
+def test_unmasked_wide_pick_keeps_no_index_array():
+    # An unmasked l = 1 pick over h = 2^18 one-word columns (2 MB packed).
+    # Positions are the system's columns, so no (h,) index array is built,
+    # and the pick scans blocks of at most 2^16 words: the peak is about
+    # 0.6 MB, where an int64 index array alone would be 2 MB.
+    rng = np.random.default_rng(0)
+    packed = rng.integers(0, 7, size=(1 << 18, 1), dtype=np.uint64)  # 3 rows, never all set
+    packed.setflags(write=False)
+    system = CoverSystem(packed=packed, num_rows=3, l=1, s=1)
+    tracemalloc.start()
+    try:
+        outcome = solve_branch_and_bound(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.nodes_explored) == (INFEASIBLE, 1 << 18)
+    assert peak < 1024 * 1024
+
+
+@pytest.mark.parametrize("h", [3, 100])
+def test_system_without_rows_is_covered_by_every_multiset(h):
+    # No row needs a cover, so every multiset (or set) of l columns is a
+    # solution, listed in lexicographic order; the wide scans see zero words.
+    for l, distinct in [(1, False), (2, False), (2, True), (3, True)]:
+        system = CoverSystem.from_bits(np.zeros((0, h), dtype=np.uint8), l=l, s=1, distinct=distinct)
+        pick = itertools.combinations if distinct else itertools.combinations_with_replacement
+        first = list(itertools.islice(pick(range(h), l), 10))
+        for strategy in STRATEGIES:
+            outcome = solve(system, SolverConfig(strategy=strategy))
+            assert outcome.status == FEASIBLE
+            assert all(sol.slacks == () for sol in outcome.solutions)
+            if strategy != "greedy":
+                assert [sol.columns for sol in outcome.solutions] == first[: len(outcome.solutions)]
+                assert len(outcome.solutions) == min(10, len(first))
