@@ -30,7 +30,7 @@ from .pipeline import (
     serialize_code,
     special_puncture,
 )
-from .solver import SolverConfig
+from .solver import STRATEGIES, SolverConfig
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -94,7 +94,9 @@ def cmd_extend(args) -> int:
     policy = ChainPolicy(
         max_l=args.l,
         projective=args.projective,
-        solver=SolverConfig(strategy=args.strategy, max_solutions=args.max_solutions),
+        solver=SolverConfig(
+            strategy=args.strategy, max_solutions=args.max_solutions, node_limit=args.node_limit
+        ),
     )
     new_code, rec = extend_once(code, args.l, args.s, policy)
     print(f"code: {_params(code)}")
@@ -128,7 +130,8 @@ def cmd_extend(args) -> int:
 
 def cmd_puncture(args) -> int:
     code = _load(args.file)
-    new_code, rec = special_puncture(code, args.l, args.s)
+    config = SolverConfig(node_limit=args.node_limit)
+    new_code, rec = special_puncture(code, args.l, args.s, solver_config=config)
     print(f"code: {_params(code)}")
     print(f"system: l={rec.l} s={rec.s} over {code.n} positions")
     print(f"solver: status: {rec.solver_status}  nodes: {rec.solver_nodes}")
@@ -155,6 +158,7 @@ def cmd_chain(args) -> int:
         max_total_added=args.max_total,
         target_distance=args.target_d,
         projective=args.projective,
+        solver=SolverConfig(strategy=args.strategy, node_limit=args.node_limit),
     )
     report = chain_search(code, policy)
     text = report.to_text()
@@ -175,6 +179,12 @@ def cmd_dump_d(args) -> int:
     return EXIT_OK
 
 
+def _add_node_limit(p: argparse.ArgumentParser) -> None:
+    default = SolverConfig.node_limit
+    help_text = f"solver node budget per search; running out is inconclusive (default: {default})"
+    p.add_argument("--node-limit", type=int, default=default, dest="node_limit", help=help_text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lsext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -188,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True, help="number of columns to append")
     p.add_argument("--s", type=int, default=None, help="required nonzero letters per minimum-weight word (default: min(weight gap, l))")
     p.add_argument("--projective", action="store_true", help="exclude columns already among the code's points")
-    p.add_argument("--strategy", choices=["exhaustive", "bnb", "greedy"], default="bnb")
+    p.add_argument("--strategy", choices=list(STRATEGIES), default="bnb")
     p.add_argument("--max-solutions", type=int, default=10)
+    _add_node_limit(p)
     p.add_argument("--out", default=None, help="write the extended code to this file")
     p.set_defaults(func=cmd_extend)
 
@@ -197,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--l", type=int, required=True, help="number of columns to remove")
     p.add_argument("--s", type=int, required=True, help="required zeros per minimum-weight word")
+    _add_node_limit(p)
     p.add_argument("--out", default=None, help="write the punctured code to this file")
     p.set_defaults(func=cmd_puncture)
 
@@ -206,6 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-total", type=int, default=None, dest="max_total", help="cap on total appended columns")
     p.add_argument("--target-d", type=int, default=None, dest="target_d")
     p.add_argument("--projective", action="store_true")
+    p.add_argument("--strategy", choices=list(STRATEGIES), default="bnb")
+    _add_node_limit(p)
     p.add_argument("--report", default=None, help="also write the report to this file")
     p.set_defaults(func=cmd_chain)
 

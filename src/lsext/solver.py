@@ -29,15 +29,15 @@ a row needing more than r covers is U_{r+1} nonempty, the last pick is the
 superset test (P & U_1) == U_1 once U_2 is empty, a column's gain is
 popcount(P & U_1) and the total deficit is the sum of popcount(U_j).
 
-Two scans run over every remaining column: the best-gain bound and the
-last pick.  A scan over at most `_NARROW` columns tests Python ints,
-precomputed for the last `_NARROW` columns only; a wider scan runs in
-numpy over the packed rows, in blocks of at most `_SCAN_WORDS` words, so
-that its temporaries stay small next to the packed rows.  Deep trees over
-few columns thus pay no numpy call per node, wide systems keep their
-vectorised scans, and no per-column int or byte copy of a wide matrix is
-ever made.  The rule is fixed, not an option: both forms give the same
-answers and node counts.
+Two scans run over every remaining column: the gain bound (a narrow one
+stops at the first column that gains enough) and the last pick.  A scan
+over at most `_NARROW` columns tests Python ints, precomputed for the last
+`_NARROW` columns only; a wider scan runs in numpy over the packed rows,
+in blocks of at most `_SCAN_WORDS` words, so that its temporaries stay
+small next to the packed rows.  Deep trees over few columns thus pay no
+numpy call per node, wide systems keep their vectorised scans, and no
+per-column int or byte copy of a wide matrix is ever made.  The rule is
+fixed, not an option: both forms give the same answers and node counts.
 
 A wide last pick scans blocks that double in width from `_NARROW` and
 stops after the block in which it has the solutions it wants, so a pick
@@ -46,6 +46,17 @@ node charge is computed from positions, not from the columns it tested:
 bnb charges every column the pick could test, exhaustive the leaves up to
 the one that stops it.  So node counts do not depend on where the scan
 stops.
+
+A node with two picks left whose remaining columns are all narrow is
+settled in one step instead of one recursion per first pick.  First pick
+a can lead to a solution only when U_3.. are empty and U_2 is inside a;
+its second pick must then contain U_2 | (U_1 & ~a), and only the a whose
+later columns reach all of those rows (the suffix OR `tail_reach`) scan
+for one.  The step charges the nodes in closed form from positions, as
+the per-column recursion would: a complete subtree of m first picks
+charges sum (count - a - step) leaves plus, for bnb, the m branches, and
+a budget or `max_solutions` stop charges what that recursion charges up
+to its stop.  So node counts do not depend on the step either.
 
 The search records the positions of each solution it finds and builds
 all the solutions once at the end through `extension.solutions_for`,
@@ -158,9 +169,10 @@ class _Columns:
         self._bytes = memoryview(np.ascontiguousarray(self.packed).reshape(-1).view(np.uint8))
         self.narrow_from = max(0, self.count - _NARROW)
         self.tail = [self._read(pos) for pos in range(self.narrow_from, self.count)]
-        self._tail_reach = self.tail + [0]
+        # tail_reach[i]: the rows covered by some column at position >= narrow_from + i.
+        self.tail_reach = self.tail + [0]
         for i in range(len(self.tail) - 1, -1, -1):
-            self._tail_reach[i] |= self._tail_reach[i + 1]
+            self.tail_reach[i] |= self.tail_reach[i + 1]
         self._root_reach: int | None = None
         self._wide_reach: np.ndarray | None = None
 
@@ -179,7 +191,7 @@ class _Columns:
     def reach(self, start: int) -> int:
         """The rows covered by some column at position >= start."""
         if start >= self.narrow_from:
-            return self._tail_reach[start - self.narrow_from]
+            return self.tail_reach[start - self.narrow_from]
         # The root needs only the OR of all columns; the suffix-OR table is
         # built when a node further in asks.
         if start == 0:
@@ -201,11 +213,11 @@ class _Columns:
         blocks = range(start, self.count, self.block)
         return np.concatenate([popcounts(self.packed[low : low + self.block] & target) for low in blocks])
 
-    def best_gain(self, start: int, deficient: int) -> int:
-        """Most deficient rows one column at position >= start covers."""
+    def has_gain(self, start: int, deficient: int, gain: int) -> bool:
+        """Whether some column at position >= start covers at least `gain` deficient rows."""
         if start >= self.narrow_from:
-            return max([(col & deficient).bit_count() for col in self.tail[start - self.narrow_from :]])
-        return int(self.gains(start, deficient).max())
+            return any((col & deficient).bit_count() >= gain for col in self.tail[start - self.narrow_from :])
+        return bool(self.gains(start, deficient).max() >= gain)
 
     def covering(self, start: int, stop: int, deficient: int, wanted: int) -> list[int]:
         """The first `wanted` positions in [start, stop) whose column covers every deficient row.
@@ -240,6 +252,12 @@ def _pick(levels: list[int], column: int) -> list[int]:
     return [upper | (level & keep) for level, upper in zip(levels, levels[1:] + [0])]
 
 
+def _charged(start: int, a: int, per: int) -> int:
+    """Nodes of the complete two-pick subtrees under first picks start..a-1, each p charging per - p."""
+    n = a - start
+    return n * per - n * (start + a - 1) // 2
+
+
 def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutcome:
     """Depth-first search of the size-l multisets (or sets) in lexicographic order.
 
@@ -254,6 +272,8 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
     picks: list[list[int]] = []  # the positions of each solution, in the order found
     nodes = 0
     step = 1 if system.distinct else 0
+    branch = 1 if prune else 0  # the node a bnb branch charges
+    tail, tail_reach, narrow = columns.tail, columns.tail_reach, columns.narrow_from
 
     def last_pick(start: int, chosen: list[int], levels: list[int]) -> bool:
         # Every remaining column is one leaf; it is a solution when it
@@ -272,6 +292,51 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         nodes += take
         return take < total
 
+    def two_picks(start: int, chosen: list[int], levels: list[int]) -> bool:
+        # Every remaining column is narrow: the whole subtree in one step (see
+        # the module docstring), charged as `rec` would charge its per-column
+        # loop over `last_pick`.
+        nonlocal nodes
+        budget = config.node_limit - nodes
+        per = branch + count - step  # the complete subtree under first pick a charges per - a
+        complete = _charged(start, count, per)
+        # First picks before `cut` are paid in full; `cut` scans its second picks below `high`.
+        cut = high = count
+        if complete > budget:
+            cut = start
+            while _charged(start, cut + 1, per) <= budget:
+                cut += 1
+            high = cut + step + budget - _charged(start, cut, per) - branch
+        first, second, *upper = levels + [0]  # U_1, U_2 (0 when s = 1), U_3..
+        if not any(upper):
+            # The first picks that contain U_2 and whose later columns reach the
+            # rows left for the second pick, with those rows.
+            firsts = [
+                (a, rest)
+                for a in range(start, min(cut + 1, count))
+                if second & tail[a - narrow] == second
+                and (rest := second | (first & ~tail[a - narrow])) & tail_reach[a + step - narrow] == rest
+            ]
+            pairs = [
+                (a, b)
+                for a, rest in firsts
+                for b in range(a + step, count if a < cut else high)
+                if rest & tail[b - narrow] == rest
+            ]
+            if pairs:
+                wanted = config.max_solutions - len(picks)
+                picks.extend(chosen + [a, b] for a, b in pairs[:wanted])
+                if len(pairs) >= wanted:
+                    a, b = pairs[wanted - 1]
+                    take = (count if a < cut else high) - a - step
+                    nodes += _charged(start, a, per) + (1 + take if prune else b - a - step + 1)
+                    return True
+        if cut < count:  # the budget ran out inside the step
+            nodes += budget
+            return True
+        nodes += complete
+        return False
+
     def bounded_out(start: int, picks_left: int, levels: list[int]) -> bool:
         deficient = levels[0]
         if not deficient:
@@ -279,11 +344,12 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         if picks_left < system.s and levels[picks_left]:
             return True
         # Some deficient row unreachable by every remaining column?  This
-        # also cuts a node with no remaining column, so the best gain is >= 1.
+        # also cuts a node with no remaining column.
         if deficient & ~columns.reach(start):
             return True
-        need = -(-sum(level.bit_count() for level in levels) // columns.best_gain(start, deficient))
-        return need > picks_left
+        # ceil(total deficit / best gain) > picks_left exactly when no column
+        # gains ceil(total deficit / picks_left).
+        return not columns.has_gain(start, deficient, -(-sum(map(int.bit_count, levels)) // picks_left))
 
     def rec(start: int, chosen: list[int], levels: list[int]) -> bool:
         # Returns True to stop the whole search.
@@ -293,6 +359,8 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
             return last_pick(start, chosen, levels)
         if prune and bounded_out(start, picks_left, levels):
             return False
+        if picks_left == 2 and start >= narrow:
+            return two_picks(start, chosen, levels)
         for pos in range(start, count):
             if prune:
                 if nodes >= config.node_limit:
@@ -324,6 +392,12 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
     per-pick gain among remaining columns) exceeds r, or (c) a deficient row
     is covered by no remaining column.  The search is complete, so within the
     node budget its `infeasible` verdict is a proof.
+
+    A node with two picks left over narrow columns is not cut further: it
+    skips each first pick that leaves a row needing two more covers, or
+    whose remaining rows no later column reaches, and scans the others for
+    a second pick.  Its nodes are charged in closed form, the same count
+    the per-column recursion gives.
     """
     return _search(system, config or SolverConfig(strategy="bnb"), prune=True)
 

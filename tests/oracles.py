@@ -45,3 +45,84 @@ def oracle_cover_feasible(bits, l: int, s: int, distinct: bool = False):
         if all(sum(int(bits[r, j]) for j in combo) >= s for r in range(t)):
             return True, tuple(combo)
     return False, None
+
+
+def oracle_search(
+    bits,
+    l: int,
+    s: int,
+    *,
+    distinct: bool = False,
+    masked=frozenset(),
+    prune: bool = True,
+    max_solutions: int = 10,
+    node_limit: int = 1_000_000,
+):
+    """Reference walk of the solver's search: (status, nodes, exhausted, [(columns, slacks)]).
+
+    One recursion per branch and one test per column in the last pick, with
+    the node rules of `lsext.solver`: with `prune` (bnb) every branch taken
+    and every column a last pick tests is a node, and the branch-and-bound
+    cuts apply; without it (exhaustive) the nodes are the leaves tested, up
+    to and including the one that stops the search.  A last pick tests only
+    the columns the budget still pays for, and a stop at `max_solutions`
+    charges bnb the whole of that pick.
+    """
+    bits = np.asarray(bits)
+    t, h = bits.shape
+    allowed = [j for j in range(h) if j not in masked]
+    cols = [sum(1 << i for i in range(t) if bits[i, j]) for j in allowed]
+    count = len(cols)
+    reach = [0] * (count + 1)
+    for pos in range(count - 1, -1, -1):
+        reach[pos] = reach[pos + 1] | cols[pos]
+    step = 1 if distinct else 0
+    found: list[list[int]] = []
+    nodes = 0
+
+    def cut(start, left, levels):
+        deficient = levels[0]
+        if not deficient:
+            return distinct and count - start < left
+        if left < s and levels[left]:
+            return True
+        if deficient & ~reach[start]:
+            return True
+        best = max((col & deficient).bit_count() for col in cols[start:])
+        return -(-sum(level.bit_count() for level in levels) // best) > left
+
+    def rec(start, chosen, levels):
+        nonlocal nodes
+        left = l - len(chosen)
+        if left == 1:
+            total = count - start
+            take = min(total, node_limit - nodes)
+            if not any(levels[1:]):
+                for pos in range(start, start + take):
+                    if not levels[0] & ~cols[pos]:
+                        found.append(chosen + [pos])
+                        if len(found) >= max_solutions:
+                            nodes += take if prune else pos - start + 1
+                            return True
+            nodes += take
+            return take < total
+        if prune and cut(start, left, levels):
+            return False
+        for pos in range(start, count):
+            if prune:
+                if nodes >= node_limit:
+                    return True
+                nodes += 1
+            after = [upper | (level & ~cols[pos]) for level, upper in zip(levels, levels[1:] + [0])]
+            if rec(pos + step, chosen + [pos], after):
+                return True
+        return False
+
+    stopped = rec(0, [], [(1 << t) - 1] * s)
+    solutions = []
+    for positions in found:
+        columns = tuple(allowed[p] for p in positions)
+        slacks = tuple(sum(int(bits[i, j]) for j in columns) - s for i in range(t))
+        solutions.append((columns, slacks))
+    status = "feasible" if solutions else "budget_exhausted" if stopped else "infeasible"
+    return status, nodes, not stopped, solutions

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import GOLAY_FILE, HAMMING_FILE
+from conftest import GOLAY_FILE, HAMMING_FILE, extended_golay
 from lsext.cli import main
+from lsext.pipeline import serialize_code
 
 
 @pytest.fixture
@@ -86,6 +87,38 @@ def test_puncture_exit_codes(hamming_file, tmp_path, capsys):
     assert main(["puncture", str(path), "--l", "1", "--s", "1", "--out", str(tmp_path / "p.code")]) == 0
     out = capsys.readouterr().out
     assert "punctured code: [" in out
+
+
+def test_puncture_node_limit_is_inconclusive(tmp_path, capsys):
+    # The extended Golay (10, 4) puncture finds its first solution after more
+    # than 15 nodes: a budget of 15 stops the search with no verdict.
+    path = tmp_path / "golay24.code"
+    path.write_text(serialize_code(extended_golay()))
+    assert main(["puncture", str(path), "--l", "10", "--s", "4", "--node-limit", "15"]) == 2
+    out = capsys.readouterr().out
+    assert "solver: status: budget_exhausted  nodes: 15\n" in out
+    assert "inconclusive: node budget exhausted before a solution was found" in out
+    assert main(["puncture", str(path), "--l", "10", "--s", "4"]) == 0
+
+
+def test_extend_node_limit_is_inconclusive(hamming_file, capsys):
+    # The l = 1 search tests 15 columns; a budget of 10 ends it before the covering column 13.
+    assert main(["extend", hamming_file, "--l", "1", "--node-limit", "10"]) == 2
+    out = capsys.readouterr().out
+    assert "status: budget_exhausted  nodes: 10  search: stopped early" in out
+    assert main(["extend", hamming_file, "--l", "1", "--node-limit", "0"]) == 3
+    assert "node_limit must be >= 1" in capsys.readouterr().err
+
+
+def test_chain_strategy_and_node_limit(hamming_file, capsys):
+    assert main(["chain", hamming_file]) == 0
+    bnb = capsys.readouterr().out
+    assert main(["chain", hamming_file, "--strategy", "exhaustive"]) == 0
+    assert capsys.readouterr().out == bnb
+    assert main(["chain", hamming_file, "--strategy", "bnb", "--node-limit", "1000000"]) == 0
+    assert capsys.readouterr().out == bnb
+    assert main(["chain", hamming_file, "--node-limit", "10"]) == 2
+    assert "stop: solver budget exhausted before finding an extension (l <= 2)" in capsys.readouterr().out
 
 
 def test_chain_writes_report(golay_file, tmp_path, capsys):

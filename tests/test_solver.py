@@ -26,7 +26,7 @@ from lsext.solver import (
     _Columns,
     _NARROW,
 )
-from oracles import oracle_cover_feasible
+from oracles import oracle_cover_feasible, oracle_search
 
 
 def system_of(rows, l, s, **kw):
@@ -536,3 +536,102 @@ def test_system_without_rows_is_covered_by_every_multiset(h):
             if strategy != "greedy":
                 assert [sol.columns for sol in outcome.solutions] == first[: len(outcome.solutions)]
                 assert len(outcome.solutions) == min(10, len(first))
+
+
+def test_two_pick_step_matches_reference():
+    # A narrow node with two picks left is settled in one step; the reference
+    # pays one recursion per first pick and one test per column.  Seeded random
+    # systems on both sides of _NARROW columns and of the 64-row word boundary,
+    # plain, masked and distinct, with budgets and solution caps that stop
+    # inside a two-pick step: statuses, nodes, solutions and slacks agree.
+    rng = np.random.default_rng(2012)
+    for _ in range(400):
+        h, t = int(rng.integers(1, 71)), int(rng.integers(1, 131))
+        l, s = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        bits = (rng.random((t, h)) < rng.choice([0.3, 0.7, 0.9, 0.97, 0.995])).astype(np.uint8)
+        kind = int(rng.integers(3))
+        masked = frozenset(int(j) for j in rng.choice(h, size=int(rng.integers(0, h // 3 + 1)), replace=False))
+        kw = [{}, {"masked": masked}, {"distinct": True}][kind]
+        strategy = str(rng.choice(["exhaustive", "bnb"]))
+        node_limit = int(rng.integers(1, 300) if rng.random() < 0.5 else rng.integers(300, 4000))
+        if math.comb(h + l - 1, l) <= 20_000 and rng.random() < 0.3:
+            node_limit = 1_000_000
+        max_solutions = int(rng.choice([1, 2, 5, 10, 1_000_000]))
+        system = CoverSystem.from_bits(bits, l=l, s=s, **kw)
+        outcome = solve(system, SolverConfig(strategy=strategy, max_solutions=max_solutions, node_limit=node_limit))
+        expected = oracle_search(
+            bits, l, s, prune=strategy == "bnb", max_solutions=max_solutions, node_limit=node_limit, **kw
+        )
+        got = [(sol.columns, sol.slacks) for sol in outcome.solutions]
+        assert (outcome.status, outcome.nodes_explored, outcome.exhausted, got) == expected
+
+
+def _two_pick_system(l, distinct):
+    # t = 70 rows (two words), h = 20 sparse columns.  Column 0 covers the
+    # first 35 rows and column 4 the first 50; columns 6, 11 and 15 cover
+    # the last 35 (15 the last 40), so (0, 6), (0, 11), (0, 15), (4, 6),
+    # (4, 11) and (4, 15) are the covering pairs.
+    rng = np.random.default_rng(12)
+    bits = (rng.random((70, 20)) < 0.25).astype(np.uint8)
+    bits[:35, 0] = 1
+    bits[35:, [6, 11]] = 1
+    bits[:50, 4] = 1
+    bits[30:, 15] = 1
+    return CoverSystem.from_bits(bits, l=l, s=1, distinct=distinct)
+
+
+@pytest.mark.parametrize(
+    "l, distinct, strategy, cfg, expected",
+    [
+        # l = 2: the root is one two-pick step whose complete charge is 190
+        # leaves (exhaustive) and 20 + 190 nodes (bnb) over sets, 210 and
+        # 20 + 210 over multisets.
+        (2, True, "exhaustive", {"node_limit": 189}, (FEASIBLE, 189, False, 6)),
+        (2, True, "exhaustive", {"node_limit": 190}, (FEASIBLE, 190, True, 6)),
+        (2, True, "exhaustive", {"node_limit": 191}, (FEASIBLE, 190, True, 6)),
+        (2, True, "bnb", {"node_limit": 209}, (FEASIBLE, 209, False, 6)),
+        (2, True, "bnb", {"node_limit": 210}, (FEASIBLE, 210, True, 6)),
+        (2, True, "bnb", {"node_limit": 211}, (FEASIBLE, 210, True, 6)),
+        (2, False, "exhaustive", {"node_limit": 209}, (FEASIBLE, 209, False, 6)),
+        (2, False, "exhaustive", {"node_limit": 210}, (FEASIBLE, 210, True, 6)),
+        (2, False, "exhaustive", {"node_limit": 211}, (FEASIBLE, 210, True, 6)),
+        (2, False, "bnb", {"node_limit": 229}, (FEASIBLE, 229, False, 6)),
+        (2, False, "bnb", {"node_limit": 230}, (FEASIBLE, 230, True, 6)),
+        (2, False, "bnb", {"node_limit": 231}, (FEASIBLE, 230, True, 6)),
+        # Budgets that end the scan under first pick 0 one column before, and
+        # at, its first solution (0, 6).
+        (2, True, "exhaustive", {"node_limit": 5}, (BUDGET_EXHAUSTED, 5, False, 0)),
+        (2, True, "exhaustive", {"node_limit": 6}, (FEASIBLE, 6, False, 1)),
+        (2, True, "bnb", {"node_limit": 6}, (BUDGET_EXHAUSTED, 6, False, 0)),
+        (2, True, "bnb", {"node_limit": 7}, (FEASIBLE, 7, False, 1)),
+        # Stops at the first solution, under the first first pick, and at the
+        # fifth, under first pick 4.
+        (2, True, "exhaustive", {"max_solutions": 1}, (FEASIBLE, 6, False, 1)),
+        (2, True, "exhaustive", {"max_solutions": 5}, (FEASIBLE, 77, False, 5)),
+        (2, True, "bnb", {"max_solutions": 1}, (FEASIBLE, 20, False, 1)),
+        (2, True, "bnb", {"max_solutions": 5}, (FEASIBLE, 90, False, 5)),
+        (2, False, "exhaustive", {"max_solutions": 1}, (FEASIBLE, 7, False, 1)),
+        (2, False, "exhaustive", {"max_solutions": 5}, (FEASIBLE, 82, False, 5)),
+        (2, False, "bnb", {"max_solutions": 1}, (FEASIBLE, 21, False, 1)),
+        (2, False, "bnb", {"max_solutions": 5}, (FEASIBLE, 95, False, 5)),
+        # l = 3: the step under first pick 0 starts at column 1 and charges
+        # 171 leaves (exhaustive) or 1 + 19 + 171 nodes (bnb).
+        (3, True, "exhaustive", {"node_limit": 170}, (FEASIBLE, 170, False, 51)),
+        (3, True, "exhaustive", {"node_limit": 171}, (FEASIBLE, 171, False, 51)),
+        (3, True, "exhaustive", {"node_limit": 172}, (FEASIBLE, 172, False, 51)),
+        (3, True, "bnb", {"node_limit": 190}, (FEASIBLE, 190, False, 51)),
+        (3, True, "bnb", {"node_limit": 191}, (FEASIBLE, 191, False, 51)),
+        (3, True, "bnb", {"node_limit": 192}, (FEASIBLE, 192, False, 51)),
+        (3, True, "exhaustive", {"max_solutions": 1}, (FEASIBLE, 5, False, 1)),
+        (3, True, "exhaustive", {"max_solutions": 5}, (FEASIBLE, 27, False, 5)),
+        (3, True, "bnb", {"max_solutions": 1}, (FEASIBLE, 20, False, 1)),
+        (3, True, "bnb", {"max_solutions": 5}, (FEASIBLE, 38, False, 5)),
+    ],
+)
+def test_node_counts_pinned_at_two_pick_stops(l, distinct, strategy, cfg, expected):
+    # Budget stops one node before, at and after the charge of a complete
+    # two-pick subtree, and solution stops under the first and a later first
+    # pick, on a narrow system of two-word rows.
+    cfg = {"max_solutions": 1000, **cfg}
+    outcome = solve(_two_pick_system(l, distinct), SolverConfig(strategy=strategy, **cfg))
+    assert (outcome.status, outcome.nodes_explored, outcome.exhausted, len(outcome.solutions)) == expected
