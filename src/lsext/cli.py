@@ -158,7 +158,7 @@ def cmd_chain(args) -> int:
         max_total_added=args.max_total,
         target_distance=args.target_d,
         projective=args.projective,
-        solver=SolverConfig(strategy=args.strategy, node_limit=args.node_limit),
+        solver=SolverConfig(node_limit=args.node_limit),
     )
     report = chain_search(code, policy)
     text = report.to_text()
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-total", type=int, default=None, dest="max_total", help="cap on total appended columns")
     p.add_argument("--target-d", type=int, default=None, dest="target_d")
     p.add_argument("--projective", action="store_true")
-    p.add_argument("--strategy", choices=list(STRATEGIES), default="bnb")
     _add_node_limit(p)
     p.add_argument("--report", default=None, help="also write the report to this file")
     p.set_defaults(func=cmd_chain)

@@ -47,16 +47,15 @@ bnb charges every column the pick could test, exhaustive the leaves up to
 the one that stops it.  So node counts do not depend on where the scan
 stops.
 
-A node with two picks left whose remaining columns are all narrow is
-settled in one step instead of one recursion per first pick.  First pick
-a can lead to a solution only when U_3.. are empty and U_2 is inside a;
-its second pick must then contain U_2 | (U_1 & ~a), and only the a whose
-later columns reach all of those rows (the suffix OR `tail_reach`) scan
-for one.  The step charges the nodes in closed form from positions, as
-the per-column recursion would: a complete subtree of m first picks
-charges sum (count - a - step) leaves plus, for bnb, the m branches, and
-a budget or `max_solutions` stop charges what that recursion charges up
-to its stop.  So node counts do not depend on the step either.
+A node with two picks left whose remaining columns are all narrow
+recurses only into its live first picks: those a for which U_3.. are
+empty, U_2 lies inside a, and some later column contains
+U_2 | (U_1 & ~a), the rows left for the second pick (the suffix OR of
+the later columns rules most a out before any column is tested).  Every
+other first pick charges what its recursion would have charged, its bnb
+branch plus the leaves of its last pick, summed over each run of them in
+one step and cut at the budget as the recursion would cut it.  So node
+counts do not depend on which first picks are live either.
 
 The search records the positions of each solution it finds and builds
 all the solutions once at the end through `extension.solutions_for`,
@@ -72,6 +71,7 @@ exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -169,10 +169,9 @@ class _Columns:
         self._bytes = memoryview(np.ascontiguousarray(self.packed).reshape(-1).view(np.uint8))
         self.narrow_from = max(0, self.count - _NARROW)
         self.tail = [self._read(pos) for pos in range(self.narrow_from, self.count)]
-        # tail_reach[i]: the rows covered by some column at position >= narrow_from + i.
-        self.tail_reach = self.tail + [0]
+        self._tail_reach = self.tail + [0]
         for i in range(len(self.tail) - 1, -1, -1):
-            self.tail_reach[i] |= self.tail_reach[i + 1]
+            self._tail_reach[i] |= self._tail_reach[i + 1]
         self._root_reach: int | None = None
         self._wide_reach: np.ndarray | None = None
 
@@ -191,7 +190,7 @@ class _Columns:
     def reach(self, start: int) -> int:
         """The rows covered by some column at position >= start."""
         if start >= self.narrow_from:
-            return self.tail_reach[start - self.narrow_from]
+            return self._tail_reach[start - self.narrow_from]
         # The root needs only the OR of all columns; the suffix-OR table is
         # built when a node further in asks.
         if start == 0:
@@ -252,12 +251,6 @@ def _pick(levels: list[int], column: int) -> list[int]:
     return [upper | (level & keep) for level, upper in zip(levels, levels[1:] + [0])]
 
 
-def _charged(start: int, a: int, per: int) -> int:
-    """Nodes of the complete two-pick subtrees under first picks start..a-1, each p charging per - p."""
-    n = a - start
-    return n * per - n * (start + a - 1) // 2
-
-
 def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutcome:
     """Depth-first search of the size-l multisets (or sets) in lexicographic order.
 
@@ -273,7 +266,7 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
     nodes = 0
     step = 1 if system.distinct else 0
     branch = 1 if prune else 0  # the node a bnb branch charges
-    tail, tail_reach, narrow = columns.tail, columns.tail_reach, columns.narrow_from
+    tail, narrow = columns.tail, columns.narrow_from
 
     def last_pick(start: int, chosen: list[int], levels: list[int]) -> bool:
         # Every remaining column is one leaf; it is a solution when it
@@ -292,51 +285,6 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         nodes += take
         return take < total
 
-    def two_picks(start: int, chosen: list[int], levels: list[int]) -> bool:
-        # Every remaining column is narrow: the whole subtree in one step (see
-        # the module docstring), charged as `rec` would charge its per-column
-        # loop over `last_pick`.
-        nonlocal nodes
-        budget = config.node_limit - nodes
-        per = branch + count - step  # the complete subtree under first pick a charges per - a
-        complete = _charged(start, count, per)
-        # First picks before `cut` are paid in full; `cut` scans its second picks below `high`.
-        cut = high = count
-        if complete > budget:
-            cut = start
-            while _charged(start, cut + 1, per) <= budget:
-                cut += 1
-            high = cut + step + budget - _charged(start, cut, per) - branch
-        first, second, *upper = levels + [0]  # U_1, U_2 (0 when s = 1), U_3..
-        if not any(upper):
-            # The first picks that contain U_2 and whose later columns reach the
-            # rows left for the second pick, with those rows.
-            firsts = [
-                (a, rest)
-                for a in range(start, min(cut + 1, count))
-                if second & tail[a - narrow] == second
-                and (rest := second | (first & ~tail[a - narrow])) & tail_reach[a + step - narrow] == rest
-            ]
-            pairs = [
-                (a, b)
-                for a, rest in firsts
-                for b in range(a + step, count if a < cut else high)
-                if rest & tail[b - narrow] == rest
-            ]
-            if pairs:
-                wanted = config.max_solutions - len(picks)
-                picks.extend(chosen + [a, b] for a, b in pairs[:wanted])
-                if len(pairs) >= wanted:
-                    a, b = pairs[wanted - 1]
-                    take = (count if a < cut else high) - a - step
-                    nodes += _charged(start, a, per) + (1 + take if prune else b - a - step + 1)
-                    return True
-        if cut < count:  # the budget ran out inside the step
-            nodes += budget
-            return True
-        nodes += complete
-        return False
-
     def bounded_out(start: int, picks_left: int, levels: list[int]) -> bool:
         deficient = levels[0]
         if not deficient:
@@ -351,6 +299,34 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         # gains ceil(total deficit / picks_left).
         return not columns.has_gain(start, deficient, -(-sum(map(int.bit_count, levels)) // picks_left))
 
+    def dead(low: int, high: int) -> bool:
+        # First picks low..high-1 lead to no solution: each charges its bnb
+        # branch and the leaves of its last pick, as far as the budget goes.
+        nonlocal nodes
+        charge = sum(range(branch + count - high - step + 1, branch + count - low - step + 1))
+        budget = config.node_limit - nodes
+        nodes += min(charge, budget)
+        return charge > budget
+
+    def live(start: int, levels: list[int]):
+        # The first picks, two picks left over narrow columns, that some
+        # second pick completes: U_3.. empty, U_2 inside a, and some later
+        # column containing rest = U_2 | (U_1 & ~a).  The suffix OR rules most
+        # a out before any column is tested.
+        first, second, *upper = levels + [0]
+        if any(upper):
+            return ()
+        reached = [
+            (a, rest)
+            for a in range(start, count)
+            if second & tail[a - narrow] == second
+            and (rest := second | (first & ~tail[a - narrow])) & columns.reach(a + step) == rest
+        ]
+        # One a per completing pair (a, b), generated lazily, so a search that
+        # stops at max_solutions tests no pair past the first pick it stops in.
+        pairs = (a for a, rest in reached for b in tail[a + step - narrow :] if rest & b == rest)
+        return (a for a, _ in groupby(pairs))
+
     def rec(start: int, chosen: list[int], levels: list[int]) -> bool:
         # Returns True to stop the whole search.
         nonlocal nodes
@@ -359,9 +335,12 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
             return last_pick(start, chosen, levels)
         if prune and bounded_out(start, picks_left, levels):
             return False
-        if picks_left == 2 and start >= narrow:
-            return two_picks(start, chosen, levels)
-        for pos in range(start, count):
+        positions = live(start, levels) if picks_left == 2 and start >= narrow else range(start, count)
+        low = start  # the first position not yet charged
+        for pos in positions:
+            if pos > low and dead(low, pos):
+                return True
+            low = pos + 1
             if prune:
                 if nodes >= config.node_limit:
                     return True
@@ -371,7 +350,7 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
             chosen.pop()
             if stop:
                 return True
-        return False
+        return dead(low, count)
 
     stopped = rec(0, [], _full_levels(system))
     solutions = solutions_for(system, columns.index(np.array(picks, dtype=np.intp)))
@@ -393,11 +372,10 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
     is covered by no remaining column.  The search is complete, so within the
     node budget its `infeasible` verdict is a proof.
 
-    A node with two picks left over narrow columns is not cut further: it
-    skips each first pick that leaves a row needing two more covers, or
-    whose remaining rows no later column reaches, and scans the others for
-    a second pick.  Its nodes are charged in closed form, the same count
-    the per-column recursion gives.
+    A node with two picks left over narrow columns recurses only into the
+    first picks that some second pick completes: the others leave a row
+    needing two more covers, or rows that no later column contains.  Their
+    nodes are charged in one sum per run, the count the recursion gives.
     """
     return _search(system, config or SolverConfig(strategy="bnb"), prune=True)
 

@@ -110,13 +110,11 @@ def test_extend_node_limit_is_inconclusive(hamming_file, capsys):
     assert "node_limit must be >= 1" in capsys.readouterr().err
 
 
-def test_chain_strategy_and_node_limit(hamming_file, capsys):
+def test_chain_node_limit(hamming_file, capsys):
     assert main(["chain", hamming_file]) == 0
-    bnb = capsys.readouterr().out
-    assert main(["chain", hamming_file, "--strategy", "exhaustive"]) == 0
-    assert capsys.readouterr().out == bnb
-    assert main(["chain", hamming_file, "--strategy", "bnb", "--node-limit", "1000000"]) == 0
-    assert capsys.readouterr().out == bnb
+    default = capsys.readouterr().out
+    assert main(["chain", hamming_file, "--node-limit", "1000000"]) == 0
+    assert capsys.readouterr().out == default
     assert main(["chain", hamming_file, "--node-limit", "10"]) == 2
     assert "stop: solver budget exhausted before finding an extension (l <= 2)" in capsys.readouterr().out
 

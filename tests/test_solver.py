@@ -539,11 +539,12 @@ def test_system_without_rows_is_covered_by_every_multiset(h):
 
 
 def test_two_pick_step_matches_reference():
-    # A narrow node with two picks left is settled in one step; the reference
-    # pays one recursion per first pick and one test per column.  Seeded random
+    # A narrow node with two picks left recurses only into its live first
+    # picks and charges the others in one sum per run; the reference pays one
+    # recursion per first pick and one test per column.  Seeded random
     # systems on both sides of _NARROW columns and of the 64-row word boundary,
     # plain, masked and distinct, with budgets and solution caps that stop
-    # inside a two-pick step: statuses, nodes, solutions and slacks agree.
+    # under a two-pick node: statuses, nodes, solutions and slacks agree.
     rng = np.random.default_rng(2012)
     for _ in range(400):
         h, t = int(rng.integers(1, 71)), int(rng.integers(1, 131))
@@ -583,7 +584,7 @@ def _two_pick_system(l, distinct):
 @pytest.mark.parametrize(
     "l, distinct, strategy, cfg, expected",
     [
-        # l = 2: the root is one two-pick step whose complete charge is 190
+        # l = 2: the root is one two-pick node whose complete charge is 190
         # leaves (exhaustive) and 20 + 190 nodes (bnb) over sets, 210 and
         # 20 + 210 over multisets.
         (2, True, "exhaustive", {"node_limit": 189}, (FEASIBLE, 189, False, 6)),
@@ -614,7 +615,7 @@ def _two_pick_system(l, distinct):
         (2, False, "exhaustive", {"max_solutions": 5}, (FEASIBLE, 82, False, 5)),
         (2, False, "bnb", {"max_solutions": 1}, (FEASIBLE, 21, False, 1)),
         (2, False, "bnb", {"max_solutions": 5}, (FEASIBLE, 95, False, 5)),
-        # l = 3: the step under first pick 0 starts at column 1 and charges
+        # l = 3: the two-pick node under first pick 0 starts at column 1 and charges
         # 171 leaves (exhaustive) or 1 + 19 + 171 nodes (bnb).
         (3, True, "exhaustive", {"node_limit": 170}, (FEASIBLE, 170, False, 51)),
         (3, True, "exhaustive", {"node_limit": 171}, (FEASIBLE, 171, False, 51)),
