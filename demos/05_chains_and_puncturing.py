@@ -15,6 +15,7 @@ from lsext import (
     extend_once,
     format_matrix,
     coverage_matrix,
+    remove_columns,
     serialize_code,
     special_puncture,
 )
@@ -39,7 +40,7 @@ print(report.to_text())
 extended, record = extend_once(golay, 1)
 print("extended:", extended.params(), "by appending column index", record.columns[0],
       "=", record.column_vectors[0])
-back, _ = special_puncture(extended, 1, 1, columns=range(golay.n, extended.n))
+back = remove_columns(extended, range(golay.n, extended.n))
 print("punctured back:", back.params(),
       "- distribution restored:", back.weight_distribution() == golay.weight_distribution())
 
@@ -54,7 +55,7 @@ HAMMING = [
 ]
 ham_ext, _ = extend_once(LinearCode(gf(2), HAMMING), 1)
 result, rec = special_puncture(ham_ext, 1, 1)
-print("\nsearch-mode puncture of", ham_ext.params(), "->", rec.status)
+print("\nsearch-mode puncture of", ham_ext.params(), "->", rec.search.status)
 
 # The covering matrix and code files have stable text formats for hand
 # editing and for feeding external solvers.

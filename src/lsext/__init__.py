@@ -29,6 +29,7 @@ from .extension import (
     coverage_matrix,
     format_matrix,
     is_good_extension,
+    parse_matrix_text,
     projective_filter,
     slacks,
     solution_for,
@@ -45,7 +46,6 @@ from .pipeline import (
     ChainPolicy,
     ChainReport,
     StepRecord,
-    StepStatus,
     StopReason,
     chain_search,
     default_s,
@@ -59,8 +59,8 @@ from .pipeline import (
 from .solver import (
     SolveOutcome,
     SolverConfig,
+    SolveStatus,
     format_solutions,
-    parse_matrix_text,
     solve,
     solve_branch_and_bound,
     solve_exhaustive,

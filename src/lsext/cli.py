@@ -22,7 +22,6 @@ from .field import gf
 from .geometry import incidence_matrix
 from .pipeline import (
     ChainPolicy,
-    StepStatus,
     StopReason,
     chain_search,
     extend_once,
@@ -30,7 +29,7 @@ from .pipeline import (
     serialize_code,
     special_puncture,
 )
-from .solver import STRATEGIES, SolverConfig
+from .solver import STRATEGIES, SolverConfig, SolveStatus
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -38,9 +37,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 
 EXIT_CODES = {
-    StepStatus.APPLIED: EXIT_OK,
-    StepStatus.INFEASIBLE: EXIT_INFEASIBLE,
-    StepStatus.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    SolveStatus.FEASIBLE: EXIT_OK,
+    SolveStatus.INFEASIBLE: EXIT_INFEASIBLE,
+    SolveStatus.BUDGET_EXHAUSTED: EXIT_INCONCLUSIVE,
     StopReason.TARGET_REACHED: EXIT_OK,
     StopReason.LENGTH_BUDGET: EXIT_OK,
     StopReason.SOLVER_BUDGET: EXIT_INCONCLUSIVE,
@@ -91,22 +90,16 @@ def cmd_extend(args) -> int:
     code = _load(args.file)
     if args.l < 1:
         raise ValueError(f"--l must be >= 1, got {args.l}")
-    policy = ChainPolicy(
-        max_l=args.l,
-        projective=args.projective,
-        solver=SolverConfig(
-            strategy=args.strategy, max_solutions=args.max_solutions, node_limit=args.node_limit
-        ),
-    )
-    new_code, rec = extend_once(code, args.l, args.s, policy)
+    config = SolverConfig(strategy=args.strategy, max_solutions=args.max_solutions, node_limit=args.node_limit)
+    new_code, rec = extend_once(code, args.l, args.s, config, projective=args.projective)
     print(f"code: {_params(code)}")
     usable = rec.candidates_total - rec.candidates_masked
     print(f"candidates: {rec.candidates_total}  masked: {rec.candidates_masked}  usable: {usable}")
     print(f"system: l={rec.l} s={rec.s} rows={rec.rows}")
-    search = "complete" if rec.search_exhausted else "stopped early"
-    print(f"solver: {rec.solver_strategy}  status: {rec.solver_status}  nodes: {rec.solver_nodes}  search: {search}")
-    print(f"solutions found: {rec.solutions_found}")
-    if rec.status is StepStatus.APPLIED:
+    search = "complete" if rec.search.exhausted else "stopped early"
+    print(f"solver: {rec.solver_strategy}  status: {rec.search.status}  nodes: {rec.search.nodes_explored}  search: {search}")
+    print(f"solutions found: {len(rec.search.solutions)}")
+    if rec.search.status is SolveStatus.FEASIBLE:
         assert new_code is not None
         cols = " ".join(str(c) for c in rec.columns)
         vecs = " ".join(rec.column_vectors)
@@ -121,21 +114,21 @@ def cmd_extend(args) -> int:
         if args.out:
             Path(args.out).write_text(serialize_code(new_code))
             print(f"wrote: {args.out}")
-    elif rec.status is StepStatus.INCONCLUSIVE:
+    elif rec.search.status is SolveStatus.BUDGET_EXHAUSTED:
         print("inconclusive: node budget exhausted before a solution was found")
     else:
         print(f"no (l={rec.l}, s={rec.s})-extension exists")
-    return EXIT_CODES[rec.status]
+    return EXIT_CODES[rec.search.status]
 
 
 def cmd_puncture(args) -> int:
     code = _load(args.file)
     config = SolverConfig(node_limit=args.node_limit)
-    new_code, rec = special_puncture(code, args.l, args.s, solver_config=config)
+    new_code, rec = special_puncture(code, args.l, args.s, config)
     print(f"code: {_params(code)}")
     print(f"system: l={rec.l} s={rec.s} over {code.n} positions")
-    print(f"solver: status: {rec.solver_status}  nodes: {rec.solver_nodes}")
-    if rec.status is StepStatus.APPLIED:
+    print(f"solver: status: {rec.search.status}  nodes: {rec.search.nodes_explored}")
+    if rec.search.status is SolveStatus.FEASIBLE:
         assert new_code is not None
         print(f"removed columns: {' '.join(str(c) for c in rec.columns)}")
         print(f"predicted distance: >= {rec.guaranteed_distance} when the second-smallest weight allows")
@@ -143,12 +136,12 @@ def cmd_puncture(args) -> int:
         if args.out:
             Path(args.out).write_text(serialize_code(new_code))
             print(f"wrote: {args.out}")
-    elif rec.status is StepStatus.INCONCLUSIVE:
+    elif rec.search.status is SolveStatus.BUDGET_EXHAUSTED:
         print("inconclusive: node budget exhausted before a solution was found")
     else:
         print(f"no qualifying column set: some minimum-weight word has fewer than s={rec.s} "
               f"zeros in every candidate set")
-    return EXIT_CODES[rec.status]
+    return EXIT_CODES[rec.search.status]
 
 
 def cmd_chain(args) -> int:
@@ -165,7 +158,7 @@ def cmd_chain(args) -> int:
     sys.stdout.write(text)
     if args.report:
         Path(args.report).write_text(text)
-    return EXIT_CODES[StepStatus.APPLIED if report.steps else report.stopping_reason]
+    return EXIT_OK if report.steps else EXIT_CODES[report.stopping_reason]
 
 
 def cmd_incidence(args) -> int:

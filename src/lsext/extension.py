@@ -313,3 +313,22 @@ def format_matrix(bits: np.ndarray) -> str:
     for row in bits:
         lines.append("".join("1" if b else "0" for b in row))
     return "\n".join(lines) + "\n"
+
+
+def parse_matrix_text(text: str) -> np.ndarray:
+    """Read the text dump that `format_matrix` writes."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix text")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError(f"expected header '<rows> <cols>', got {lines[0]!r}")
+    rows, cols = int(head[0]), int(head[1])
+    if len(lines) - 1 != rows:
+        raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")
+    bits = np.zeros((rows, cols), dtype=np.uint8)
+    for i, ln in enumerate(lines[1:]):
+        if len(ln) != cols or set(ln) - {"0", "1"}:
+            raise ValueError(f"row {i} must be {cols} characters of 0/1, got {ln!r}")
+        bits[i] = [1 if ch == "1" else 0 for ch in ln]
+    return bits

@@ -11,12 +11,15 @@ s = min(weight gap, l), and applies the first feasible step after full
 re-verification.  Puncturing is the inverse operation: remove l generator
 columns such that every minimum-weight codeword has at least s zeros among
 them, which drops the length by l while costing at most l - s distance.
+
+Each step's `StepRecord` holds the `SolveOutcome` of its search: the
+solver's `SolveStatus` is the step's verdict, and a step is applied exactly
+when its search is feasible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -28,27 +31,11 @@ from .extension import (
     apply_extension,
     coverage_matrix,
     cover_system,
-    is_good_extension,
     projective_filter,
     verify_extension,
 )
 from .field import gf
-from .solver import BUDGET_EXHAUSTED, FEASIBLE, SolveOutcome, SolverConfig, solve
-
-
-class _Text(str, Enum):
-    """A str-valued enum that prints as its value on every supported Python."""
-
-    def __str__(self) -> str:
-        return self.value
-
-
-class StepStatus(_Text):
-    """Outcome of one extend or puncture step."""
-
-    APPLIED = "applied"
-    INFEASIBLE = "infeasible"
-    INCONCLUSIVE = "inconclusive"
+from .solver import SolveOutcome, SolverConfig, SolveStatus, _Text, solve
 
 
 class StopReason(_Text):
@@ -122,16 +109,18 @@ def serialize_code(code: LinearCode) -> str:
 class StepRecord:
     """One extend or puncture step: the search behind it and its verified outcome.
 
+    The step was applied, and the fields that describe the new code and its
+    columns are set, exactly when `search.status` is feasible.
     `guaranteed_distance` is the distance the step proves: for an extension
     the bound `verify_extension` enforced on the recomputed code, for a
-    puncture d - l + s when the removed columns qualify, else None.
+    puncture d - l + s.
     """
 
     operation: str
     l: int
     s: int
-    status: StepStatus
     params_before: tuple[int, int, int]
+    search: SolveOutcome
     params_after: tuple[int, int, int] | None = None
     columns: tuple[int, ...] = ()
     column_vectors: tuple[str, ...] = ()
@@ -139,10 +128,6 @@ class StepRecord:
     min_weight_count_after: int | None = None
     predicted_min_weight_count: int | None = None
     solver_strategy: str = ""
-    solver_status: str = ""
-    solver_nodes: int = 0
-    solutions_found: int = 0
-    search_exhausted: bool = False
     candidates_total: int = 0
     candidates_masked: int = 0
     rows: int = 0
@@ -153,14 +138,14 @@ class StepRecord:
     def describe(self) -> str:
         n, k, d = self.params_before
         head = f"{self.operation} (l={self.l}, s={self.s}) on [{n},{k},{d}]"
-        if self.status is not StepStatus.APPLIED:
-            return f"{head}: {self.status}"
+        if self.search.status is not SolveStatus.FEASIBLE:
+            return f"{head}: {self.search.status}"
         assert self.params_after is not None
         n2, k2, d2 = self.params_after
         cols = ",".join(str(c) for c in self.columns)
         return (
             f"{head} -> [{n2},{k2},{d2}] columns=[{cols}] "
-            f"A_d={self.min_weight_count_after} nodes={self.solver_nodes}"
+            f"A_d={self.min_weight_count_after} nodes={self.search.nodes_explored}"
         )
 
 
@@ -177,6 +162,10 @@ class ChainPolicy:
     def __post_init__(self) -> None:
         if self.max_l < 1:
             raise ValueError("max_l must be >= 1")
+        if self.max_total_added is not None and self.max_total_added < 0:
+            raise ValueError("max_total_added must be >= 0")
+        if self.target_distance is not None and self.target_distance < 1:
+            raise ValueError("target_distance must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -230,46 +219,29 @@ def default_s(code: LinearCode, l: int) -> int:
     return l if gap is None else min(gap, l)
 
 
-def _search(
-    operation: str, code: LinearCode, system: CoverSystem, config: SolverConfig
-) -> tuple[SolveOutcome, StepRecord]:
-    """Solve a step's covering system and record it.
-
-    The status maps the solver outcome: a solution means the caller applies
-    the best one (and re-verifies it), a budget stop is inconclusive, and
-    anything else is infeasible.
-    """
-    outcome = solve(system, config)
-    if outcome.status == FEASIBLE:
-        status = StepStatus.APPLIED
-    elif outcome.status == BUDGET_EXHAUSTED:
-        status = StepStatus.INCONCLUSIVE
-    else:
-        status = StepStatus.INFEASIBLE
-    record = StepRecord(
+def _search(operation: str, code: LinearCode, system: CoverSystem, config: SolverConfig) -> StepRecord:
+    """Solve a step's covering system and record it; a feasible search's
+    best solution is for the caller to apply and re-verify."""
+    return StepRecord(
         operation=operation,
         l=system.l,
         s=system.s,
-        status=status,
         params_before=code.params(),
+        search=solve(system, config),
         solver_strategy=config.strategy,
-        solver_status=outcome.status,
-        solver_nodes=outcome.nodes_explored,
-        solutions_found=len(outcome.solutions),
-        search_exhausted=outcome.exhausted,
         candidates_total=system.num_columns,
         candidates_masked=len(system.masked),
         rows=system.num_rows,
     )
-    return outcome, record
 
 
 def extend_once(
     code: LinearCode,
     l: int,
     s: int | None = None,
-    policy: ChainPolicy | None = None,
+    config: SolverConfig | None = None,
     *,
+    projective: bool = False,
     matrix: CoverageMatrix | None = None,
 ) -> tuple[LinearCode | None, StepRecord]:
     """One (l,s)-extension attempt: build the system, solve, apply, re-verify.
@@ -277,10 +249,10 @@ def extend_once(
     Among returned solutions the one maximizing the minimum slack is applied
     (ties to lexicographically smallest), pushing former minimum-weight words
     as high as possible for the next step.  Infeasibility is a result, not an
-    error; a solver budget stop is reported as inconclusive.  `matrix` is the
-    code's coverage matrix when the caller has already built it.
+    error, and so is a solver budget stop.  `projective` masks the columns
+    that are already points of the code.  `matrix` is the code's coverage
+    matrix when the caller has already built it.
     """
-    policy = policy or ChainPolicy()
     if s is None:
         s = default_s(code, l)
     check_gap_allows(code, s)
@@ -289,13 +261,12 @@ def extend_once(
     elif matrix.code is not code:
         raise ConsistencyError("coverage matrix was built from a different code")
     system = cover_system(matrix, l, s)
-    if policy.projective:
+    if projective:
         system = projective_filter(system)
-    outcome, record = _search("extend", code, system, policy.solver)
-    if record.status is not StepStatus.APPLIED:
+    record = _search("extend", code, system, config or SolverConfig())
+    best = record.search.best
+    if best is None:
         return None, record
-    best = outcome.best
-    assert best is not None
     new_code = apply_extension(code, best.columns, matrix)
     guaranteed = verify_extension(code, new_code, s)
     # Each zero-slack row lands exactly on the new minimum weight with its
@@ -341,45 +312,23 @@ def remove_columns(code: LinearCode, columns) -> LinearCode:
 
 
 def special_puncture(
-    code: LinearCode,
-    l: int,
-    s: int,
-    columns=None,
-    solver_config: SolverConfig | None = None,
+    code: LinearCode, l: int, s: int, config: SolverConfig | None = None
 ) -> tuple[LinearCode | None, StepRecord]:
     """Remove l columns so every minimum-weight codeword has >= s zeros among them.
 
-    With explicit `columns` the removal is performed unconditionally and the
-    record's `guaranteed_distance` quotes the d - l + s prediction only when
-    the zero-coverage property actually holds.  Without `columns` the same
-    solver machinery as extension searches the zero-coverage system over
-    generator positions; no qualifying set is an infeasibility result.
+    The same solver machinery as extension searches the zero-coverage system
+    over generator positions; no qualifying set is an infeasibility result.
+    To remove given columns, use `remove_columns`, and test whether they
+    qualify with `is_good_extension(zero_coverage_system(code, l, s), columns)`.
     """
     if not 1 <= l < code.n:
         raise ValueError(f"need 1 <= l < n={code.n}, got l={l}")
     if s < 1 or s > l:
         raise ValueError(f"need 1 <= s <= l, got s={s}")
-    system = zero_coverage_system(code, l, s)
-    if columns is not None:
-        cols = tuple(sorted(int(j) for j in columns))
-        qualifies = is_good_extension(system, cols)
-        new_code = remove_columns(code, cols)
-        record = StepRecord(
-            operation="puncture",
-            l=l,
-            s=s,
-            status=StepStatus.APPLIED,
-            params_before=code.params(),
-            params_after=new_code.params(),
-            columns=cols,
-            guaranteed_distance=code.d - l + s if qualifies else None,
-        )
-        return new_code, record
-    outcome, record = _search("puncture", code, system, solver_config or SolverConfig())
-    if record.status is not StepStatus.APPLIED:
+    record = _search("puncture", code, zero_coverage_system(code, l, s), config or SolverConfig())
+    best = record.search.best
+    if best is None:
         return None, record
-    best = outcome.best
-    assert best is not None
     new_code = remove_columns(code, best.columns)
     # Qualifying removals keep min-weight words at >= d-l+s and every other
     # word at >= d+gap-l, so recomputation must clear the smaller of the two.
@@ -425,12 +374,13 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None) -> ChainRe
                 continue
             if matrix is None:  # built once per round: every l searches the same matrix and mask
                 matrix = coverage_matrix(current)
-            new_code, record = extend_once(current, l, None, policy, matrix=matrix)
-            if record.status is StepStatus.APPLIED:
-                assert new_code is not None
+            new_code, record = extend_once(
+                current, l, None, policy.solver, projective=policy.projective, matrix=matrix
+            )
+            if new_code is not None:
                 applied = (new_code, record, l)
                 break
-            if record.status is StepStatus.INCONCLUSIVE:
+            if record.search.status is SolveStatus.BUDGET_EXHAUSTED:
                 any_inconclusive = True
         if applied is None:
             if matrix is None:  # no l fit the length budget

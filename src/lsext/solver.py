@@ -63,24 +63,38 @@ which recomputes their coverage in one batch and raises
 InfeasibleSolutionError on a short row.
 
 All strategies are deterministic: same system, same config, same outcome,
-including solution order.  `budget_exhausted` is never conflated with
-`infeasible` - a missed extension must not masquerade as a proof that none
-exists.
+including solution order.  The outcome's `SolveStatus` is the verdict that
+every caller reads, up to the CLI's exit code.  `budget_exhausted` is never
+conflated with `infeasible` - a missed extension must not masquerade as a
+proof that none exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from itertools import groupby
 
 import numpy as np
 
-from .extension import CoverSystem, ExtensionSolution, solutions_for
+from .extension import CoverSystem, ExtensionSolution, parse_matrix_text, solutions_for
 from .field import popcounts
 
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
-BUDGET_EXHAUSTED = "budget_exhausted"
+
+class _Text(str, Enum):
+    """A str-valued enum that prints as its value on every supported Python."""
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class SolveStatus(_Text):
+    """The verdict of one search; see `SolveOutcome`."""
+
+    FEASIBLE = "feasible"
+    INFEASIBLE = "infeasible"
+    BUDGET_EXHAUSTED = "budget_exhausted"
+
 
 STRATEGIES = ("exhaustive", "bnb", "greedy")
 
@@ -112,7 +126,7 @@ class SolveOutcome:
     a caller may claim "exactly these solutions exist" only when it is True.
     """
 
-    status: str
+    status: SolveStatus
     solutions: tuple[ExtensionSolution, ...]
     nodes_explored: int
     exhausted: bool
@@ -127,11 +141,11 @@ class SolveOutcome:
 
 def _outcome(solutions: list[ExtensionSolution], nodes: int, exhausted: bool) -> SolveOutcome:
     if solutions:
-        status = FEASIBLE
+        status = SolveStatus.FEASIBLE
     elif exhausted:
-        status = INFEASIBLE
+        status = SolveStatus.INFEASIBLE
     else:
-        status = BUDGET_EXHAUSTED
+        status = SolveStatus.BUDGET_EXHAUSTED
     return SolveOutcome(
         status=status, solutions=tuple(solutions), nodes_explored=nodes, exhausted=exhausted
     )
@@ -419,25 +433,6 @@ def solve(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutco
 
 
 # -- standalone text interface -------------------------------------------------
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Read the text dump format: header '<rows> <cols>', then 0/1 rows."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"expected header '<rows> <cols>', got {lines[0]!r}")
-    rows, cols = int(head[0]), int(head[1])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")
-    bits = np.zeros((rows, cols), dtype=np.uint8)
-    for i, ln in enumerate(lines[1:]):
-        if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError(f"row {i} must be {cols} characters of 0/1, got {ln!r}")
-        bits[i] = [1 if ch == "1" else 0 for ch in ln]
-    return bits
 
 
 def solve_matrix_text(

@@ -29,8 +29,8 @@ from lsext.extension import (
 )
 from lsext.field import canonical_count, canonical_representatives, gf
 from lsext.geometry import incidence_matrix, geometric_extension_criterion
-from lsext.pipeline import ChainPolicy, chain_search, extend_once, special_puncture
-from lsext.solver import FEASIBLE, SolverConfig, solve_branch_and_bound, solve_exhaustive
+from lsext.pipeline import ChainPolicy, chain_search, extend_once, remove_columns
+from lsext.solver import SolverConfig, SolveStatus, solve_branch_and_bound, solve_exhaustive
 from oracles import oracle_weight_distribution
 
 # (code, l, s, solution, extended_code) tuples accumulated across criteria so
@@ -157,7 +157,7 @@ def test_criterion_4_solver_oracle_equivalence():
                 if a.solutions or b.solutions:
                     assert a.solutions[0] == b.solutions[0], (code.params(), l, s)
                 instances += 1
-                if a.status == FEASIBLE:
+                if a.status is SolveStatus.FEASIBLE:
                     sol = a.solutions[0]
                     extended = apply_extension(code, sol.columns, cov)
                     _record(code, l, s, sol, extended)
@@ -208,7 +208,7 @@ def test_criterion_7_round_trip():
     """Puncturing the appended columns restores (n,k,d) and the distribution."""
     assert FOUND
     for code, l, s, solution, extended in FOUND:
-        back, _ = special_puncture(extended, l, s, columns=range(code.n, extended.n))
+        back = remove_columns(extended, range(code.n, extended.n))
         assert back.params() == code.params()
         assert back.weight_distribution() == code.weight_distribution()
         assert np.array_equal(back.matrix, code.matrix)

@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import GOLAY_FILE, HAMMING_FILE, extended_golay
-from lsext.cli import main
-from lsext.pipeline import serialize_code
+from lsext.cli import EXIT_CODES, main
+from lsext.pipeline import StopReason, serialize_code
+from lsext.solver import SolveStatus
 
 
 @pytest.fixture
@@ -145,6 +146,19 @@ def test_chain_length_budget_exits_0(hamming_file, capsys):
     assert main(["chain", hamming_file, "--max-total", "0"]) == 0
     out = capsys.readouterr().out
     assert "no steps applied\nstop: total added length budget 0 reached\n" in out
+
+
+def test_chain_rejects_impossible_budgets(hamming_file, capsys):
+    # A negative length budget or a target distance below 1 can never be a stop reason.
+    assert main(["chain", hamming_file, "--max-total", "-1"]) == 3
+    assert "max_total_added must be >= 0" in capsys.readouterr().err
+    assert main(["chain", hamming_file, "--target-d", "-5"]) == 3
+    assert "target_distance must be >= 1" in capsys.readouterr().err
+    assert main(["chain", hamming_file, "--target-d", "0"]) == 3
+
+
+def test_every_verdict_has_an_exit_code():
+    assert set(EXIT_CODES) == set(SolveStatus) | set(StopReason)
 
 
 def test_incidence_fano(capsys):

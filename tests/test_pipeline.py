@@ -7,11 +7,10 @@ import lsext.pipeline as pipeline
 from conftest import GOLAY_FILE, HAMMING_FILE, random_codes, repetition
 from lsext.code import LinearCode
 from lsext.errors import ConsistencyError, ParseError, RankDeficientError
-from lsext.extension import coverage_matrix
+from lsext.extension import coverage_matrix, is_good_extension
 from lsext.field import gf
 from lsext.pipeline import (
     ChainPolicy,
-    StepStatus,
     StopReason,
     chain_search,
     check_gap_allows,
@@ -23,7 +22,7 @@ from lsext.pipeline import (
     special_puncture,
     zero_coverage_system,
 )
-from lsext.solver import SolverConfig
+from lsext.solver import SolverConfig, SolveStatus
 
 
 # -- parsing ------------------------------------------------------------------
@@ -95,7 +94,7 @@ def test_serialize_round_trip(golay):
 def test_extend_once_hamming(hamming):
     new_code, rec = extend_once(hamming, 1)
     assert rec.operation == "extend"
-    assert rec.status is StepStatus.APPLIED
+    assert rec.search.status is SolveStatus.FEASIBLE
     assert new_code.params() == (8, 4, 4)
     assert rec.params_after == (8, 4, 4)
     assert rec.guaranteed_distance == 4
@@ -104,7 +103,7 @@ def test_extend_once_hamming(hamming):
     # because old weight-4 words also land on the new minimum.
     assert rec.predicted_min_weight_count == 7
     assert rec.candidates_total == 15
-    assert rec.search_exhausted
+    assert rec.search.exhausted
 
 
 def test_extend_once_golay(golay):
@@ -125,8 +124,8 @@ def test_extend_once_infeasible(hamming):
     # No [9,4,5]_2 exists, so the extended Hamming code cannot be improved.
     result, rec = extend_once(extended, 1)
     assert result is None
-    assert rec.status is StepStatus.INFEASIBLE
-    assert rec.search_exhausted
+    assert rec.search.status is SolveStatus.INFEASIBLE
+    assert rec.search.exhausted
 
 
 def test_extend_once_rejects_s_above_gap(hamming):
@@ -135,12 +134,11 @@ def test_extend_once_rejects_s_above_gap(hamming):
 
 
 def test_extend_once_inconclusive_on_tiny_budget(golay):
-    policy = ChainPolicy(solver=SolverConfig(node_limit=1))
-    result, rec = extend_once(golay, 1, policy=policy)
+    result, rec = extend_once(golay, 1, config=SolverConfig(node_limit=1))
     assert result is None
-    assert rec.status is StepStatus.INCONCLUSIVE
-    assert rec.solver_status == "budget_exhausted"
-    assert not rec.search_exhausted
+    assert rec.search.status is SolveStatus.BUDGET_EXHAUSTED
+    assert rec.search.status == "budget_exhausted"
+    assert not rec.search.exhausted
 
 
 def test_default_s_rules(hamming):
@@ -160,16 +158,15 @@ def test_extend_once_picks_max_min_slack_solution():
     # [0,1,1]: for l=2 the lexicographic first solution (0,1) has slacks
     # (0,0), while (2,2) reaches min slack 1 and must be preferred.
     code = LinearCode(gf(2), [[1, 1, 0, 0], [0, 0, 1, 1]])
-    new_code, rec = extend_once(code, 2, s=1, policy=ChainPolicy(solver=SolverConfig(max_solutions=50)))
-    assert rec.status is StepStatus.APPLIED
+    new_code, rec = extend_once(code, 2, s=1, config=SolverConfig(max_solutions=50))
+    assert rec.search.status is SolveStatus.FEASIBLE
     assert rec.slack_min == 1
     assert rec.columns == (2, 2)
     assert new_code.params() == (6, 2, 4)
 
 
 def test_extend_once_projective(hamming):
-    policy = ChainPolicy(projective=True)
-    new_code, rec = extend_once(hamming, 1, policy=policy)
+    new_code, rec = extend_once(hamming, 1, projective=True)
     assert rec.candidates_masked == 7
     assert new_code.params() == (8, 4, 4)
 
@@ -181,7 +178,7 @@ def test_puncture_round_trip(hamming, golay):
     for code in (hamming, golay):
         new_code, rec = extend_once(code, 1)
         appended = range(code.n, new_code.n)
-        back, prec = special_puncture(new_code, 1, 1, columns=appended)
+        back = remove_columns(new_code, appended)
         assert back.params() == code.params()
         assert back.weight_distribution() == code.weight_distribution()
         assert np.array_equal(back.matrix, code.matrix)
@@ -189,10 +186,10 @@ def test_puncture_round_trip(hamming, golay):
 
 def test_puncture_explicit_columns_reports_qualification(hamming):
     extended, _ = extend_once(hamming, 1)
-    back, rec = special_puncture(extended, 1, 1, columns=[7])
+    back = remove_columns(extended, [7])
     assert back.params() == (7, 4, 3)
-    assert rec.operation == "puncture"
-    assert rec.guaranteed_distance is None
+    # Some weight-4 word is nonzero at the parity column, so removing it does not qualify.
+    assert not is_good_extension(zero_coverage_system(extended, 1, 1), [7])
 
 
 def test_puncture_search_mode_finds_qualifying_set(golay):
@@ -202,7 +199,8 @@ def test_puncture_search_mode_finds_qualifying_set(golay):
     padded = LinearCode(gf(2), [[1, 1, 1, 0], [0, 1, 0, 1]])
     # weight-2 word (0101): zero at columns 0, 2; weight-3 word zero at 3.
     new_code, rec = special_puncture(padded, 1, 1)
-    assert rec.status is StepStatus.APPLIED
+    assert rec.operation == "puncture"
+    assert rec.search.status is SolveStatus.FEASIBLE
     assert rec.guaranteed_distance == padded.d
     assert new_code.n == 3
 
@@ -211,7 +209,7 @@ def test_puncture_search_infeasible_on_repetition():
     code = repetition(2, 3)
     result, rec = special_puncture(code, 1, 1)
     assert result is None
-    assert rec.status is StepStatus.INFEASIBLE
+    assert rec.search.status is SolveStatus.INFEASIBLE
 
 
 def test_puncture_parameter_validation(hamming):
@@ -221,12 +219,6 @@ def test_puncture_parameter_validation(hamming):
         special_puncture(hamming, 7, 1)
     with pytest.raises(ValueError):
         special_puncture(hamming, 2, 3)
-    with pytest.raises(ValueError):
-        special_puncture(hamming, 2, 1, columns=[1])
-    with pytest.raises(ValueError):
-        special_puncture(hamming, 2, 1, columns=[1, 1])
-    with pytest.raises(ValueError):
-        special_puncture(hamming, 1, 1, columns=[7])
 
 
 def test_zero_coverage_bits_read_only(hamming):
@@ -247,6 +239,11 @@ def test_remove_columns_bounds(hamming):
         remove_columns(hamming, [7])
     with pytest.raises(ValueError):
         remove_columns(hamming, [-1])
+
+
+def test_remove_columns_rejects_repeats(hamming):
+    with pytest.raises(ValueError):
+        remove_columns(hamming, [1, 1])
 
 
 # -- chain search -------------------------------------------------------------------
@@ -326,9 +323,9 @@ def test_chain_round_builds_its_coverage_matrix_once(hamming, monkeypatch):
         built.append(coverage_matrix(code))
         return built[-1]
 
-    def extend(code, l, s=None, policy=None, *, matrix=None):
+    def extend(code, l, s=None, config=None, *, projective=False, matrix=None):
         tried.append((l, matrix))
-        return extend_once(code, l, s, policy, matrix=matrix)
+        return extend_once(code, l, s, config, projective=projective, matrix=matrix)
 
     monkeypatch.setattr(pipeline, "coverage_matrix", build)
     monkeypatch.setattr(pipeline, "extend_once", extend)
@@ -348,6 +345,13 @@ def test_extend_once_with_prebuilt_matrix(hamming, golay):
 def test_chain_policy_validation():
     with pytest.raises(ValueError):
         ChainPolicy(max_l=0)
+    with pytest.raises(ValueError):
+        ChainPolicy(max_total_added=-1)
+    with pytest.raises(ValueError):
+        ChainPolicy(target_distance=0)
+    with pytest.raises(ValueError):
+        ChainPolicy(target_distance=-5)
+    ChainPolicy(max_total_added=0, target_distance=1)
 
 
 def test_round_trip_random_extensions():
@@ -355,8 +359,8 @@ def test_round_trip_random_extensions():
     the original parameters and distribution."""
     for code in random_codes(15, seed=61, qs=(2, 3), max_k=3, max_n=7):
         new_code, rec = extend_once(code, 1)
-        if rec.status is not StepStatus.APPLIED:
+        if new_code is None:
             continue
-        back, _ = special_puncture(new_code, 1, rec.s, columns=range(code.n, new_code.n))
+        back = remove_columns(new_code, range(code.n, new_code.n))
         assert back.params() == code.params()
         assert back.weight_distribution() == code.weight_distribution()

@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 
 from conftest import binary_golay, extended_golay, reed_muller_2_5
-from lsext.extension import CoverSystem, coverage_matrix, cover_system, is_good_extension
+from lsext.extension import (
+    CoverSystem,
+    coverage_matrix,
+    cover_system,
+    format_matrix,
+    is_good_extension,
+    parse_matrix_text,
+)
 from lsext.pipeline import default_s, zero_coverage_system
 from lsext.solver import (
-    BUDGET_EXHAUSTED,
-    FEASIBLE,
-    INFEASIBLE,
     STRATEGIES,
     SolverConfig,
+    SolveStatus,
     format_solutions,
-    parse_matrix_text,
     solve,
     solve_branch_and_bound,
     solve_exhaustive,
@@ -35,35 +39,35 @@ def system_of(rows, l, s, **kw):
 
 def test_single_cell_feasible():
     outcome = solve_exhaustive(system_of([[1]], 1, 1))
-    assert outcome.status == FEASIBLE
+    assert outcome.status == SolveStatus.FEASIBLE
     assert outcome.solutions[0].columns == (0,)
     assert outcome.exhausted
 
 
 def test_two_rows_one_column_infeasible():
     outcome = solve_exhaustive(system_of([[1, 0], [0, 1]], 1, 1))
-    assert outcome.status == INFEASIBLE
+    assert outcome.status == SolveStatus.INFEASIBLE
     assert outcome.exhausted
 
 
 def test_identity_matrix_needs_all_columns():
     eye = np.eye(4, dtype=np.uint8)
-    assert solve_branch_and_bound(CoverSystem.from_bits(eye, l=3, s=1)).status == INFEASIBLE
-    assert solve_branch_and_bound(CoverSystem.from_bits(eye, l=4, s=1)).status == FEASIBLE
+    assert solve_branch_and_bound(CoverSystem.from_bits(eye, l=3, s=1)).status == SolveStatus.INFEASIBLE
+    assert solve_branch_and_bound(CoverSystem.from_bits(eye, l=4, s=1)).status == SolveStatus.FEASIBLE
 
 
 def test_multiset_repeats_allowed_for_multicover():
     outcome = solve_exhaustive(system_of([[1]], 2, 2))
-    assert outcome.status == FEASIBLE
+    assert outcome.status == SolveStatus.FEASIBLE
     assert outcome.solutions[0].columns == (0, 0)
 
 
 def test_distinct_mode_forbids_repeats():
     sys_multi = system_of([[1]], 2, 2)
     sys_distinct = system_of([[1]], 2, 2, distinct=True)
-    assert solve_exhaustive(sys_multi).status == FEASIBLE
-    assert solve_exhaustive(sys_distinct).status == INFEASIBLE
-    assert solve_branch_and_bound(sys_distinct).status == INFEASIBLE
+    assert solve_exhaustive(sys_multi).status == SolveStatus.FEASIBLE
+    assert solve_exhaustive(sys_distinct).status == SolveStatus.INFEASIBLE
+    assert solve_branch_and_bound(sys_distinct).status == SolveStatus.INFEASIBLE
 
 
 def test_masked_columns_never_selected():
@@ -76,20 +80,20 @@ def test_masked_columns_never_selected():
         none_left = system_of([[1, 1]], l, 1, masked=frozenset({0, 1}))
         for solver in (solve_exhaustive, solve_branch_and_bound):
             o = solver(none_left)
-            assert (o.status, o.nodes_explored, o.exhausted) == (INFEASIBLE, 0, True)
+            assert (o.status, o.nodes_explored, o.exhausted) == (SolveStatus.INFEASIBLE, 0, True)
         o = solve_greedy(none_left)
-        assert (o.status, o.nodes_explored, o.exhausted) == (BUDGET_EXHAUSTED, 0, False)
+        assert (o.status, o.nodes_explored, o.exhausted) == (SolveStatus.BUDGET_EXHAUSTED, 0, False)
 
 
 def test_budget_exhausted_is_not_infeasible():
     system = system_of([[1, 0], [0, 1]], 2, 1)
     cfg = SolverConfig(strategy="exhaustive", node_limit=1, max_solutions=5)
     outcome = solve_exhaustive(system, cfg)
-    assert outcome.status == BUDGET_EXHAUSTED
+    assert outcome.status == SolveStatus.BUDGET_EXHAUSTED
     assert not outcome.exhausted
     cfg_b = SolverConfig(strategy="bnb", node_limit=1, max_solutions=5)
     outcome_b = solve_branch_and_bound(system, cfg_b)
-    assert outcome_b.status in (BUDGET_EXHAUSTED, FEASIBLE)
+    assert outcome_b.status in (SolveStatus.BUDGET_EXHAUSTED, SolveStatus.FEASIBLE)
 
 
 def test_max_solutions_truncation_marks_unexhausted():
@@ -112,10 +116,10 @@ def test_solutions_sorted_lexicographically():
 
 def test_greedy_contract():
     outcome = solve_greedy(system_of([[1]], 1, 1))
-    assert outcome.status == FEASIBLE
+    assert outcome.status == SolveStatus.FEASIBLE
     system = system_of([[1, 0], [1, 1]], 1, 1)
     out = solve_greedy(system)
-    assert out.status == FEASIBLE
+    assert out.status == SolveStatus.FEASIBLE
     assert is_good_extension(system, out.solutions[0].columns)
 
 
@@ -132,16 +136,16 @@ def test_greedy_can_fail_where_exhaustive_succeeds():
     ]
     system = system_of(rows, 2, 1)
     greedy = solve_greedy(system)
-    assert greedy.status == BUDGET_EXHAUSTED
+    assert greedy.status == SolveStatus.BUDGET_EXHAUSTED
     assert greedy.solutions == ()
     exhaustive = solve_exhaustive(system)
-    assert exhaustive.status == FEASIBLE
+    assert exhaustive.status == SolveStatus.FEASIBLE
     assert exhaustive.solutions[0].columns == (1, 2)
 
 
 def test_greedy_failure_is_never_reported_infeasible():
     system = system_of([[1, 0], [0, 1]], 1, 1)
-    assert solve_greedy(system).status == BUDGET_EXHAUSTED
+    assert solve_greedy(system).status == SolveStatus.BUDGET_EXHAUSTED
 
 
 def test_cross_strategy_agreement_random():
@@ -159,7 +163,7 @@ def test_cross_strategy_agreement_random():
         assert a.status == b.status
         assert a.solutions == b.solutions
         feasible, first = oracle_cover_feasible(bits, l, s)
-        assert (a.status == FEASIBLE) == feasible
+        assert (a.status == SolveStatus.FEASIBLE) == feasible
         if feasible:
             assert a.solutions[0].columns == first
 
@@ -186,9 +190,9 @@ def test_monotonicity_in_l():
         bits = rng.integers(0, 2, size=(t, h)).astype(np.uint8)
         s = int(rng.integers(1, 3))
         for l in (1, 2):
-            if solve_exhaustive(CoverSystem.from_bits(bits, l=l, s=s)).status == FEASIBLE:
+            if solve_exhaustive(CoverSystem.from_bits(bits, l=l, s=s)).status == SolveStatus.FEASIBLE:
                 bigger = solve_exhaustive(CoverSystem.from_bits(bits, l=l + 1, s=s))
-                assert bigger.status == FEASIBLE
+                assert bigger.status == SolveStatus.FEASIBLE
 
 
 def test_determinism():
@@ -228,8 +232,8 @@ def test_solver_config_validation():
 
 def test_dispatch():
     system = system_of([[1]], 1, 1)
-    assert solve(system, SolverConfig(strategy="greedy")).status == FEASIBLE
-    assert solve(system).status == FEASIBLE
+    assert solve(system, SolverConfig(strategy="greedy")).status == SolveStatus.FEASIBLE
+    assert solve(system).status == SolveStatus.FEASIBLE
 
 
 def test_text_interface_round_trip():
@@ -237,11 +241,23 @@ def test_text_interface_round_trip():
     bits = parse_matrix_text(text)
     assert bits.tolist() == [[1, 0, 1], [0, 1, 1]]
     outcome = solve_matrix_text(text, l=1, s=1)
-    assert outcome.status == FEASIBLE
+    assert outcome.status == SolveStatus.FEASIBLE
     assert format_solutions(outcome) == "2\n"
     multi = solve_matrix_text(text, l=2, s=1, config=SolverConfig(max_solutions=10))
     lines = format_solutions(multi).splitlines()
     assert lines[0] == "0 1"
+
+
+def test_matrix_dump_round_trip(hamming, golay):
+    # The text `dump-d` writes reads back to the same bits, and solves as the system does.
+    for code in (hamming, golay):
+        matrix = coverage_matrix(code)
+        text = format_matrix(matrix.bits)
+        assert np.array_equal(parse_matrix_text(text), matrix.bits)
+        for l, s in ((1, 1), (2, 1)):
+            a = solve_matrix_text(text, l, s)
+            b = solve(cover_system(matrix, l, s))
+            assert (a.status, a.nodes_explored, a.solutions) == (b.status, b.nodes_explored, b.solutions)
 
 
 def test_parse_matrix_text_errors():
@@ -271,7 +287,7 @@ def test_node_counts_and_first_solutions_pinned(request, code_name, l, nodes, fi
     complete = l == 1
     for strategy, node_count, first in zip(STRATEGIES, nodes, firsts):
         outcome = solve(system, SolverConfig(strategy=strategy))
-        assert outcome.status == FEASIBLE
+        assert outcome.status == SolveStatus.FEASIBLE
         assert outcome.nodes_explored == node_count
         assert outcome.exhausted == (complete and strategy != "greedy")
         assert outcome.solutions[0].columns == first
@@ -302,7 +318,7 @@ def test_packed_rows_across_word_boundaries(t):
                     feasible, first = oracle_cover_feasible(
                         bits[:, allowed], l, s, distinct=system.distinct
                     )
-                    assert (a.status == FEASIBLE) == feasible
+                    assert (a.status == SolveStatus.FEASIBLE) == feasible
                     if feasible:
                         assert a.solutions[0].columns == tuple(int(allowed[p]) for p in first)
 
@@ -310,10 +326,10 @@ def test_packed_rows_across_word_boundaries(t):
 @pytest.mark.parametrize(
     "build, t, status, nodes",
     [
-        (lambda: zero_coverage_system(extended_golay(), 5, 1), 759, INFEASIBLE, 54_237),
-        (lambda: zero_coverage_system(extended_golay(), 6, 2), 759, INFEASIBLE, 178_129),
-        (lambda: cover_system(coverage_matrix(reed_muller_2_5()), 1, 1), 620, INFEASIBLE, 65_535),
-        (lambda: cover_system(coverage_matrix(extended_golay()), 2, 1), 759, BUDGET_EXHAUSTED, 1_000_000),
+        (lambda: zero_coverage_system(extended_golay(), 5, 1), 759, SolveStatus.INFEASIBLE, 54_237),
+        (lambda: zero_coverage_system(extended_golay(), 6, 2), 759, SolveStatus.INFEASIBLE, 178_129),
+        (lambda: cover_system(coverage_matrix(reed_muller_2_5()), 1, 1), 620, SolveStatus.INFEASIBLE, 65_535),
+        (lambda: cover_system(coverage_matrix(extended_golay()), 2, 1), 759, SolveStatus.BUDGET_EXHAUSTED, 1_000_000),
     ],
 )
 def test_bnb_node_counts_pinned_on_multiword_rows(build, t, status, nodes):
@@ -323,7 +339,7 @@ def test_bnb_node_counts_pinned_on_multiword_rows(build, t, status, nodes):
     assert system.num_rows == t
     outcome = solve_branch_and_bound(system)
     assert (outcome.status, outcome.nodes_explored) == (status, nodes)
-    assert outcome.exhausted == (status == INFEASIBLE)
+    assert outcome.exhausted == (status == SolveStatus.INFEASIBLE)
 
 
 @pytest.mark.parametrize("h", [_NARROW - 1, _NARROW, _NARROW + 1, 3 * _NARROW])
@@ -349,7 +365,7 @@ def test_narrow_and_wide_scans_agree(h):
             combos = math.comb(count, l) if system.distinct else math.comb(count + l - 1, l)
             if combos <= 50_000:
                 feasible, first = oracle_cover_feasible(bits[:, allowed], l, s, distinct=system.distinct)
-                assert (a.status == FEASIBLE) == feasible
+                assert (a.status == SolveStatus.FEASIBLE) == feasible
                 if feasible:
                     assert a.solutions[0].columns == tuple(int(allowed[p]) for p in first)
 
@@ -367,20 +383,20 @@ def _golay24_puncture_10_4():
     [
         # Wide: t = 253 rows, h = 4095 columns.  The defaults stop at the tenth
         # solution inside a last pick; 5000 nodes cut the second last pick.
-        (_golay23_l2, "exhaustive", {}, (FEASIBLE, 20_465, False, 10)),
-        (_golay23_l2, "bnb", {}, (FEASIBLE, 20_470, False, 10)),
-        (_golay23_l2, "exhaustive", {"max_solutions": 1}, (FEASIBLE, 4_094, False, 1)),
-        (_golay23_l2, "bnb", {"max_solutions": 1}, (FEASIBLE, 4_096, False, 1)),
-        (_golay23_l2, "exhaustive", {"node_limit": 3000}, (BUDGET_EXHAUSTED, 3_000, False, 0)),
-        (_golay23_l2, "bnb", {"node_limit": 3000}, (BUDGET_EXHAUSTED, 3_000, False, 0)),
-        (_golay23_l2, "exhaustive", {"node_limit": 5000}, (FEASIBLE, 5_000, False, 2)),
-        (_golay23_l2, "bnb", {"node_limit": 5000}, (FEASIBLE, 5_000, False, 2)),
+        (_golay23_l2, "exhaustive", {}, (SolveStatus.FEASIBLE, 20_465, False, 10)),
+        (_golay23_l2, "bnb", {}, (SolveStatus.FEASIBLE, 20_470, False, 10)),
+        (_golay23_l2, "exhaustive", {"max_solutions": 1}, (SolveStatus.FEASIBLE, 4_094, False, 1)),
+        (_golay23_l2, "bnb", {"max_solutions": 1}, (SolveStatus.FEASIBLE, 4_096, False, 1)),
+        (_golay23_l2, "exhaustive", {"node_limit": 3000}, (SolveStatus.BUDGET_EXHAUSTED, 3_000, False, 0)),
+        (_golay23_l2, "bnb", {"node_limit": 3000}, (SolveStatus.BUDGET_EXHAUSTED, 3_000, False, 0)),
+        (_golay23_l2, "exhaustive", {"node_limit": 5000}, (SolveStatus.FEASIBLE, 5_000, False, 2)),
+        (_golay23_l2, "bnb", {"node_limit": 5000}, (SolveStatus.FEASIBLE, 5_000, False, 2)),
         # Narrow: t = 759 rows, h = 24 positions.
-        (_golay24_puncture_10_4, "exhaustive", {"max_solutions": 3}, (FEASIBLE, 29, False, 3)),
-        (_golay24_puncture_10_4, "bnb", {"max_solutions": 3}, (FEASIBLE, 39, False, 3)),
-        (_golay24_puncture_10_4, "exhaustive", {"node_limit": 60}, (FEASIBLE, 60, False, 6)),
-        (_golay24_puncture_10_4, "bnb", {"node_limit": 60}, (FEASIBLE, 60, False, 5)),
-        (_golay24_puncture_10_4, "bnb", {"node_limit": 15}, (BUDGET_EXHAUSTED, 15, False, 0)),
+        (_golay24_puncture_10_4, "exhaustive", {"max_solutions": 3}, (SolveStatus.FEASIBLE, 29, False, 3)),
+        (_golay24_puncture_10_4, "bnb", {"max_solutions": 3}, (SolveStatus.FEASIBLE, 39, False, 3)),
+        (_golay24_puncture_10_4, "exhaustive", {"node_limit": 60}, (SolveStatus.FEASIBLE, 60, False, 6)),
+        (_golay24_puncture_10_4, "bnb", {"node_limit": 60}, (SolveStatus.FEASIBLE, 60, False, 5)),
+        (_golay24_puncture_10_4, "bnb", {"node_limit": 15}, (SolveStatus.BUDGET_EXHAUSTED, 15, False, 0)),
     ],
 )
 def test_node_counts_pinned_at_budget_and_solution_stops(build, strategy, cfg, expected):
@@ -402,7 +418,7 @@ def test_wide_solve_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (outcome.status, outcome.nodes_explored) == (INFEASIBLE, 65_535)
+    assert (outcome.status, outcome.nodes_explored) == (SolveStatus.INFEASIBLE, 65_535)
     assert peak < 8 * 1024 * 1024
 
 
@@ -485,7 +501,7 @@ def test_wide_last_pick_stops_at_its_solutions_with_nodes_unchanged(t, l, masked
     # over one-word (t = 40) and two-word (t = 70) rows, with and without masked columns.
     outcome = solve(_planted_wide_system(l, t, masked), SolverConfig(strategy=strategy, **cfg))
     expected = [(j,) if l == 1 else (3, 4 + j) for j in _PLANTED[:found]]
-    assert (outcome.status, outcome.nodes_explored, outcome.exhausted) == (FEASIBLE, nodes, False)
+    assert (outcome.status, outcome.nodes_explored, outcome.exhausted) == (SolveStatus.FEASIBLE, nodes, False)
     assert [sol.columns for sol in outcome.solutions] == expected
 
 
@@ -517,7 +533,7 @@ def test_unmasked_wide_pick_keeps_no_index_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (outcome.status, outcome.nodes_explored) == (INFEASIBLE, 1 << 18)
+    assert (outcome.status, outcome.nodes_explored) == (SolveStatus.INFEASIBLE, 1 << 18)
     assert peak < 1024 * 1024
 
 
@@ -531,7 +547,7 @@ def test_system_without_rows_is_covered_by_every_multiset(h):
         first = list(itertools.islice(pick(range(h), l), 10))
         for strategy in STRATEGIES:
             outcome = solve(system, SolverConfig(strategy=strategy))
-            assert outcome.status == FEASIBLE
+            assert outcome.status == SolveStatus.FEASIBLE
             assert all(sol.slacks == () for sol in outcome.solutions)
             if strategy != "greedy":
                 assert [sol.columns for sol in outcome.solutions] == first[: len(outcome.solutions)]
@@ -587,46 +603,46 @@ def _two_pick_system(l, distinct):
         # l = 2: the root is one two-pick node whose complete charge is 190
         # leaves (exhaustive) and 20 + 190 nodes (bnb) over sets, 210 and
         # 20 + 210 over multisets.
-        (2, True, "exhaustive", {"node_limit": 189}, (FEASIBLE, 189, False, 6)),
-        (2, True, "exhaustive", {"node_limit": 190}, (FEASIBLE, 190, True, 6)),
-        (2, True, "exhaustive", {"node_limit": 191}, (FEASIBLE, 190, True, 6)),
-        (2, True, "bnb", {"node_limit": 209}, (FEASIBLE, 209, False, 6)),
-        (2, True, "bnb", {"node_limit": 210}, (FEASIBLE, 210, True, 6)),
-        (2, True, "bnb", {"node_limit": 211}, (FEASIBLE, 210, True, 6)),
-        (2, False, "exhaustive", {"node_limit": 209}, (FEASIBLE, 209, False, 6)),
-        (2, False, "exhaustive", {"node_limit": 210}, (FEASIBLE, 210, True, 6)),
-        (2, False, "exhaustive", {"node_limit": 211}, (FEASIBLE, 210, True, 6)),
-        (2, False, "bnb", {"node_limit": 229}, (FEASIBLE, 229, False, 6)),
-        (2, False, "bnb", {"node_limit": 230}, (FEASIBLE, 230, True, 6)),
-        (2, False, "bnb", {"node_limit": 231}, (FEASIBLE, 230, True, 6)),
+        (2, True, "exhaustive", {"node_limit": 189}, (SolveStatus.FEASIBLE, 189, False, 6)),
+        (2, True, "exhaustive", {"node_limit": 190}, (SolveStatus.FEASIBLE, 190, True, 6)),
+        (2, True, "exhaustive", {"node_limit": 191}, (SolveStatus.FEASIBLE, 190, True, 6)),
+        (2, True, "bnb", {"node_limit": 209}, (SolveStatus.FEASIBLE, 209, False, 6)),
+        (2, True, "bnb", {"node_limit": 210}, (SolveStatus.FEASIBLE, 210, True, 6)),
+        (2, True, "bnb", {"node_limit": 211}, (SolveStatus.FEASIBLE, 210, True, 6)),
+        (2, False, "exhaustive", {"node_limit": 209}, (SolveStatus.FEASIBLE, 209, False, 6)),
+        (2, False, "exhaustive", {"node_limit": 210}, (SolveStatus.FEASIBLE, 210, True, 6)),
+        (2, False, "exhaustive", {"node_limit": 211}, (SolveStatus.FEASIBLE, 210, True, 6)),
+        (2, False, "bnb", {"node_limit": 229}, (SolveStatus.FEASIBLE, 229, False, 6)),
+        (2, False, "bnb", {"node_limit": 230}, (SolveStatus.FEASIBLE, 230, True, 6)),
+        (2, False, "bnb", {"node_limit": 231}, (SolveStatus.FEASIBLE, 230, True, 6)),
         # Budgets that end the scan under first pick 0 one column before, and
         # at, its first solution (0, 6).
-        (2, True, "exhaustive", {"node_limit": 5}, (BUDGET_EXHAUSTED, 5, False, 0)),
-        (2, True, "exhaustive", {"node_limit": 6}, (FEASIBLE, 6, False, 1)),
-        (2, True, "bnb", {"node_limit": 6}, (BUDGET_EXHAUSTED, 6, False, 0)),
-        (2, True, "bnb", {"node_limit": 7}, (FEASIBLE, 7, False, 1)),
+        (2, True, "exhaustive", {"node_limit": 5}, (SolveStatus.BUDGET_EXHAUSTED, 5, False, 0)),
+        (2, True, "exhaustive", {"node_limit": 6}, (SolveStatus.FEASIBLE, 6, False, 1)),
+        (2, True, "bnb", {"node_limit": 6}, (SolveStatus.BUDGET_EXHAUSTED, 6, False, 0)),
+        (2, True, "bnb", {"node_limit": 7}, (SolveStatus.FEASIBLE, 7, False, 1)),
         # Stops at the first solution, under the first first pick, and at the
         # fifth, under first pick 4.
-        (2, True, "exhaustive", {"max_solutions": 1}, (FEASIBLE, 6, False, 1)),
-        (2, True, "exhaustive", {"max_solutions": 5}, (FEASIBLE, 77, False, 5)),
-        (2, True, "bnb", {"max_solutions": 1}, (FEASIBLE, 20, False, 1)),
-        (2, True, "bnb", {"max_solutions": 5}, (FEASIBLE, 90, False, 5)),
-        (2, False, "exhaustive", {"max_solutions": 1}, (FEASIBLE, 7, False, 1)),
-        (2, False, "exhaustive", {"max_solutions": 5}, (FEASIBLE, 82, False, 5)),
-        (2, False, "bnb", {"max_solutions": 1}, (FEASIBLE, 21, False, 1)),
-        (2, False, "bnb", {"max_solutions": 5}, (FEASIBLE, 95, False, 5)),
+        (2, True, "exhaustive", {"max_solutions": 1}, (SolveStatus.FEASIBLE, 6, False, 1)),
+        (2, True, "exhaustive", {"max_solutions": 5}, (SolveStatus.FEASIBLE, 77, False, 5)),
+        (2, True, "bnb", {"max_solutions": 1}, (SolveStatus.FEASIBLE, 20, False, 1)),
+        (2, True, "bnb", {"max_solutions": 5}, (SolveStatus.FEASIBLE, 90, False, 5)),
+        (2, False, "exhaustive", {"max_solutions": 1}, (SolveStatus.FEASIBLE, 7, False, 1)),
+        (2, False, "exhaustive", {"max_solutions": 5}, (SolveStatus.FEASIBLE, 82, False, 5)),
+        (2, False, "bnb", {"max_solutions": 1}, (SolveStatus.FEASIBLE, 21, False, 1)),
+        (2, False, "bnb", {"max_solutions": 5}, (SolveStatus.FEASIBLE, 95, False, 5)),
         # l = 3: the two-pick node under first pick 0 starts at column 1 and charges
         # 171 leaves (exhaustive) or 1 + 19 + 171 nodes (bnb).
-        (3, True, "exhaustive", {"node_limit": 170}, (FEASIBLE, 170, False, 51)),
-        (3, True, "exhaustive", {"node_limit": 171}, (FEASIBLE, 171, False, 51)),
-        (3, True, "exhaustive", {"node_limit": 172}, (FEASIBLE, 172, False, 51)),
-        (3, True, "bnb", {"node_limit": 190}, (FEASIBLE, 190, False, 51)),
-        (3, True, "bnb", {"node_limit": 191}, (FEASIBLE, 191, False, 51)),
-        (3, True, "bnb", {"node_limit": 192}, (FEASIBLE, 192, False, 51)),
-        (3, True, "exhaustive", {"max_solutions": 1}, (FEASIBLE, 5, False, 1)),
-        (3, True, "exhaustive", {"max_solutions": 5}, (FEASIBLE, 27, False, 5)),
-        (3, True, "bnb", {"max_solutions": 1}, (FEASIBLE, 20, False, 1)),
-        (3, True, "bnb", {"max_solutions": 5}, (FEASIBLE, 38, False, 5)),
+        (3, True, "exhaustive", {"node_limit": 170}, (SolveStatus.FEASIBLE, 170, False, 51)),
+        (3, True, "exhaustive", {"node_limit": 171}, (SolveStatus.FEASIBLE, 171, False, 51)),
+        (3, True, "exhaustive", {"node_limit": 172}, (SolveStatus.FEASIBLE, 172, False, 51)),
+        (3, True, "bnb", {"node_limit": 190}, (SolveStatus.FEASIBLE, 190, False, 51)),
+        (3, True, "bnb", {"node_limit": 191}, (SolveStatus.FEASIBLE, 191, False, 51)),
+        (3, True, "bnb", {"node_limit": 192}, (SolveStatus.FEASIBLE, 192, False, 51)),
+        (3, True, "exhaustive", {"max_solutions": 1}, (SolveStatus.FEASIBLE, 5, False, 1)),
+        (3, True, "exhaustive", {"max_solutions": 5}, (SolveStatus.FEASIBLE, 27, False, 5)),
+        (3, True, "bnb", {"max_solutions": 1}, (SolveStatus.FEASIBLE, 20, False, 1)),
+        (3, True, "bnb", {"max_solutions": 5}, (SolveStatus.FEASIBLE, 38, False, 5)),
     ],
 )
 def test_node_counts_pinned_at_two_pick_stops(l, distinct, strategy, cfg, expected):
