@@ -29,6 +29,7 @@ from .field import (
     pack_rows,
     packed_words,
     representatives_at,
+    row_dtype,
     unpack_rows,
 )
 from .geometry import code_points
@@ -51,8 +52,10 @@ class CoverageMatrix:
     fixed by `canonical_representatives`.  No row is all zero.
 
     The matrix is stored only column by column as packed row bitsets:
-    `packed` is (h, W) uint64 with W = ceil(t/64), and entry (i, j) is bit
-    i % 64 of word packed[j, i // 64].  This is the layout in which
+    `packed` is (h, W) words of `field.row_dtype(t)`, W = `packed_words(t)`
+    (one word of 1, 2 or 4 bytes when t <= 32, else ceil(t/64) 64-bit
+    words), and entry (i, j) is bit i % B of word packed[j, i // B], B being
+    the word's width in bits.  This is the layout in which
     `field.canonical_supports` streams the supports of the candidate columns
     against the representatives, so the build copies each chunk straight in.
     `bits`, the (t, h) uint8 matrix, is a read-only view derived from it on
@@ -92,7 +95,8 @@ class CoverSystem:
     """Covering instance: choose l columns so every row is covered >= s times.
 
     `packed` holds the columns as row bitsets, laid out as in
-    `CoverageMatrix`: (h, W) uint64 over `num_rows` rows.  `from_bits` builds
+    `CoverageMatrix`: (h, W) little-endian unsigned words over `num_rows`
+    rows, W the words of `packed.dtype` that hold them.  `from_bits` builds
     a system from a (rows, columns) 0/1 matrix, and `bits` unpacks it again.
     `masked` columns may never be selected; `distinct` forbids picking the
     same column twice (needed when columns are generator positions to remove,
@@ -111,9 +115,13 @@ class CoverSystem:
     def __post_init__(self) -> None:
         if self.l < 1 or self.s < 1:
             raise ValueError(f"need l >= 1 and s >= 1, got l={self.l}, s={self.s}")
-        if self.packed.ndim != 2 or self.packed.shape[1] != packed_words(self.num_rows):
+        dtype = self.packed.dtype
+        if dtype.kind != "u" or dtype.str[0] == ">":
+            raise ValueError(f"packed columns must be little-endian unsigned words, got {dtype.str}")
+        words = packed_words(self.num_rows, dtype)
+        if self.packed.ndim != 2 or self.packed.shape[1] != words:
             raise ValueError(
-                f"packed columns of {self.num_rows} rows need {packed_words(self.num_rows)} "
+                f"packed columns of {self.num_rows} rows need {words} {dtype} "
                 f"words each, got shape {self.packed.shape}"
             )
         bad = [j for j in self.masked if not 0 <= j < self.num_columns]
@@ -160,7 +168,8 @@ class ExtensionSolution:
 def coverage_matrix(code: LinearCode) -> CoverageMatrix:
     """Build the min-weight-representative x candidate-column coverage matrix."""
     reps = code.min_weight_representatives()
-    packed = np.zeros((checked_count(code.q, code.k), packed_words(len(reps))), dtype="<u8")
+    t = len(reps)
+    packed = np.zeros((checked_count(code.q, code.k), packed_words(t)), dtype=row_dtype(t))
     # Column j's rows are the support of column j @ reps.T, streamed in column order.
     start = 0
     for support in canonical_supports(code.field, reps.T):
@@ -199,8 +208,7 @@ def _checked(system: CoverSystem, x) -> tuple[int, ...]:
 
 def _coverages(system: CoverSystem, multisets: list[tuple[int, ...]]) -> np.ndarray:
     """(len(multisets), num_rows) per-row coverage of checked multisets, in one gather and unpack."""
-    words = np.ascontiguousarray(system.packed[np.array(multisets)], dtype="<u8")
-    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=system.num_rows, bitorder="little")
+    bits = unpack_rows(system.packed[np.array(multisets)], system.num_rows)
     return bits.sum(axis=1, dtype=np.int64)
 
 

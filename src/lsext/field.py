@@ -33,7 +33,7 @@ ENUM_CAP_ENV_VAR = "LSEXT_ENUM_CAP"
 
 _MAX_PRIME = 101
 
-# uint64 words in one chunk of `canonical_supports`; bounds its working memory.
+# Words (of the row's width) in one chunk of `canonical_supports`; bounds its working memory.
 _CHUNK_WORDS = 1 << 14
 
 # Modulus polynomials for the supported extension fields, keyed by q.
@@ -335,42 +335,43 @@ def canonical_index(field: GF, vectors) -> np.ndarray:
 def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
     """Nonzero patterns of r @ matrix for every canonical representative r, packed.
 
-    For a (k, n) matrix, yields read-only (rows, packed_words(n)) uint64
-    chunks of row bitsets, letter j of a row being bit j % 64 of word j // 64
-    and the bits past n zero (the layout of `CoverageMatrix.packed`).  Their
-    concatenation has one row per representative of GF(q)^k, in
-    `canonical_representatives` order, without holding all of them.
+    For a (k, n) matrix, yields read-only (rows, packed_words(n)) chunks of
+    `row_dtype(n)` row bitsets (the layout of `pack_rows` and
+    `CoverageMatrix.packed`).  Their concatenation has one row per
+    representative of GF(q)^k, in `canonical_representatives` order,
+    without holding all of them.  With n = 0 the chunks have no words.
 
     With s = k // 2, the partial words of every message are tabled once for
     the rows [:s] of the matrix (A) and once for the rows [s:] (B), both in
-    lexicographic order and each built one message position at a time by
-    lookups in the addition and multiplication tables (`_partial_words`),
-    with no message array and no matrix product.  A representative led by
-    position i >= s is zero on [:s], so its rows are the supports of B[q^(k-1-i) : 2q^(k-1-i)], read
-    as slices of one shared table.  One led by i < s is a row of
-    A[q^(s-1-i) : 2q^(s-1-i)] followed by any row of B; the word A[a] + B[b]
-    is nonzero exactly where A[a] != -B[b], tested on the ceil(log2 q)
-    packed bit-planes of the two tables by XOR within each plane and OR
-    across them.  A chunk holds at most `_CHUNK_WORDS` words, except one
-    row of A paired with all of B when that is larger.  Memory stays bounded
-    by that budget plus the two tables of about q^(k/2) packed rows.
-    Checks the enumeration cap, like `canonical_representatives`, when
-    iteration starts.
+    lexicographic order and each built one message position at a time
+    (`_partial_planes`), with no message array and no matrix product.  A
+    representative led by position i >= s is zero on [:s], so its rows are
+    the supports of B[q^(k-1-i) : 2q^(k-1-i)], read as slices of one shared
+    table.  One led by i < s is a row of A[q^(s-1-i) : 2q^(s-1-i)] followed
+    by any row of B; the word A[a] + B[b] is nonzero exactly where
+    A[a] != -B[b], tested on the ceil(log2 q) packed bit-planes of the two
+    tables by XOR within each plane and OR across them.  A chunk holds at
+    most `_CHUNK_WORDS` words, except one row of A paired with all of B when
+    that is larger; the budget counts words of the row's width, so a chunk
+    has the same rows whatever that width is.  Memory stays bounded by that
+    budget plus the two tables of about q^(k/2) packed rows.  Checks the
+    enumeration cap, like `canonical_representatives`, when iteration
+    starts.
     """
     mat = field.check_codes(matrix)
     k, n = mat.shape
     checked_count(field.q, k)
     q, split, words = field.q, k // 2, packed_words(n)
-    planes_a = _bit_planes(field, _partial_words(field, mat[:split]))
-    planes_neg_b = _bit_planes(field, field.neg[_partial_words(field, mat[split:])])
+    planes_a = _partial_planes(field, mat[:split])
+    planes_neg_b = _partial_planes(field, mat[split:], negate=True)
     support_b = np.bitwise_or.reduce(planes_neg_b, axis=0)
     support_b.setflags(write=False)
-    step = max(1, _CHUNK_WORDS // words)
+    step = max(1, _CHUNK_WORDS // max(words, 1))
     for lead in range(k - 1, split - 1, -1):
         first = q ** (k - 1 - lead)
         for start in range(first, 2 * first, step):
             yield support_b[start : min(start + step, 2 * first)]
-    step = max(1, _CHUNK_WORDS // (len(support_b) * words))
+    step = max(1, _CHUNK_WORDS // (len(support_b) * max(words, 1)))
     for lead in range(split - 1, -1, -1):
         first = q ** (split - 1 - lead)
         for start in range(first, 2 * first, step):
@@ -378,9 +379,40 @@ def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
             chunk = planes_a[0, rows, None] ^ planes_neg_b[0, None]
             for plane in range(1, len(planes_a)):
                 chunk |= planes_a[plane, rows, None] ^ planes_neg_b[plane, None]
-            chunk = chunk.reshape(-1, words)
+            chunk = chunk.reshape(chunk.shape[0] * chunk.shape[1], words)
             chunk.setflags(write=False)
             yield chunk
+
+
+def _partial_planes(field: GF, rows: np.ndarray, negate: bool = False) -> np.ndarray:
+    """Packed bit-planes of m @ rows (or -(m @ rows)) for every m in GF(q)^len(rows).
+
+    Messages in lexicographic order, as in `_partial_words`; plane b packs
+    bit b of every letter.  In characteristic 2 the planes are built
+    directly, one message position at a time, last row first: once the
+    planes over rows[i+1:] fill their first P rows, those over rows[i:] are
+    q blocks of P rows, block c being prev XOR the planes of c * rows[i],
+    since adding in GF(2^e) is XOR of the bits and -x = x.  Other fields
+    table the letters with `_partial_words` and pack them with `_bit_planes`.
+    """
+    if field.p != 2:
+        words = _partial_words(field, rows)
+        if negate:
+            words = field.neg[words]  # the letter table is freed before its planes are built
+        return _bit_planes(field, words)
+    m, n = rows.shape
+    q, e, words = field.q, field.e, packed_words(n)
+    # scaled[i, b, c - 1]: plane b of c * rows[i], for every nonzero c.
+    bits = np.arange(e, dtype=np.uint8)[:, None, None]
+    scaled = pack_rows((field.mul_table[1:, rows].transpose(1, 0, 2)[:, None] >> bits) & 1)
+    planes = np.zeros((e, q**m, words), dtype=row_dtype(n))
+    size = 1
+    for i in range(m - 1, -1, -1):
+        prev = planes[:, :size]
+        block = planes[:, size : q * size].reshape(e, q - 1, size, words)
+        np.bitwise_xor(prev[:, None], scaled[i, :, :, None], out=block)
+        size *= q
+    return planes
 
 
 def _partial_words(field: GF, rows: np.ndarray) -> np.ndarray:
@@ -390,8 +422,9 @@ def _partial_words(field: GF, rows: np.ndarray) -> np.ndarray:
     uint8 array: once the table over rows[i+1:] fills its first P rows, the
     table over rows[i:] is q blocks of P rows, block c being
     add_table[prev, mul_table[c, rows[i]]] (block 0 is prev itself).  Each
-    step is one table lookup, the same for every q, and no temporary is
-    larger than the table.
+    step is one table lookup and no temporary is larger than the table.
+    The kernel uses it for odd q; characteristic 2 builds packed planes
+    instead (`_partial_planes`).
     """
     m, n = rows.shape
     q = field.q
@@ -412,10 +445,10 @@ def _bit_planes(field: GF, words: np.ndarray) -> np.ndarray:
 
 
 def popcounts(words: np.ndarray) -> np.ndarray:
-    """Set bits per row of an (m, W) uint64 array with W >= 1, as intp.
+    """Set bits per row of an (m, W) array of unsigned words with W >= 1, as intp.
 
     The popcounts of all words at once, then their W columns added: faster
-    than a row sum over a short word axis.
+    than a row sum over a short word axis.  Any word width works.
     """
     counts = np.bitwise_count(words)
     total = counts[:, 0].astype(np.intp)
@@ -424,25 +457,34 @@ def popcounts(words: np.ndarray) -> np.ndarray:
     return total
 
 
-def packed_words(n: int) -> int:
-    """uint64 words per packed row of n letters."""
-    return -(-n // 64)
+def row_dtype(n: int) -> np.dtype:
+    """The word of a packed row of n letters: the narrowest little-endian
+    unsigned integer of 1, 2 or 4 bytes that holds n bits, else 64-bit words."""
+    for width in (1, 2, 4):
+        if n <= 8 * width:
+            return np.dtype(f"<u{width}")
+    return np.dtype("<u8")
+
+
+def packed_words(n: int, dtype=None) -> int:
+    """Words of `dtype` (by default `row_dtype(n)`) per packed row of n letters."""
+    bits = 8 * (row_dtype(n) if dtype is None else np.dtype(dtype)).itemsize
+    return -(-n // bits)
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Pack (..., n) 0/1 rows into (..., packed_words(n)) uint64 row bitsets.
+    """Pack (..., n) 0/1 rows into (..., packed_words(n)) row bitsets of `row_dtype(n)`.
 
-    Letter j of a row becomes bit j % 64 of its word j // 64; the bits past
-    n in the last word are zero.
+    Letter j of a row becomes bit j % B of its word j // B, B being the
+    word's width in bits (one word when n <= 32); the bits past n are zero.
     """
     n = rows.shape[-1]
-    packed = np.zeros(rows.shape[:-1] + (packed_words(n),), dtype="<u8")
+    packed = np.zeros(rows.shape[:-1] + (packed_words(n),), dtype=row_dtype(n))
     packed.view(np.uint8)[..., : -(-n // 8)] = np.packbits(rows, axis=-1, bitorder="little")
     return packed
 
 
 def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
-    """(m, n) uint8 0/1 rows of (m, packed_words(n)) uint64 row bitsets."""
-    return np.unpackbits(
-        np.ascontiguousarray(packed, dtype="<u8").view(np.uint8), axis=1, count=n, bitorder="little"
-    )
+    """(..., n) uint8 0/1 rows of (..., W) row bitsets, the width read from `packed.dtype`."""
+    words = np.ascontiguousarray(packed, dtype=packed.dtype.newbyteorder("<"))
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")

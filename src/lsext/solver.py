@@ -19,8 +19,10 @@ keeps its own node count (exhaustive counts leaves, bnb counts branches
 plus the columns each last pick tests).
 
 All strategies search `system.packed`, the columns as row bitsets: row i
-of column j is bit i % 64 of word packed[j, i // 64].  The (rows, columns)
-uint8 matrix `system.bits` is only derived from it for display and checks.
+of column j is bit i % B of word packed[j, i // B], B being the width in
+bits of `packed.dtype` (8, 16 or 32 for at most that many rows, else 64).
+The (rows, columns) uint8 matrix `system.bits` is only derived from it for
+display and checks.
 A node's state is s deficit levels, U_j = the rows still short of j or
 more covers (j = 1..s), each a t-bit Python int whose bit i is row i (the
 little-endian reading of a packed row), and picking column P maps U_j to
@@ -33,10 +35,11 @@ Two scans run over every remaining column: the gain bound (a narrow one
 stops at the first column that gains enough) and the last pick.  A scan
 over at most `_NARROW` columns tests Python ints, precomputed for the last
 `_NARROW` columns only; a wider scan runs in numpy over the packed rows,
-in blocks of at most `_SCAN_WORDS` words, so that its temporaries stay
-small next to the packed rows.  Deep trees over few columns thus pay no
-numpy call per node, wide systems keep their vectorised scans, and no
-per-column int or byte copy of a wide matrix is ever made.  The rule is
+in blocks of at most `_SCAN_WORDS` words of the rows' width, so that its
+temporaries stay small next to the packed rows.  Deep trees over few
+columns thus pay no numpy call per node, wide systems keep their
+vectorised scans, and no per-column int or byte copy of a wide matrix is
+ever made.  The rule is
 fixed, not an option: both forms give the same answers and node counts.
 
 A wide last pick scans blocks that double in width from `_NARROW` and
@@ -164,9 +167,9 @@ class _Columns:
     """The allowed columns of a system, read as Python ints or as packed rows.
 
     A column or a deficit level is a t-bit int, row i being bit i, which is
-    the little-endian reading of a packed row.  Ints for the last `_NARROW`
-    columns are built once; any other column is read on demand from a
-    zero-copy byte view of the packed rows.
+    the little-endian reading of a packed row, whatever its word width.
+    Ints for the last `_NARROW` columns are built once; any other column is
+    read on demand from a zero-copy byte view of the packed rows.
     """
 
     def __init__(self, system: CoverSystem) -> None:
@@ -174,15 +177,19 @@ class _Columns:
         self.allowed = system.allowed_columns() if system.masked else None
         packed = system.packed if self.allowed is None else system.packed[self.allowed]
         # A system of no rows has no words; one zero word per column gives every scan one to read.
-        self.packed = packed if packed.shape[1] else np.zeros((len(packed), 1), dtype="<u8")
+        self.packed = packed if packed.shape[1] else np.zeros((len(packed), 1), dtype=packed.dtype)
         self.count = len(self.packed)
-        self.nbytes = 8 * self.packed.shape[1]
-        self.block = max(_NARROW, _SCAN_WORDS // self.packed.shape[1])
+        words = self.packed.shape[1]
+        self.nbytes = self.packed.dtype.itemsize * words
+        self.block = max(_NARROW, _SCAN_WORDS // words)
         # One scalar per packed row, so the superset test is one comparison per column.
-        self._row = np.dtype("<u8") if self.nbytes == 8 else np.dtype((np.void, self.nbytes))
+        self._row = self.packed.dtype if words == 1 else np.dtype((np.void, self.nbytes))
         self._bytes = memoryview(np.ascontiguousarray(self.packed).reshape(-1).view(np.uint8))
         self.narrow_from = max(0, self.count - _NARROW)
-        self.tail = [self._read(pos) for pos in range(self.narrow_from, self.count)]
+        if words == 1:
+            self.tail = self.packed[self.narrow_from :, 0].tolist()
+        else:
+            self.tail = [self._read(pos) for pos in range(self.narrow_from, self.count)]
         self._tail_reach = self.tail + [0]
         for i in range(len(self.tail) - 1, -1, -1):
             self._tail_reach[i] |= self._tail_reach[i + 1]
@@ -218,7 +225,7 @@ class _Columns:
 
     def words(self, level: int) -> np.ndarray:
         """A level as one packed row, for the numpy scans."""
-        return np.frombuffer(level.to_bytes(self.nbytes, "little"), dtype="<u8")
+        return np.frombuffer(level.to_bytes(self.nbytes, "little"), dtype=self.packed.dtype)
 
     def gains(self, start: int, deficient: int) -> np.ndarray:
         """Deficient rows covered by each column at position >= start, scanned in numpy."""

@@ -27,8 +27,8 @@ from lsext.extension import (
     verify_extension,
 )
 from lsext import extension as extension_module
-from lsext.field import canonical_representatives, gf
-from lsext.solver import solve_exhaustive
+from lsext.field import canonical_representatives, gf, row_dtype
+from lsext.solver import STRATEGIES, SolverConfig, solve, solve_exhaustive
 
 
 def test_coverage_matrix_repetition():
@@ -74,14 +74,16 @@ def test_coverage_bits_match_inner_products():
 
 
 def test_coverage_packed_layout():
-    # Row i of column j is bit i % 64 of word packed[j, i // 64]; bits past t are zero.
+    # Row i of column j is bit i % B of word packed[j, i // B], the words the
+    # narrowest of 8, 16, 32 or 64 bits that hold t; bits past t are zero.
     for code in random_codes(10, seed=23, qs=(2, 3), max_k=4, max_n=10):
         cov = coverage_matrix(code)
-        assert cov.packed.dtype == np.dtype("<u8")
-        assert cov.packed.shape == (cov.h, (cov.t + 63) // 64)
+        assert cov.packed.dtype == row_dtype(cov.t)
+        bits = 8 * cov.packed.dtype.itemsize
+        assert cov.packed.shape == (cov.h, -(-cov.t // bits))
         rows = np.arange(cov.t)
-        words = cov.packed[:, rows // 64]
-        unpacked = ((words >> (rows % 64).astype(np.uint64)) & np.uint64(1)).T
+        words = cov.packed[:, rows // bits].astype(np.uint64)
+        unpacked = ((words >> (rows % bits).astype(np.uint64)) & np.uint64(1)).T
         assert np.array_equal(unpacked, cov.bits)
         assert not cov.bits.flags.writeable and not cov.packed.flags.writeable
     system = CoverSystem.from_bits(np.ones((65, 2), dtype=np.uint8), l=1, s=1)
@@ -105,8 +107,9 @@ def test_coverage_matrix_memory_is_packed():
 
 def test_coverage_matrix_stores_no_candidate_table():
     # A [30,18]_2 code with one minimum-weight representative: its packed
-    # coverage is 2 MB (h = 262,143 one-word columns), while the h x k table
-    # of candidate columns would be 4.5 MB.  Columns are decoded on demand.
+    # coverage is 256 KB (h = 262,143 one-byte columns; 64-bit words would
+    # take 2 MB), while the h x k table of candidate columns would be 4.5 MB.
+    # Columns are decoded on demand.
     rng = np.random.default_rng(3)
     parity = rng.integers(0, 2, size=(18, 12), dtype=np.uint8)
     code = LinearCode(gf(2), np.concatenate([np.eye(18, dtype=np.uint8), parity], axis=1))
@@ -118,8 +121,27 @@ def test_coverage_matrix_stores_no_candidate_table():
     finally:
         tracemalloc.stop()
     assert (cov.t, cov.h) == (1, 262_143)
+    assert cov.packed.nbytes == cov.h
     assert peak < 1.5 * cov.packed.nbytes
     assert np.array_equal(cov.columns_at([0, cov.h - 1]), [[0] * 17 + [1], [1] * 18])
+
+
+def test_cover_system_words_of_any_unsigned_width():
+    # Words of any unsigned width may hold the rows, as many as they need:
+    # 9 rows in two uint8 words solve like the same rows in one uint16 word,
+    # under every strategy and on both the int and the numpy scans.
+    # Too few or too many words, signed or big-endian words are refused.
+    bits = (np.random.default_rng(5).random((9, 100)) < 0.6).astype(np.uint8)
+    narrow = CoverSystem.from_bits(bits, l=2, s=1)
+    assert narrow.packed.dtype == np.uint16
+    two_bytes = CoverSystem(packed=narrow.packed.view(np.uint8), num_rows=9, l=2, s=1)
+    assert np.array_equal(two_bytes.bits, bits)
+    for strategy in STRATEGIES:
+        expected = solve(narrow, SolverConfig(strategy=strategy))
+        assert solve(two_bytes, SolverConfig(strategy=strategy)) == expected and expected.solutions
+    for dtype, words in [(np.uint8, 1), (np.uint8, 3), (np.int64, 1), (">u2", 1)]:
+        with pytest.raises(ValueError):
+            CoverSystem(packed=np.zeros((12, words), dtype=dtype), num_rows=9, l=1, s=1)
 
 
 def test_is_good_extension_small_cases():

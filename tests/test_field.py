@@ -17,6 +17,7 @@ from lsext.field import (
     packed_words,
     popcounts,
     representatives_at,
+    row_dtype,
 )
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9]
@@ -193,33 +194,62 @@ def _packed_supports(f, mat):
     """Reference: the nonzero pattern of every representative's word, packed with np.packbits."""
     words = f.vecmat(canonical_representatives(f, len(mat)), mat)
     row_bytes = np.packbits(words != 0, axis=1, bitorder="little")
-    padded = np.zeros((len(row_bytes), 8 * packed_words(mat.shape[1])), dtype=np.uint8)
+    dtype = row_dtype(mat.shape[1])
+    padded = np.zeros((len(row_bytes), dtype.itemsize * packed_words(mat.shape[1])), dtype=np.uint8)
     padded[:, : row_bytes.shape[1]] = row_bytes
-    return padded.view("<u8")
+    return padded.view(dtype)
 
 
 @pytest.mark.parametrize("budget", [None, 5])
 @pytest.mark.parametrize("q", SUPPORTED + [11])
 def test_canonical_supports_are_packed_nonzero_patterns(q, budget, monkeypatch):
-    """Every chunk is packed row bitsets within the word budget (or one row of
-    the first-half table paired with all of the second half), zero past n,
-    and the chunks concatenate to the packed supports of all representatives
-    in canonical order.  k = 1 leaves the first-half table without leads."""
+    """Every chunk is packed row bitsets of the narrowest word that holds n
+    bits, within the word budget (or one row of the first-half table paired
+    with all of the second half), zero past n, and the chunks concatenate to
+    the packed supports of all representatives in canonical order.  k = 1
+    leaves the first-half table without leads; n = 0 gives chunks of no
+    words."""
     if budget is not None:
         monkeypatch.setattr(field_module, "_CHUNK_WORDS", budget)
     f = gf(q)
     rng = np.random.default_rng(q)
     for k in range(1, 6):
         low_rows = q ** (k - k // 2)
-        for n in (1, 63, 64, 65, 129):
+        for n in (0, 1, 8, 9, 16, 17, 32, 33, 63, 64, 65, 129):
             mat = rng.integers(0, q, size=(k, n))
             chunks = list(canonical_supports(f, mat))
             for chunk in chunks:
-                assert chunk.dtype == np.uint64 and chunk.shape[1] == packed_words(n)
+                assert chunk.dtype == row_dtype(n) and chunk.shape[1] == packed_words(n)
                 assert chunk.size <= field_module._CHUNK_WORDS or len(chunk) == low_rows
-                if n % 64:
-                    assert not np.any(chunk[:, -1] >> np.uint64(n % 64))
+                bits = 8 * chunk.dtype.itemsize
+                if n % bits:
+                    assert not np.any(chunk[:, -1] >> chunk.dtype.type(n % bits))
             assert np.array_equal(np.concatenate(chunks), _packed_supports(f, mat))
+
+
+def test_row_words_are_the_narrowest_that_hold_the_row():
+    widths = {n: (row_dtype(n).itemsize, packed_words(n)) for n in (0, 1, 8, 9, 16, 17, 32, 33, 64, 65, 129)}
+    assert widths == {
+        0: (1, 0), 1: (1, 1), 8: (1, 1), 9: (2, 1), 16: (2, 1), 17: (4, 1), 32: (4, 1),
+        33: (8, 1), 64: (8, 1), 65: (8, 2), 129: (8, 3),
+    }
+    assert all(row_dtype(n).str[0] in "<|" for n in widths)
+    assert packed_words(3, np.uint64) == 1 and packed_words(65, np.uint8) == 9
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_characteristic_two_planes_match_packed_table(q):
+    """In characteristic 2 the kernel builds its packed bit-planes directly by
+    XOR; they equal the planes of the letter table, negated or not."""
+    f = gf(q)
+    rng = np.random.default_rng(200 + q)
+    for m in range(6):
+        for n in (1, 8, 9, 17, 33, 65):
+            rows = rng.integers(0, q, size=(m, n)).astype(np.uint8)
+            expected = field_module._bit_planes(f, field_module._partial_words(f, rows))
+            for negate in (False, True):
+                planes = field_module._partial_planes(f, rows, negate=negate)
+                assert planes.dtype == expected.dtype and np.array_equal(planes, expected)
 
 
 def test_canonical_supports_chunks_are_read_only():

@@ -293,10 +293,11 @@ def test_node_counts_and_first_solutions_pinned(request, code_name, l, nodes, fi
         assert outcome.solutions[0].columns == first
 
 
-@pytest.mark.parametrize("t", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("t", [1, 8, 9, 16, 17, 32, 33, 63, 64, 65, 129])
 def test_packed_rows_across_word_boundaries(t):
-    # Rows on both sides of each 64-bit word boundary, in plain, masked and
-    # distinct systems: bnb agrees with exhaustive and with a brute-force oracle.
+    # Rows on both sides of each word-width boundary (8, 16, 32 and 64 bits)
+    # and of the second 64-bit word, in plain, masked and distinct systems:
+    # bnb agrees with exhaustive and with a brute-force oracle.
     rng = np.random.default_rng(t)
     for _ in range(12):
         h = int(rng.integers(1, 7))
