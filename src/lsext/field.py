@@ -398,7 +398,7 @@ def _partial_planes(field: GF, rows: np.ndarray, negate: bool = False) -> np.nda
     if field.p != 2:
         words = _partial_words(field, rows)
         if negate:
-            words = field.neg[words]  # the letter table is freed before its planes are built
+            words = field.neg[words]
         return _bit_planes(field, words)
     m, n = rows.shape
     q, e, words = field.q, field.e, packed_words(n)
