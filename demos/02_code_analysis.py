@@ -1,5 +1,9 @@
 """Analyzing a linear code: weight distribution, minimum distance, weight gap.
 
+The weight gap bounds what an extension can promise: giving every
+minimum-weight word s more nonzero letters raises d by
+`guaranteed_gain(s)` = min(s, gap).
+
 The enumeration only walks canonical message representatives: every nonzero
 codeword is a scalar multiple of one of them, so nonzero weight counts are
 just multiplied by (q-1).  For the ternary Golay code that is 364 encodings
@@ -20,7 +24,8 @@ print("Hamming code parameters [n,k,d]_q:", hamming.params(), "over GF(2)")
 print("weight distribution:", hamming.weight_distribution())
 print("codewords of minimum weight (A_d):", hamming.min_weight_count)
 print("minimum-weight representatives (t):", hamming.num_min_weight_representatives)
-print("weight gap (second smallest - d):", hamming.weight_gap())
+print("weight gap (second smallest - d):", hamming.weight_gap_or_none())
+print("guaranteed gain for s = 1, 2:", hamming.guaranteed_gain(1), hamming.guaranteed_gain(2))
 
 # The perfect ternary Golay code, written as a cyclic code.
 GOLAY = [

@@ -18,7 +18,6 @@ from lsext import (
     cover_system,
     coverage_matrix,
     gf,
-    slacks,
     solve_exhaustive,
     verify_extension,
 )
@@ -44,20 +43,21 @@ outcome = solve_exhaustive(system, SolverConfig(strategy="exhaustive", max_solut
 print("\nfeasible columns:", [s.columns for s in outcome.solutions],
       "(search complete:", outcome.exhausted, ")")
 
+# A candidate is named by its index; apply_extension decodes it over the code's (q, k).
 sol = outcome.solutions[0]
-column = cov.columns_at(sol.columns)[0]
-print("the unique winner is column", tuple(int(x) for x in column),
+extended = apply_extension(code, sol.columns)
+print("the unique winner is column", tuple(int(x) for x in extended.matrix[:, code.n]),
       "- the parity check on the first three message bits")
 
-extended = apply_extension(code, sol.columns, cov)
+# The gap of the Hamming code is 1, so s = 1 guarantees d + 1.
 bound = verify_extension(code, extended, s=1)
 print("\nextended:", extended.params(), "verified d >=", bound,
       "distribution", extended.weight_distribution())
 
 # Slacks say exactly where each former minimum-weight word lands: d + s + y.
-y = slacks(system, sol.columns)
-print("slacks:", y.tolist(), "-> every weight-3 word becomes weight", code.d + 1)
+y = sol.slacks
+print("slacks:", list(y), "-> every weight-3 word becomes weight", code.d + 1)
 # Each zero-slack row lands on the new minimum weight with its q-1 multiples.
 print("recomputed A_4 =", extended.min_weight_count,
-      "(slack-based prediction", int((y == 0).sum()) * (code.q - 1),
+      "(slack-based prediction", y.count(0) * (code.q - 1),
       "counts only former minimum-weight words; old weight-4 words also land on 4)")

@@ -61,7 +61,7 @@ print("\ncoverage row 0 == complement of incidence row", row0, "-> verified")
 # hyperplane through it misses enough of the code's points.
 system = cover_system(cov, 1, 1)
 for j in (13, 0):
-    geo = geometric_extension_criterion(code, cov.columns_at([j]))
+    geo = geometric_extension_criterion(code, reps[[j]])
     comb = is_good_extension(system, [j])
     print(f"column {j}: geometric criterion {geo}, coverage criterion {comb}")
 

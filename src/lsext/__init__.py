@@ -18,7 +18,6 @@ from .errors import (
     ParseError,
     RankDeficientError,
     VerificationError,
-    WeightGapUndefinedError,
 )
 from .extension import (
     CoverageMatrix,
@@ -31,7 +30,6 @@ from .extension import (
     is_good_extension,
     parse_matrix_text,
     projective_filter,
-    slacks,
     solution_for,
     solutions_for,
     verify_extension,
@@ -48,7 +46,6 @@ from .pipeline import (
     StepRecord,
     StopReason,
     chain_search,
-    default_s,
     extend_once,
     parse_code,
     remove_columns,

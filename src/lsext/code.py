@@ -7,6 +7,9 @@ one-per-subspace message representatives: nonzero weights are invariant under
 scalar multiples of the message, so each canonical representative stands for
 (q-1) codewords of equal weight.
 
+`guaranteed_gain` states, once for every extension and puncture step, how
+much of a per-word gain s the weight gap lets a step claim.
+
 The representatives' codeword supports are streamed in chunks of packed row
 bitsets by `field.canonical_supports`, so a codeword's weight is the popcount
 of its row, and the analysis keeps only the weight histogram and the
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateCodeError, RankDeficientError, WeightGapUndefinedError
+from .errors import DegenerateCodeError, RankDeficientError
 from .field import GF, canonical_supports, popcounts, representatives_at
 
 
@@ -145,24 +148,23 @@ class LinearCode:
     def num_min_weight_representatives(self) -> int:
         return int(self.min_weight_count // (self.q - 1))
 
-    def weight_gap(self) -> int:
-        """Second-smallest nonzero weight minus d.
-
-        Raises WeightGapUndefinedError when only one nonzero weight exists;
-        extension code treats that case as an unbounded gap.
-        """
-        gap = self.weight_gap_or_none()
-        if gap is None:
-            raise WeightGapUndefinedError(
-                f"code has a single nonzero weight {self.d}; no second-smallest weight exists"
-            )
-        return gap
-
     def weight_gap_or_none(self) -> int | None:
+        """Second-smallest nonzero weight minus d, or None when only one nonzero weight exists."""
         nz = sorted(w for w in self.weight_distribution() if w > 0)
         if len(nz) < 2:
             return None
         return nz[1] - nz[0]
+
+    def guaranteed_gain(self, s: int) -> int:
+        """Distance gain guaranteed by giving every minimum-weight word s more nonzero letters.
+
+        Those words reach d + s and all others already weigh d + gap or more,
+        so the gain is min(s, gap), or s when no second weight exists.  Read
+        the other way, removing l positions where every minimum-weight word
+        has s zeros keeps the distance at least d - l + guaranteed_gain(s).
+        """
+        gap = self.weight_gap_or_none()
+        return s if gap is None else min(s, gap)
 
     def require_non_degenerate(self) -> None:
         if self.is_degenerate:

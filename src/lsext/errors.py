@@ -31,10 +31,6 @@ class DegenerateCodeError(LsextError):
     """Operation requires a code without all-zero generator columns."""
 
 
-class WeightGapUndefinedError(LsextError):
-    """The code has a single nonzero weight, so no second-smallest weight exists."""
-
-
 class ConsistencyError(LsextError):
     """Two objects that must describe the same code do not match."""
 

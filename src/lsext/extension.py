@@ -5,9 +5,11 @@ one column per candidate extension column (canonical subspace representative);
 an entry is 1 where appending that column would add a nonzero letter to that
 codeword.  Appending a multiset of l columns such that every row picks up at
 least s nonzero letters yields an [n+l, k]_q code whose minimum distance is at
-least d+s, provided the second-smallest weight of the original code was at
-least d+s.  The per-row surplus over s (the slack) gives the exact new weight
-of each former minimum-weight codeword: d + s + slack.
+least d + `LinearCode.guaranteed_gain(s)`: d+s when the second-smallest
+weight of the original code is at least d+s.  The per-row surplus over s (the
+slack) gives the exact new weight of each former minimum-weight codeword:
+d + s + slack.  A candidate column is named by its index alone, which depends
+only on (q, k), so `apply_extension` decodes it without the coverage matrix.
 
 Equivalently, the coverage matrix is the complement of the rows of the
 point-hyperplane incidence matrix whose normals are the minimum-weight
@@ -24,6 +26,7 @@ import numpy as np
 from .code import LinearCode
 from .errors import ConsistencyError, InfeasibleSolutionError, VerificationError
 from .field import (
+    canonical_count,
     canonical_supports,
     checked_count,
     pack_rows,
@@ -60,8 +63,8 @@ class CoverageMatrix:
     against the representatives, so the build copies each chunk straight in.
     `bits`, the (t, h) uint8 matrix, is a read-only view derived from it on
     each access, for display and checks.
-    The candidate columns themselves are not stored: `columns_at` decodes the
-    ones asked for from their indices.
+    The candidate columns themselves are not stored: `field.representatives_at`
+    decodes the ones asked for from their indices.
     """
 
     code: LinearCode = dc_field(repr=False)
@@ -79,10 +82,6 @@ class CoverageMatrix:
     @property
     def bits(self) -> np.ndarray:
         return unpack_columns(self.packed, self.t)
-
-    def columns_at(self, index) -> np.ndarray:
-        """Candidate columns `index`, as (len(index), k) canonical vectors."""
-        return representatives_at(self.code.field, self.code.k, index)
 
     @cached_property
     def code_points(self) -> frozenset[int]:
@@ -212,27 +211,14 @@ def _coverages(system: CoverSystem, multisets: list[tuple[int, ...]]) -> np.ndar
     return bits.sum(axis=1, dtype=np.int64)
 
 
-def coverage_of(system: CoverSystem, x) -> np.ndarray:
-    """Per-row coverage of a column multiset, counting multiplicity."""
-    return _coverages(system, [_checked(system, x)])[0]
-
-
 def is_good_extension(system: CoverSystem, x) -> bool:
-    """True iff every row is covered at least s times by the multiset x."""
-    return bool(np.all(coverage_of(system, x) >= system.s))
+    """True iff every row is covered at least s times by the multiset x, counting multiplicity."""
+    return bool(np.all(_coverages(system, [_checked(system, x)])[0] >= system.s))
 
 
 def _short_rows_error(system: CoverSystem, slack: np.ndarray) -> InfeasibleSolutionError:
     short = np.flatnonzero(slack < 0).tolist()
     return InfeasibleSolutionError(f"rows {short} are covered fewer than s={system.s} times")
-
-
-def slacks(system: CoverSystem, x) -> np.ndarray:
-    """Per-row slack (coverage - s); raises when x does not cover the system."""
-    y = coverage_of(system, x) - system.s
-    if np.any(y < 0):
-        raise _short_rows_error(system, y)
-    return y
 
 
 def solutions_for(system: CoverSystem, picks) -> list[ExtensionSolution]:
@@ -262,23 +248,24 @@ def solution_for(system: CoverSystem, x) -> ExtensionSolution:
     return solutions_for(system, [x])[0]
 
 
-def apply_extension(code: LinearCode, x, matrix: CoverageMatrix) -> LinearCode:
-    """Append the chosen candidate columns (sorted, repeats adjacent) to the code."""
-    if matrix.code is not code and not np.array_equal(matrix.code.matrix, code.matrix):
-        raise ConsistencyError("coverage matrix was built from a different generator matrix")
+def apply_extension(code: LinearCode, x) -> LinearCode:
+    """Append the candidate columns x (sorted, repeats adjacent) to the code.
+
+    Each index is decoded as a canonical representative over the code's own
+    (q, k), the numbering every coverage matrix of the code uses.
+    """
     cols = _as_multiset(x)
-    if cols[0] < 0 or cols[-1] >= matrix.h:
-        raise ValueError(f"column index out of range 0..{matrix.h - 1}")
-    appended = matrix.columns_at(list(cols)).T
+    h = canonical_count(code.q, code.k)
+    if cols[0] < 0 or cols[-1] >= h:
+        raise ValueError(f"column index out of range 0..{h - 1}")
+    appended = representatives_at(code.field, code.k, cols).T
     return LinearCode(code.field, np.concatenate([code.matrix, appended], axis=1))
 
 
 def verify_extension(old: LinearCode, new: LinearCode, s: int) -> int:
     """Recompute the new code's distribution, enforce the distance claim and
-    return the bound it enforced.
+    return the bound it enforced: d_old + `old.guaranteed_gain(s)`.
 
-    The bound is d_old + s when the old code's weight gap allows a guaranteed
-    increase of s (gap >= s, or no second weight exists), else d_old + 1.
     Any violation, including a distance gain above the number of appended
     columns, raises VerificationError: solutions are validated before
     application, so failure here means an implementation bug.
@@ -288,8 +275,7 @@ def verify_extension(old: LinearCode, new: LinearCode, s: int) -> int:
         raise ConsistencyError(
             f"extended code [{new.n},{new.k}]_{new.q} does not extend [{old.n},{old.k}]_{old.q}"
         )
-    gap = old.weight_gap_or_none()
-    required = old.d + (s if (gap is None or s <= gap) else 1)
+    required = old.d + old.guaranteed_gain(s)
     d_new = new.d
     if d_new < required:
         raise VerificationError(

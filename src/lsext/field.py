@@ -439,9 +439,18 @@ def _partial_words(field: GF, rows: np.ndarray) -> np.ndarray:
 
 
 def _bit_planes(field: GF, words: np.ndarray) -> np.ndarray:
-    """Packed bit-planes of (m, n) words: plane b packs bit b of every letter."""
-    bits = np.arange((field.q - 1).bit_length(), dtype=np.uint8)[:, None, None]
-    return pack_rows((words[None] >> bits) & 1)
+    """Packed bit-planes of (m, n) words: plane b packs bit b of every letter.
+
+    Packed one plane at a time, so no temporary is larger than `words`.
+    """
+    m, n = words.shape
+    planes = np.empty(((field.q - 1).bit_length(), m, packed_words(n)), dtype=row_dtype(n))
+    bit = np.empty_like(words)
+    for b in range(len(planes)):
+        np.right_shift(words, b, out=bit)
+        bit &= 1
+        planes[b] = pack_rows(bit)
+    return planes
 
 
 def popcounts(words: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ round trips are byte-stable.
 
 A chain climbs distances by repeating single extension steps: per round it
 tries l = 1..max_l, each with the largest sound distance increment
-s = min(weight gap, l), and applies the first feasible step after full
-re-verification.  Puncturing is the inverse operation: remove l generator
-columns such that every minimum-weight codeword has at least s zeros among
-them, which drops the length by l while costing at most l - s distance.
+s = guaranteed_gain(l) = min(weight gap, l), and applies the first feasible
+step after full re-verification.  Puncturing is the inverse operation: remove
+l generator columns such that every minimum-weight codeword has at least s
+zeros among them, which drops the length by l while costing at most
+l - guaranteed_gain(s) distance.
 
 Each step's `StepRecord` holds the `SolveOutcome` of its search: the
 solver's `SolveStatus` is the step's verdict, and a step is applied exactly
@@ -111,9 +112,9 @@ class StepRecord:
 
     The step was applied, and the fields that describe the new code and its
     columns are set, exactly when `search.status` is feasible.
-    `guaranteed_distance` is the distance the step proves: for an extension
-    the bound `verify_extension` enforced on the recomputed code, for a
-    puncture d - l + s.
+    `guaranteed_distance` is the distance the step proves and re-verified on
+    the recomputed code: d + guaranteed_gain(s) for an extension, d - l +
+    guaranteed_gain(s) for a puncture (`LinearCode.guaranteed_gain`).
     """
 
     operation: str
@@ -199,26 +200,6 @@ def _vector_strings(vectors: np.ndarray) -> tuple[str, ...]:
 # -- single extension step ---------------------------------------------------------
 
 
-def check_gap_allows(code: LinearCode, s: int) -> None:
-    """Reject a requested s above the weight gap: the d+s claim needs the
-    second-smallest weight to be at least d+s."""
-    gap = code.weight_gap_or_none()
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if gap is not None and s > gap:
-        raise ValueError(
-            f"requested s={s} exceeds the weight gap {gap}: a distance increase of s "
-            f"is only guaranteed when the second-smallest weight is at least d+s"
-        )
-
-
-def default_s(code: LinearCode, l: int) -> int:
-    """Largest sound and attainable increment: min(weight gap, l); gap-free codes
-    are capped only by coverage, so s = l."""
-    gap = code.weight_gap_or_none()
-    return l if gap is None else min(gap, l)
-
-
 def _search(operation: str, code: LinearCode, system: CoverSystem, config: SolverConfig) -> StepRecord:
     """Solve a step's covering system and record it; a feasible search's
     best solution is for the caller to apply and re-verify."""
@@ -251,11 +232,19 @@ def extend_once(
     as high as possible for the next step.  Infeasibility is a result, not an
     error, and so is a solver budget stop.  `projective` masks the columns
     that are already points of the code.  `matrix` is the code's coverage
-    matrix when the caller has already built it.
+    matrix when the caller has already built it.  `s` defaults to
+    `code.guaranteed_gain(l)`, the largest increment both sound and
+    attainable with l columns; a larger one is refused.
     """
     if s is None:
-        s = default_s(code, l)
-    check_gap_allows(code, s)
+        s = code.guaranteed_gain(l)
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    if code.guaranteed_gain(s) != s:
+        raise ValueError(
+            f"requested s={s} exceeds the weight gap {code.weight_gap_or_none()}: a distance "
+            f"increase of s is only guaranteed when the second-smallest weight is at least d+s"
+        )
     if matrix is None:
         matrix = coverage_matrix(code)
     elif matrix.code is not code:
@@ -267,7 +256,7 @@ def extend_once(
     best = record.search.best
     if best is None:
         return None, record
-    new_code = apply_extension(code, best.columns, matrix)
+    new_code = apply_extension(code, best.columns)
     guaranteed = verify_extension(code, new_code, s)
     # Each zero-slack row lands exactly on the new minimum weight with its
     # q-1 scalar multiples.  The prediction equals the recomputed A_d exactly
@@ -318,11 +307,14 @@ def special_puncture(
 
     The same solver machinery as extension searches the zero-coverage system
     over generator positions; no qualifying set is an infeasibility result.
-    To remove given columns, use `remove_columns`, and test whether they
-    qualify with `is_good_extension(zero_coverage_system(code, l, s), columns)`.
+    The punctured code is verified to reach, and the record states, the
+    distance d - l + `code.guaranteed_gain(s)`.  Removing more than n - k
+    columns always collapses the rank, so l > n - k is refused before the
+    search.  To remove given columns, use `remove_columns`, and test whether
+    they qualify with `is_good_extension(zero_coverage_system(code, l, s), columns)`.
     """
-    if not 1 <= l < code.n:
-        raise ValueError(f"need 1 <= l < n={code.n}, got l={l}")
+    if not 1 <= l <= code.n - code.k:
+        raise ValueError(f"need 1 <= l <= n - k = {code.n - code.k}, got l={l}")
     if s < 1 or s > l:
         raise ValueError(f"need 1 <= s <= l, got s={s}")
     record = _search("puncture", code, zero_coverage_system(code, l, s), config or SolverConfig())
@@ -330,20 +322,17 @@ def special_puncture(
     if best is None:
         return None, record
     new_code = remove_columns(code, best.columns)
-    # Qualifying removals keep min-weight words at >= d-l+s and every other
-    # word at >= d+gap-l, so recomputation must clear the smaller of the two.
-    gap = code.weight_gap_or_none()
-    floor = code.d - l + s if gap is None else min(code.d - l + s, code.d + gap - l)
-    if new_code.d < floor:
+    guaranteed = code.d - l + code.guaranteed_gain(s)
+    if new_code.d < guaranteed:
         raise VerificationError(
             f"puncturing {l} columns dropped the distance from {code.d} to {new_code.d}, "
-            f"below the guaranteed floor {floor}"
+            f"below the guaranteed floor {guaranteed}"
         )
     return new_code, replace(
         record,
         params_after=new_code.params(),
         columns=best.columns,
-        guaranteed_distance=code.d - l + s,
+        guaranteed_distance=guaranteed,
     )
 
 
@@ -351,7 +340,7 @@ def special_puncture(
 
 
 def chain_search(code: LinearCode, policy: ChainPolicy | None = None) -> ChainReport:
-    """Greedy distance climbing: smallest feasible l first, s = min(gap, l).
+    """Greedy distance climbing: smallest feasible l first, s = guaranteed_gain(l).
 
     Stops at the target distance, when the total added length would exceed
     the budget, or after a round where every l was infeasible.  Every applied

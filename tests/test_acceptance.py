@@ -27,7 +27,7 @@ from lsext.extension import (
     is_good_extension,
     solution_for,
 )
-from lsext.field import canonical_count, canonical_representatives, gf
+from lsext.field import canonical_count, canonical_representatives, gf, representatives_at
 from lsext.geometry import incidence_matrix, geometric_extension_criterion
 from lsext.pipeline import ChainPolicy, chain_search, extend_once, remove_columns
 from lsext.solver import SolverConfig, SolveStatus, solve_branch_and_bound, solve_exhaustive
@@ -74,7 +74,7 @@ def test_criterion_1_parity_bit_reproduction(files, capsys):
     cov = coverage_matrix(hamming)
     outcome = solve_exhaustive(cover_system(cov, 1, 1), SolverConfig(strategy="exhaustive", max_solutions=20))
     assert outcome.exhausted and len(outcome.solutions) == 1
-    extended = apply_extension(hamming, outcome.solutions[0].columns, cov)
+    extended = apply_extension(hamming, outcome.solutions[0].columns)
     assert extended.params() == (8, 4, 4) and extended.min_weight_count == 14
     _record(hamming, 1, 1, outcome.solutions[0], extended)
     _pass(1, f"unique parity column among 15 -> [8,4,4]_2 with A_4=14 in {elapsed:.3f}s")
@@ -159,7 +159,7 @@ def test_criterion_4_solver_oracle_equivalence():
                 instances += 1
                 if a.status is SolveStatus.FEASIBLE:
                     sol = a.solutions[0]
-                    extended = apply_extension(code, sol.columns, cov)
+                    extended = apply_extension(code, sol.columns)
                     _record(code, l, s, sol, extended)
     elapsed = time.perf_counter() - start
     assert instances == 800
@@ -197,7 +197,7 @@ def test_criterion_6_geometry_cross_check():
             assert np.array_equal(cov.bits[row_i], 1 - inc[index[tuple(map(int, rep))]])
         system = cover_system(cov, 1, 1)
         for j in range(cov.h):
-            assert geometric_extension_criterion(code, cov.columns_at([j])) == is_good_extension(system, [j])
+            assert geometric_extension_criterion(code, representatives_at(code.field, code.k, [j])) == is_good_extension(system, [j])
             sampled += 1
     fano = incidence_matrix(gf(2), 3)
     assert fano.shape == (7, 7) and (fano.sum(axis=1) == 3).all()

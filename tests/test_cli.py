@@ -88,6 +88,18 @@ def test_puncture_exit_codes(hamming_file, tmp_path, capsys):
     assert main(["puncture", str(path), "--l", "1", "--s", "1", "--out", str(tmp_path / "p.code")]) == 0
     out = capsys.readouterr().out
     assert "punctured code: [" in out
+    # Removing more than n - k = 3 of the Hamming code's columns collapses its rank.
+    assert main(["puncture", hamming_file, "--l", "4", "--s", "2"]) == 3
+    assert capsys.readouterr().err == "error: need 1 <= l <= n - k = 3, got l=4\n"
+
+
+def test_puncture_predicts_the_distance_the_weight_gap_allows(tmp_path, capsys):
+    path = tmp_path / "c723.code"
+    path.write_text("3 2 7\n0 1 1 0 2 0 0\n0 2 2 2 0 2 1\n")
+    assert main(["puncture", str(path), "--l", "3", "--s", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "predicted distance: >= 1 when the second-smallest weight allows\n" in out
+    assert "punctured code: [4,2,2]_3\n" in out
 
 
 def test_puncture_node_limit_is_inconclusive(tmp_path, capsys):

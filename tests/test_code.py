@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_codes, repetition
 from lsext.code import LinearCode, gf_rank, weight
-from lsext.errors import DegenerateCodeError, RankDeficientError, WeightGapUndefinedError
+from lsext.errors import DegenerateCodeError, RankDeficientError
 from lsext.field import canonical_representatives, gf
 from oracles import oracle_weight_distribution
 
@@ -18,22 +18,20 @@ def test_hamming_analysis(hamming):
     assert hamming.params() == (7, 4, 3)
     assert hamming.min_weight_count == 7
     assert hamming.num_min_weight_representatives == 7
-    assert hamming.weight_gap() == 1
+    assert hamming.weight_gap_or_none() == 1
 
 
 def test_golay_analysis(golay):
     assert golay.params() == (11, 6, 5)
     assert golay.min_weight_count == 132
     assert golay.num_min_weight_representatives == 66
-    assert golay.weight_gap() == 1
+    assert golay.weight_gap_or_none() == 1
 
 
 def test_repetition_distribution():
     rep = repetition(2, 3)
     assert rep.weight_distribution() == {0: 1, 3: 1}
     assert rep.min_weight_representatives().tolist() == [[1]]
-    with pytest.raises(WeightGapUndefinedError):
-        rep.weight_gap()
     assert rep.weight_gap_or_none() is None
 
 

@@ -9,7 +9,7 @@ from conftest import binary_golay, extended_golay, random_codes, repetition
 from lsext.code import LinearCode, weight
 from lsext.errors import DegenerateCodeError
 from lsext.extension import cover_system, coverage_matrix, format_matrix, is_good_extension
-from lsext.field import canonical_count, canonical_index, canonical_representatives, gf
+from lsext.field import canonical_count, canonical_index, canonical_representatives, gf, representatives_at
 from lsext.geometry import (
     code_points,
     hyperplane_row_weight,
@@ -127,16 +127,15 @@ def test_coverage_matrix_is_incidence_complement(hamming, golay):
 
 
 def test_geometric_criterion_parity_point(hamming):
-    cov = coverage_matrix(hamming)
     # The unique feasible single column found by the extension machinery.
-    assert geometric_extension_criterion(hamming, cov.columns_at([13]))
+    assert geometric_extension_criterion(hamming, representatives_at(hamming.field, 4, [13]))
 
 
 def test_geometric_criterion_rejects_point_on_max_hyperplane(hamming):
     cov = coverage_matrix(hamming)
     system = cover_system(cov, 1, 1)
     bad = next(j for j in range(cov.h) if not is_good_extension(system, [j]))
-    assert not geometric_extension_criterion(hamming, cov.columns_at([bad]))
+    assert not geometric_extension_criterion(hamming, representatives_at(hamming.field, 4, [bad]))
 
 
 def test_geometric_criterion_agrees_with_coverage_for_single_columns(hamming, golay):
@@ -148,7 +147,7 @@ def test_geometric_criterion_agrees_with_coverage_for_single_columns(hamming, go
         cov = coverage_matrix(code)
         system = cover_system(cov, 1, 1)
         for j in range(cov.h):
-            geometric = geometric_extension_criterion(code, cov.columns_at([j]))
+            geometric = geometric_extension_criterion(code, representatives_at(code.field, code.k, [j]))
             combinatorial = is_good_extension(system, [j])
             assert geometric == combinatorial, (code.params(), j)
 
@@ -160,7 +159,7 @@ def test_geometric_criterion_implies_good_extension_for_pairs(hamming):
     system = cover_system(cov, 2, 1)
     for a in range(cov.h):
         for b in range(a + 1, cov.h):
-            if geometric_extension_criterion(hamming, cov.columns_at([a, b])):
+            if geometric_extension_criterion(hamming, representatives_at(hamming.field, 4, [a, b])):
                 assert is_good_extension(system, [a, b])
 
 

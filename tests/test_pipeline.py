@@ -13,8 +13,6 @@ from lsext.pipeline import (
     ChainPolicy,
     StopReason,
     chain_search,
-    check_gap_allows,
-    default_s,
     extend_once,
     parse_code,
     remove_columns,
@@ -141,16 +139,22 @@ def test_extend_once_inconclusive_on_tiny_budget(golay):
     assert not rec.search.exhausted
 
 
-def test_default_s_rules(hamming):
-    assert default_s(hamming, 1) == 1
-    assert default_s(repetition(2, 3), 1) == 1
-    assert default_s(repetition(2, 3), 3) == 3
-    extended, _ = extend_once(hamming, 1)
-    assert extended.weight_gap() == 4
-    assert default_s(extended, 2) == 2
-    check_gap_allows(extended, 4)
-    with pytest.raises(ValueError):
-        check_gap_allows(extended, 5)
+def test_guaranteed_gain_rules(hamming):
+    assert hamming.guaranteed_gain(1) == 1
+    assert hamming.guaranteed_gain(3) == 1
+    assert repetition(2, 3).guaranteed_gain(1) == 1
+    assert repetition(2, 3).guaranteed_gain(3) == 3
+    extended, rec = extend_once(hamming, 1)
+    assert rec.s == 1
+    assert extended.weight_gap_or_none() == 4
+    assert extended.guaranteed_gain(2) == 2
+    assert extended.guaranteed_gain(4) == 4
+    assert extend_once(extended, 2)[1].s == 2
+    assert extend_once(extended, 1, s=4)[1].s == 4
+    with pytest.raises(ValueError, match="exceeds the weight gap 4"):
+        extend_once(extended, 1, s=5)
+    with pytest.raises(ValueError, match="s must be >= 1"):
+        extend_once(extended, 1, s=0)
 
 
 def test_extend_once_picks_max_min_slack_solution():
@@ -219,6 +223,49 @@ def test_puncture_parameter_validation(hamming):
         special_puncture(hamming, 7, 1)
     with pytest.raises(ValueError):
         special_puncture(hamming, 2, 3)
+
+
+def test_puncture_refuses_more_than_n_minus_k_columns(hamming, monkeypatch):
+    # Any 4 of the Hamming code's 7 positions leave 3 columns for rank 4, so
+    # the request is refused before a search that could only end in a collapse.
+    monkeypatch.setattr(pipeline, "solve", None)
+    with pytest.raises(ValueError, match=r"need 1 <= l <= n - k = 3, got l=4"):
+        special_puncture(hamming, 4, 2)
+    monkeypatch.undo()
+    new_code, rec = special_puncture(hamming, 3, 1)
+    assert rec.search.status is SolveStatus.FEASIBLE
+    assert new_code.params() == (4, 4, 1)
+
+
+def test_puncture_records_the_distance_it_verified():
+    # d = 3 and the gap is 1, so removing 3 positions where the weight-3 word
+    # is zero keeps only d - l + min(s, gap) = 1; d - l + s = 3 overclaims.
+    code = LinearCode(gf(3), [[0, 1, 1, 0, 2, 0, 0], [0, 2, 2, 2, 0, 2, 1]])
+    assert (code.params(), code.weight_gap_or_none()) == ((7, 2, 3), 1)
+    new_code, rec = special_puncture(code, 3, 3)
+    assert rec.columns == (0, 3, 5)
+    assert rec.guaranteed_distance == 1
+    assert new_code.params() == (4, 2, 2)
+
+
+def test_puncture_sweep_never_overclaims():
+    feasible = 0
+    for code in random_codes(200, 7, qs=(2, 3, 4), max_k=4, max_n=10):
+        for l in range(1, code.n - code.k + 1):
+            for s in range(1, l + 1):
+                try:
+                    new_code, rec = special_puncture(code, l, s)
+                except RankDeficientError:
+                    # A guarantee of at least 1 keeps every nonzero word nonzero,
+                    # and with it the rank; below 1 the removal may collapse it.
+                    assert code.d - l + code.guaranteed_gain(s) < 1
+                    continue
+                if new_code is None:
+                    continue
+                feasible += 1
+                assert rec.guaranteed_distance == code.d - l + code.guaranteed_gain(s)
+                assert new_code.d >= rec.guaranteed_distance, (code.params(), l, s)
+    assert feasible == 1772
 
 
 def test_zero_coverage_bits_read_only(hamming):

@@ -16,7 +16,7 @@ from lsext.extension import (
     is_good_extension,
     parse_matrix_text,
 )
-from lsext.pipeline import default_s, zero_coverage_system
+from lsext.pipeline import zero_coverage_system
 from lsext.solver import (
     STRATEGIES,
     SolverConfig,
@@ -282,7 +282,7 @@ def test_node_counts_and_first_solutions_pinned(request, code_name, l, nodes, fi
     # Node counts and solution order are part of every report; a change to
     # how the strategies walk the coverage matrix must leave them as they are.
     code = request.getfixturevalue(code_name)
-    system = cover_system(coverage_matrix(code), l, default_s(code, l))
+    system = cover_system(coverage_matrix(code), l, code.guaranteed_gain(l))
     # With the default max_solutions=10, exhaustive and bnb stop early at l=2.
     complete = l == 1
     for strategy, node_count, first in zip(STRATEGIES, nodes, firsts):
