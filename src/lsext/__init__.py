@@ -8,7 +8,7 @@ pairing minimum-weight codewords with candidate columns; puncturing the other
 way around and a chain mode that climbs distances step by step round it out.
 """
 
-from .code import LinearCode, gf_rank, weight
+from .code import LinearCode, weight
 from .errors import (
     ConsistencyError,
     DegenerateCodeError,

@@ -263,8 +263,11 @@ def apply_extension(code: LinearCode, x) -> LinearCode:
 
 
 def verify_extension(old: LinearCode, new: LinearCode, s: int) -> int:
-    """Recompute the new code's distribution, enforce the distance claim and
-    return the bound it enforced: d_old + `old.guaranteed_gain(s)`.
+    """Enforce the distance claim on the new code and return the bound it
+    enforced: d_old + `old.guaranteed_gain(s)`.
+
+    The new code's d comes from its own enumeration, run when it was built
+    from its generator matrix, so the claim is re-verified from scratch.
 
     Any violation, including a distance gain above the number of appended
     columns, raises VerificationError: solutions are validated before

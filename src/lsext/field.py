@@ -291,31 +291,32 @@ def canonical_representatives(field: GF, k: int) -> np.ndarray:
     return out
 
 
+def _place_values(q: int, k: int) -> np.ndarray:
+    """q^(k-1), ..., q, 1: the weight of each column when a length-k vector is read in base q."""
+    return q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
 def representatives_at(field: GF, k: int, index) -> np.ndarray:
-    """Rows `index` of `canonical_representatives(field, k)`, without building it."""
+    """Rows `index` of `canonical_representatives(field, k)`, without building it.
+
+    Representatives with a tail of length T (leading 1 at k-1-T) start at
+    row canonical_count(q, T), and the one r rows further reads q^T + r in
+    base q.  As r < q^T, the columns left of the leading 1 come out 0.
+    """
     q = field.q
     index = np.asarray(index, dtype=np.int64)
-    # Representatives with a tail of length T (leading 1 at k-1-T) start at row canonical_count(q, T).
-    starts = np.array([canonical_count(q, tail) for tail in range(k + 1)], dtype=np.int64)
+    starts = canonical_count(q, np.arange(k + 1, dtype=np.int64))
     tail = np.searchsorted(starts, index, side="right") - 1
-    lead = k - 1 - tail
-    rest = index - starts[tail]
-    out = np.zeros((len(index), k), dtype=np.uint8)
-    out[np.arange(len(index)), lead] = 1
-    # The tail is `rest` in base q, its last digit in column k-1.
-    for col in range(k - 1, 0, -1):
-        in_tail = col > lead
-        out[in_tail, col] = rest[in_tail] % q
-        rest[in_tail] //= q
-    return out
+    value = index - starts[tail] + q**tail
+    return (value[:, None] // _place_values(q, k) % q).astype(np.uint8)
 
 
 def canonical_index(field: GF, vectors) -> np.ndarray:
     """Rows of `canonical_representatives` equal to the given canonical vectors.
 
     The inverse of `representatives_at`: each (k,) row must be nonzero with
-    leading nonzero entry 1; its index is where representatives with its tail
-    length start plus the tail read in base q.
+    leading nonzero entry 1.  A row with a tail of length T reads q^T + r in
+    base q, and its index is canonical_count(q, T) + r.
     """
     vecs = np.atleast_2d(field.check_codes(vectors))
     m, k = vecs.shape
@@ -323,13 +324,8 @@ def canonical_index(field: GF, vectors) -> np.ndarray:
     if np.any(vecs[np.arange(m), lead] != 1):
         raise ValueError("canonical vectors must be nonzero with leading entry 1")
     q = field.q
-    starts = np.array([canonical_count(q, tail) for tail in range(k)], dtype=np.int64)
-    index = starts[k - 1 - lead]
-    rest = np.zeros(m, dtype=np.int64)
-    for col in range(1, k):
-        in_tail = col > lead
-        rest[in_tail] = rest[in_tail] * q + vecs[in_tail, col]
-    return index + rest
+    tail = (k - 1 - lead).astype(np.int64)
+    return vecs @ _place_values(q, k) - q**tail + canonical_count(q, tail)
 
 
 def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import random_codes, repetition
-from lsext.code import LinearCode, gf_rank, weight
+import lsext.code
+import lsext.extension
+from lsext.code import LinearCode, weight
 from lsext.errors import DegenerateCodeError, RankDeficientError
 from lsext.field import canonical_representatives, gf
+from lsext.pipeline import extend_once
 from oracles import oracle_weight_distribution
 
 
@@ -53,18 +56,15 @@ def test_weight_examples():
 
 
 def test_rank_deficient_rejected():
+    assert LinearCode(gf(2), [[1, 0], [0, 1]]).k == 2  # rank 2 = k
     with pytest.raises(RankDeficientError):
         LinearCode(gf(2), [[1, 1, 0], [1, 1, 0]])
     with pytest.raises(RankDeficientError):
         LinearCode(gf(3), [[1, 2], [2, 1], [0, 1]])  # k > n
     with pytest.raises(RankDeficientError):
+        LinearCode(gf(4), [[2, 1], [3, 1], [1, 0]])  # k > n, rank 2
+    with pytest.raises(RankDeficientError):
         LinearCode(gf(3), [[1, 2, 0], [2, 1, 0]])  # row 2 = 2 * row 1
-
-
-def test_gf_rank():
-    assert gf_rank(gf(2), np.array([[1, 0], [0, 1]])) == 2
-    assert gf_rank(gf(3), np.array([[1, 2, 0], [2, 1, 0]])) == 1
-    assert gf_rank(gf(4), np.array([[2, 1], [3, 1], [1, 0]])) == 2
 
 
 def test_degenerate_flag():
@@ -151,10 +151,9 @@ def test_analysis_memory_does_not_grow_with_representatives():
     # [40,20]_2 has 2^20 - 1 representatives; holding them with their codewords took ~700 MB.
     rng = np.random.default_rng(20)
     mat = np.concatenate([np.eye(20, dtype=np.uint8), rng.integers(0, 2, size=(20, 20))], axis=1)
-    code = LinearCode(gf(2), mat)
     tracemalloc.start()
     try:
-        dist = code.weight_distribution()
+        dist = LinearCode(gf(2), mat).weight_distribution()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -163,7 +162,7 @@ def test_analysis_memory_does_not_grow_with_representatives():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_gf_rank_matches_row_space_size(q):
+def test_construction_rejects_exactly_the_rank_deficient(q):
     # Reference: the row space of a rank-r matrix has exactly q^r vectors.
     f = gf(q)
     rng = np.random.default_rng(q)
@@ -179,6 +178,38 @@ def test_gf_rank_matches_row_space_size(q):
         space = {tuple(row) for row in f.vecmat(messages, mat).tolist()}
         reference = round(np.log(len(space)) / np.log(q))
         assert q**reference == len(space)
-        assert gf_rank(f, mat) == reference
-        full_rank.add(reference == min(k, n))
+        if reference < k:
+            with pytest.raises(RankDeficientError):
+                LinearCode(f, mat)
+        else:
+            assert LinearCode(f, mat).k == k
+        full_rank.add(reference == k)
     assert full_rank == {True, False}
+
+
+def test_each_code_is_enumerated_once(hamming, monkeypatch):
+    calls = {"code": 0, "extension": 0}
+
+    def counting(module, key):
+        original = module.canonical_supports
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "canonical_supports", wrapper)
+
+    counting(lsext.code, "code")
+    counting(lsext.extension, "extension")
+    code = LinearCode(hamming.field, hamming.matrix)
+    assert calls == {"code": 1, "extension": 0}
+    code.weight_distribution()
+    code.min_weight_representatives()
+    code.weight_gap_or_none()
+    code.guaranteed_gain(1)
+    repr(code)
+    assert (code.d, code.min_weight_count, code.num_min_weight_representatives) == (3, 7, 7)
+    assert calls == {"code": 1, "extension": 0}
+    new_code, _ = extend_once(code, 1)
+    assert new_code is not None and new_code.d == 4
+    assert calls == {"code": 2, "extension": 1}
