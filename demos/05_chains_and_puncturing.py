@@ -37,9 +37,13 @@ print(report.to_text())
 # distribution of the extended code, never from the covering prediction.
 
 # Round trip: extend once, then remove exactly the appended columns.
-extended, record = extend_once(golay, 1)
-print("extended:", extended.params(), "by appending column index", record.columns[0],
-      "=", record.column_vectors[0])
+# The step's record holds its search (the chosen columns are its best
+# solution) and the code it built, set only when the step was applied.
+record = extend_once(golay, 1)
+extended = record.result
+vector = "".join(str(v) for v in extended.matrix[:, golay.n])
+print("extended:", extended.params(), "by appending column index", record.search.best.columns[0],
+      "=", vector)
 back = remove_columns(extended, range(golay.n, extended.n))
 print("punctured back:", back.params(),
       "- distribution restored:", back.weight_distribution() == golay.weight_distribution())
@@ -53,8 +57,8 @@ HAMMING = [
     [0, 0, 1, 0, 0, 1, 1],
     [0, 0, 0, 1, 1, 1, 1],
 ]
-ham_ext, _ = extend_once(LinearCode(gf(2), HAMMING), 1)
-result, rec = special_puncture(ham_ext, 1, 1)
+ham_ext = extend_once(LinearCode(gf(2), HAMMING), 1).result
+rec = special_puncture(ham_ext, 1, 1)
 print("\nsearch-mode puncture of", ham_ext.params(), "->", rec.search.status)
 
 # The covering matrix and code files have stable text formats for hand

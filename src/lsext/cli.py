@@ -88,31 +88,33 @@ def cmd_analyze(args) -> int:
 
 def cmd_extend(args) -> int:
     code = _load(args.file)
-    if args.l < 1:
-        raise ValueError(f"--l must be >= 1, got {args.l}")
     config = SolverConfig(strategy=args.strategy, max_solutions=args.max_solutions, node_limit=args.node_limit)
-    new_code, rec = extend_once(code, args.l, args.s, config, projective=args.projective)
+    rec = extend_once(code, args.l, args.s, config, projective=args.projective)
     print(f"code: {_params(code)}")
     usable = rec.candidates_total - rec.candidates_masked
     print(f"candidates: {rec.candidates_total}  masked: {rec.candidates_masked}  usable: {usable}")
     print(f"system: l={rec.l} s={rec.s} rows={rec.rows}")
     search = "complete" if rec.search.exhausted else "stopped early"
-    print(f"solver: {rec.solver_strategy}  status: {rec.search.status}  nodes: {rec.search.nodes_explored}  search: {search}")
+    print(f"solver: {config.strategy}  status: {rec.search.status}  nodes: {rec.search.nodes_explored}  search: {search}")
     print(f"solutions found: {len(rec.search.solutions)}")
-    if rec.search.status is SolveStatus.FEASIBLE:
-        assert new_code is not None
-        cols = " ".join(str(c) for c in rec.columns)
-        vecs = " ".join(rec.column_vectors)
+    if rec.result is not None:
+        best = rec.search.best
+        cols = " ".join(str(c) for c in best.columns)
+        vecs = " ".join("".join(str(int(v)) for v in vec) for vec in rec.result.matrix[:, code.n :].T)
         print(f"chosen columns: {cols} [{vecs}]")
-        print(f"slacks: min={rec.slack_min} max={rec.slack_max} zero={rec.zero_slack_rows}/{rec.rows}")
-        print(f"extended code: {_params(new_code)}")
-        verdict = "agree" if rec.predicted_min_weight_count == rec.min_weight_count_after else "differ"
-        print(
-            f"minimum-weight words: {rec.min_weight_count_after} recomputed, "
-            f"{rec.predicted_min_weight_count} slack-predicted -> {verdict}"
-        )
+        zero = best.slacks.count(0)
+        print(f"slacks: min={best.min_slack} max={max(best.slacks)} zero={zero}/{rec.rows}")
+        print(f"extended code: {_params(rec.result)}")
+        # Each zero-slack row lands exactly on the new minimum weight with its
+        # q-1 scalar multiples.  The prediction equals the recomputed A_d exactly
+        # when every new minimum-weight word descends from an old one; the report
+        # only shows both counts.
+        predicted = zero * (code.q - 1)
+        recomputed = rec.result.min_weight_count
+        verdict = "agree" if predicted == recomputed else "differ"
+        print(f"minimum-weight words: {recomputed} recomputed, {predicted} slack-predicted -> {verdict}")
         if args.out:
-            Path(args.out).write_text(serialize_code(new_code))
+            Path(args.out).write_text(serialize_code(rec.result))
             print(f"wrote: {args.out}")
     elif rec.search.status is SolveStatus.BUDGET_EXHAUSTED:
         print("inconclusive: node budget exhausted before a solution was found")
@@ -124,17 +126,16 @@ def cmd_extend(args) -> int:
 def cmd_puncture(args) -> int:
     code = _load(args.file)
     config = SolverConfig(node_limit=args.node_limit)
-    new_code, rec = special_puncture(code, args.l, args.s, config)
+    rec = special_puncture(code, args.l, args.s, config)
     print(f"code: {_params(code)}")
     print(f"system: l={rec.l} s={rec.s} over {code.n} positions")
     print(f"solver: status: {rec.search.status}  nodes: {rec.search.nodes_explored}")
-    if rec.search.status is SolveStatus.FEASIBLE:
-        assert new_code is not None
-        print(f"removed columns: {' '.join(str(c) for c in rec.columns)}")
+    if rec.result is not None:
+        print(f"removed columns: {' '.join(str(c) for c in rec.search.best.columns)}")
         print(f"predicted distance: >= {rec.guaranteed_distance} when the second-smallest weight allows")
-        print(f"punctured code: {_params(new_code)}")
+        print(f"punctured code: {_params(rec.result)}")
         if args.out:
-            Path(args.out).write_text(serialize_code(new_code))
+            Path(args.out).write_text(serialize_code(rec.result))
             print(f"wrote: {args.out}")
     elif rec.search.status is SolveStatus.BUDGET_EXHAUSTED:
         print("inconclusive: node budget exhausted before a solution was found")

@@ -13,9 +13,10 @@ l generator columns such that every minimum-weight codeword has at least s
 zeros among them, which drops the length by l while costing at most
 l - guaranteed_gain(s) distance.
 
-Each step's `StepRecord` holds the `SolveOutcome` of its search: the
-solver's `SolveStatus` is the step's verdict, and a step is applied exactly
-when its search is feasible.
+A step returns one `StepRecord`, which holds each fact of the step once: the
+`SolveOutcome` of its search (whose `SolveStatus` is the step's verdict and
+whose best solution gives the chosen columns and their slacks) and, exactly
+when that search is feasible, the re-verified code the step built.
 """
 
 from __future__ import annotations
@@ -106,15 +107,16 @@ def serialize_code(code: LinearCode) -> str:
 # -- step records and reports ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One extend or puncture step: the search behind it and its verified outcome.
+    """One extend or puncture step: the search behind it and the code it built.
 
-    The step was applied, and the fields that describe the new code and its
-    columns are set, exactly when `search.status` is feasible.
-    `guaranteed_distance` is the distance the step proves and re-verified on
-    the recomputed code: d + guaranteed_gain(s) for an extension, d - l +
-    guaranteed_gain(s) for a puncture (`LinearCode.guaranteed_gain`).
+    `result` is the new code, recomputed from scratch and verified, and is set
+    exactly when `search.status` is feasible; the chosen columns and their
+    slacks are `search.best`.  `guaranteed_distance` is the distance the step
+    proves and re-verified on `result`: d + guaranteed_gain(s) for an
+    extension, d - l + guaranteed_gain(s) for a puncture
+    (`LinearCode.guaranteed_gain`).
     """
 
     operation: str
@@ -122,31 +124,22 @@ class StepRecord:
     s: int
     params_before: tuple[int, int, int]
     search: SolveOutcome
-    params_after: tuple[int, int, int] | None = None
-    columns: tuple[int, ...] = ()
-    column_vectors: tuple[str, ...] = ()
+    rows: int
+    candidates_total: int
+    candidates_masked: int
+    result: LinearCode | None = None
     guaranteed_distance: int | None = None
-    min_weight_count_after: int | None = None
-    predicted_min_weight_count: int | None = None
-    solver_strategy: str = ""
-    candidates_total: int = 0
-    candidates_masked: int = 0
-    rows: int = 0
-    slack_min: int | None = None
-    slack_max: int | None = None
-    zero_slack_rows: int | None = None
 
     def describe(self) -> str:
         n, k, d = self.params_before
         head = f"{self.operation} (l={self.l}, s={self.s}) on [{n},{k},{d}]"
-        if self.search.status is not SolveStatus.FEASIBLE:
+        if self.result is None:
             return f"{head}: {self.search.status}"
-        assert self.params_after is not None
-        n2, k2, d2 = self.params_after
-        cols = ",".join(str(c) for c in self.columns)
+        n2, k2, d2 = self.result.params()
+        cols = ",".join(str(c) for c in self.search.best.columns)
         return (
             f"{head} -> [{n2},{k2},{d2}] columns=[{cols}] "
-            f"A_d={self.min_weight_count_after} nodes={self.search.nodes_explored}"
+            f"A_d={self.result.min_weight_count} nodes={self.search.nodes_explored}"
         )
 
 
@@ -169,32 +162,29 @@ class ChainPolicy:
             raise ValueError("target_distance must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainReport:
-    """Ordered record of verified chain steps plus the stopping reason."""
+    """The code a chain started from, its applied steps in order, the code it
+    ended with, and why it stopped.  `final` is the last step's `result`, or
+    `start` when no step was applied."""
 
-    q: int
-    params_start: tuple[int, int, int]
-    params_final: tuple[int, int, int]
+    start: LinearCode
+    final: LinearCode
     steps: tuple[StepRecord, ...]
     stopping_reason: StopReason
     policy: ChainPolicy
 
     def to_text(self) -> str:
-        n, k, d = self.params_start
-        lines = [f"chain report for a [{n},{k},{d}]_{self.q} code"]
+        n, k, d = self.start.params()
+        lines = [f"chain report for a [{n},{k},{d}]_{self.start.q} code"]
         for i, step in enumerate(self.steps, start=1):
             lines.append(f"step {i}: {step.describe()}")
         if not self.steps:
             lines.append("no steps applied")
-        nf, kf, df = self.params_final
+        nf, kf, df = self.final.params()
         lines.append(f"stop: {self.stopping_reason.value.format_map(vars(self.policy))}")
-        lines.append(f"final: [{nf},{kf},{df}]_{self.q}")
+        lines.append(f"final: [{nf},{kf},{df}]_{self.final.q}")
         return "\n".join(lines) + "\n"
-
-
-def _vector_strings(vectors: np.ndarray) -> tuple[str, ...]:
-    return tuple("".join(str(int(v)) for v in vec) for vec in vectors)
 
 
 # -- single extension step ---------------------------------------------------------
@@ -209,10 +199,9 @@ def _search(operation: str, code: LinearCode, system: CoverSystem, config: Solve
         s=system.s,
         params_before=code.params(),
         search=solve(system, config),
-        solver_strategy=config.strategy,
+        rows=system.num_rows,
         candidates_total=system.num_columns,
         candidates_masked=len(system.masked),
-        rows=system.num_rows,
     )
 
 
@@ -224,18 +213,21 @@ def extend_once(
     *,
     projective: bool = False,
     matrix: CoverageMatrix | None = None,
-) -> tuple[LinearCode | None, StepRecord]:
+) -> StepRecord:
     """One (l,s)-extension attempt: build the system, solve, apply, re-verify.
 
     Among returned solutions the one maximizing the minimum slack is applied
     (ties to lexicographically smallest), pushing former minimum-weight words
-    as high as possible for the next step.  Infeasibility is a result, not an
-    error, and so is a solver budget stop.  `projective` masks the columns
+    as high as possible for the next step; the record's `result` is the
+    extended code.  Infeasibility is a result, not an error, and so is a
+    solver budget stop: `result` is then None.  `projective` masks the columns
     that are already points of the code.  `matrix` is the code's coverage
     matrix when the caller has already built it.  `s` defaults to
     `code.guaranteed_gain(l)`, the largest increment both sound and
     attainable with l columns; a larger one is refused.
     """
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
     if s is None:
         s = code.guaranteed_gain(l)
     if s < 1:
@@ -255,26 +247,9 @@ def extend_once(
     record = _search("extend", code, system, config or SolverConfig())
     best = record.search.best
     if best is None:
-        return None, record
+        return record
     new_code = apply_extension(code, best.columns)
-    guaranteed = verify_extension(code, new_code, s)
-    # Each zero-slack row lands exactly on the new minimum weight with its
-    # q-1 scalar multiples.  The prediction equals the recomputed A_d exactly
-    # when every new minimum-weight word descends from an old one; the record
-    # only reports both counts.
-    zero_slack = sum(1 for y in best.slacks if y == 0)
-    return new_code, replace(
-        record,
-        params_after=new_code.params(),
-        columns=best.columns,
-        column_vectors=_vector_strings(new_code.matrix[:, code.n :].T),
-        guaranteed_distance=guaranteed,
-        min_weight_count_after=new_code.min_weight_count,
-        predicted_min_weight_count=zero_slack * (code.q - 1),
-        slack_min=min(best.slacks),
-        slack_max=max(best.slacks),
-        zero_slack_rows=zero_slack,
-    )
+    return replace(record, result=new_code, guaranteed_distance=verify_extension(code, new_code, s))
 
 
 # -- special puncturing ------------------------------------------------------------
@@ -302,15 +277,15 @@ def remove_columns(code: LinearCode, columns) -> LinearCode:
 
 def special_puncture(
     code: LinearCode, l: int, s: int, config: SolverConfig | None = None
-) -> tuple[LinearCode | None, StepRecord]:
+) -> StepRecord:
     """Remove l columns so every minimum-weight codeword has >= s zeros among them.
 
     The same solver machinery as extension searches the zero-coverage system
     over generator positions; no qualifying set is an infeasibility result.
-    The punctured code is verified to reach, and the record states, the
-    distance d - l + `code.guaranteed_gain(s)`.  Removing more than n - k
-    columns always collapses the rank, so l > n - k is refused before the
-    search.  To remove given columns, use `remove_columns`, and test whether
+    The punctured code, the record's `result`, is verified to reach, and the
+    record states, the distance d - l + `code.guaranteed_gain(s)`.  Removing
+    more than n - k columns always collapses the rank, so l > n - k is
+    refused before the search.  To remove given columns, use `remove_columns`, and test whether
     they qualify with `is_good_extension(zero_coverage_system(code, l, s), columns)`.
     """
     if not 1 <= l <= code.n - code.k:
@@ -320,7 +295,7 @@ def special_puncture(
     record = _search("puncture", code, zero_coverage_system(code, l, s), config or SolverConfig())
     best = record.search.best
     if best is None:
-        return None, record
+        return record
     new_code = remove_columns(code, best.columns)
     guaranteed = code.d - l + code.guaranteed_gain(s)
     if new_code.d < guaranteed:
@@ -328,12 +303,7 @@ def special_puncture(
             f"puncturing {l} columns dropped the distance from {code.d} to {new_code.d}, "
             f"below the guaranteed floor {guaranteed}"
         )
-    return new_code, replace(
-        record,
-        params_after=new_code.params(),
-        columns=best.columns,
-        guaranteed_distance=guaranteed,
-    )
+    return replace(record, result=new_code, guaranteed_distance=guaranteed)
 
 
 # -- chain search -------------------------------------------------------------------
@@ -347,7 +317,6 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None) -> ChainRe
     step is re-verified from scratch; the report never relies on predictions.
     """
     policy = policy or ChainPolicy()
-    start = code.params()
     steps: list[StepRecord] = []
     current = code
     added_total = 0
@@ -363,11 +332,9 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None) -> ChainRe
                 continue
             if matrix is None:  # built once per round: every l searches the same matrix and mask
                 matrix = coverage_matrix(current)
-            new_code, record = extend_once(
-                current, l, None, policy.solver, projective=policy.projective, matrix=matrix
-            )
-            if new_code is not None:
-                applied = (new_code, record, l)
+            record = extend_once(current, l, None, policy.solver, projective=policy.projective, matrix=matrix)
+            if record.result is not None:
+                applied = record
                 break
             if record.search.status is SolveStatus.BUDGET_EXHAUSTED:
                 any_inconclusive = True
@@ -379,15 +346,7 @@ def chain_search(code: LinearCode, policy: ChainPolicy | None = None) -> ChainRe
             else:
                 reason = StopReason.NO_EXTENSION
             break
-        new_code, record, l = applied
-        steps.append(record)
-        current = new_code
-        added_total += l
-    return ChainReport(
-        q=code.q,
-        params_start=start,
-        params_final=current.params(),
-        steps=tuple(steps),
-        stopping_reason=reason,
-        policy=policy,
-    )
+        steps.append(applied)
+        current = applied.result
+        added_total += applied.l
+    return ChainReport(start=code, final=current, steps=tuple(steps), stopping_reason=reason, policy=policy)

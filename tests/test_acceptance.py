@@ -96,10 +96,10 @@ def test_criterion_2_ternary_golay_extension(files, capsys):
     assert "extended code: [12,6,6]_3" in out
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
-    extended, rec = extend_once(golay, 1)
-    assert extended.params() == (12, 6, 6)
+    rec = extend_once(golay, 1)
+    assert rec.result.params() == (12, 6, 6)
     cov = coverage_matrix(golay)
-    _record(golay, 1, 1, solution_for(cover_system(cov, 1, 1), rec.columns), extended)
+    _record(golay, 1, 1, solution_for(cover_system(cov, 1, 1), rec.search.best.columns), rec.result)
     _pass(2, f"[11,6,5]_3 with A_5=132 -> verified [12,6,6]_3 over h=364 in {elapsed:.3f}s")
 
 
@@ -116,15 +116,16 @@ def test_criterion_3_chain_structure_and_candidate_count():
     for code in (hamming, golay):
         report = chain_search(code, ChainPolicy(max_l=2))
         assert len(report.steps) >= 1
-        previous = report.params_start
+        previous = report.start
         for step in report.steps:
             assert step.operation == "extend"
             assert step.l >= 1 and step.s >= 1
-            assert step.params_before == previous
+            assert step.params_before == previous.params()
             n0, _, d0 = step.params_before
-            n1, _, d1 = step.params_after
+            n1, _, d1 = step.result.params()
             assert n1 == n0 + step.l and d1 >= d0 + step.s
-            previous = step.params_after
+            previous = step.result
+        assert report.final is previous
         text = report.to_text()
         step_lines = [ln for ln in text.splitlines() if ln.startswith("step ")]
         assert len(step_lines) == len(report.steps)
@@ -221,8 +222,7 @@ def test_criterion_8_weight_distribution_oracle():
     golay = LinearCode(gf(3), np.array([r.split() for r in GOLAY_FILE.splitlines()[1:]], dtype=int))
     codes = [hamming, golay, repetition(2, 3), repetition(3, 4), repetition(5, 2)]
     codes += random_codes(25, seed=7777, qs=(2, 3), max_k=4, max_n=10)
-    extended_golay, _ = extend_once(golay, 1)
-    codes.append(extended_golay)
+    codes.append(extend_once(golay, 1).result)
     for code in codes:
         assert code.q**code.k <= 100_000
         assert code.weight_distribution() == oracle_weight_distribution(code.field, code.matrix)

@@ -229,3 +229,85 @@ def test_outputs_are_deterministic(golay_file, capsys):
         assert main(["extend", golay_file, "--l", "1"]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+EXTENDED_HAMMING_FILE = "2 4 8\n1 0 0 0 1 1 0 1\n0 1 0 0 1 0 1 1\n0 0 1 0 0 1 1 1\n0 0 0 1 1 1 1 0\n"
+C723_FILE = "3 2 7\n0 1 1 0 2 0 0\n0 2 2 2 0 2 1\n"
+
+# Each report pinned byte for byte, with its exit code.  The first is the
+# README example session.
+CLI_REPORTS = {
+    "extend": (
+        HAMMING_FILE, ["extend", "--l", "1", "--out", "extended.code"], 0,
+        "code: [7,4,3]_2\n"
+        "candidates: 15  masked: 0  usable: 15\n"
+        "system: l=1 s=1 rows=7\n"
+        "solver: bnb  status: feasible  nodes: 15  search: complete\n"
+        "solutions found: 1\n"
+        "chosen columns: 13 [1110]\n"
+        "slacks: min=0 max=0 zero=7/7\n"
+        "extended code: [8,4,4]_2\n"
+        "minimum-weight words: 14 recomputed, 7 slack-predicted -> differ\n"
+        "wrote: extended.code\n",
+    ),
+    "extend-projective": (
+        HAMMING_FILE, ["extend", "--l", "1", "--projective"], 0,
+        "code: [7,4,3]_2\n"
+        "candidates: 15  masked: 7  usable: 8\n"
+        "system: l=1 s=1 rows=7\n"
+        "solver: bnb  status: feasible  nodes: 8  search: complete\n"
+        "solutions found: 1\n"
+        "chosen columns: 13 [1110]\n"
+        "slacks: min=0 max=0 zero=7/7\n"
+        "extended code: [8,4,4]_2\n"
+        "minimum-weight words: 14 recomputed, 7 slack-predicted -> differ\n",
+    ),
+    "extend-infeasible": (
+        EXTENDED_HAMMING_FILE, ["extend", "--l", "1"], 1,
+        "code: [8,4,4]_2\n"
+        "candidates: 15  masked: 0  usable: 15\n"
+        "system: l=1 s=1 rows=14\n"
+        "solver: bnb  status: infeasible  nodes: 15  search: complete\n"
+        "solutions found: 0\n"
+        "no (l=1, s=1)-extension exists\n",
+    ),
+    "extend-budget": (
+        HAMMING_FILE, ["extend", "--l", "1", "--node-limit", "10"], 2,
+        "code: [7,4,3]_2\n"
+        "candidates: 15  masked: 0  usable: 15\n"
+        "system: l=1 s=1 rows=7\n"
+        "solver: bnb  status: budget_exhausted  nodes: 10  search: stopped early\n"
+        "solutions found: 0\n"
+        "inconclusive: node budget exhausted before a solution was found\n",
+    ),
+    "puncture": (
+        C723_FILE, ["puncture", "--l", "3", "--s", "3"], 0,
+        "code: [7,2,3]_3\n"
+        "system: l=3 s=3 over 7 positions\n"
+        "solver: status: feasible  nodes: 35\n"
+        "removed columns: 0 3 5\n"
+        "predicted distance: >= 1 when the second-smallest weight allows\n"
+        "punctured code: [4,2,2]_3\n",
+    ),
+    "chain": (
+        HAMMING_FILE, ["chain", "--max-l", "2"], 0,
+        "chain report for a [7,4,3]_2 code\n"
+        "step 1: extend (l=1, s=1) on [7,4,3] -> [8,4,4] columns=[13] A_d=14 nodes=15\n"
+        "stop: no feasible extension with l <= 2\n"
+        "final: [8,4,4]_2\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_REPORTS))
+def test_cli_reports_are_pinned(name, tmp_path, monkeypatch, capsys):
+    text, argv, exit_code, expected = CLI_REPORTS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.code").write_text(text)
+    assert main([argv[0], "in.code", *argv[1:]]) == exit_code
+    assert capsys.readouterr().out == expected
+
+
+def test_extend_refuses_l_below_1(hamming_file, capsys):
+    assert main(["extend", hamming_file, "--l", "0"]) == 3
+    assert "l must be >= 1, got 0" in capsys.readouterr().err

@@ -210,6 +210,6 @@ def test_each_code_is_enumerated_once(hamming, monkeypatch):
     repr(code)
     assert (code.d, code.min_weight_count, code.num_min_weight_representatives) == (3, 7, 7)
     assert calls == {"code": 1, "extension": 0}
-    new_code, _ = extend_once(code, 1)
+    new_code = extend_once(code, 1).result
     assert new_code is not None and new_code.d == 4
     assert calls == {"code": 2, "extension": 1}

@@ -90,38 +90,39 @@ def test_serialize_round_trip(golay):
 
 
 def test_extend_once_hamming(hamming):
-    new_code, rec = extend_once(hamming, 1)
+    rec = extend_once(hamming, 1)
     assert rec.operation == "extend"
     assert rec.search.status is SolveStatus.FEASIBLE
-    assert new_code.params() == (8, 4, 4)
-    assert rec.params_after == (8, 4, 4)
+    assert rec.result.params() == (8, 4, 4)
     assert rec.guaranteed_distance == 4
-    assert rec.min_weight_count_after == 14
+    assert rec.result.min_weight_count == 14
     # 7 zero-slack rows predict 7 minimum-weight words; the count differs
     # because old weight-4 words also land on the new minimum.
-    assert rec.predicted_min_weight_count == 7
+    assert rec.search.best.slacks.count(0) == 7
+    assert rec.search.best.columns == (13,)
+    assert rec.result.matrix[:, hamming.n :].T.tolist() == [[1, 1, 1, 0]]
     assert rec.candidates_total == 15
     assert rec.search.exhausted
 
 
 def test_extend_once_golay(golay):
-    new_code, rec = extend_once(golay, 1)
-    assert new_code.params() == (12, 6, 6)
+    rec = extend_once(golay, 1)
+    assert rec.result.params() == (12, 6, 6)
     assert rec.candidates_total == 364
 
 
 def test_extend_once_repetition():
     code = repetition(2, 4)
-    new_code, rec = extend_once(code, 1)
-    assert new_code.params() == (5, 1, 5)
+    rec = extend_once(code, 1)
+    assert rec.result.params() == (5, 1, 5)
     assert rec.s == 1  # undefined gap: s defaults to l
 
 
 def test_extend_once_infeasible(hamming):
-    extended, _ = extend_once(hamming, 1)
+    extended = extend_once(hamming, 1).result
     # No [9,4,5]_2 exists, so the extended Hamming code cannot be improved.
-    result, rec = extend_once(extended, 1)
-    assert result is None
+    rec = extend_once(extended, 1)
+    assert rec.result is None
     assert rec.search.status is SolveStatus.INFEASIBLE
     assert rec.search.exhausted
 
@@ -131,9 +132,15 @@ def test_extend_once_rejects_s_above_gap(hamming):
         extend_once(hamming, 1, s=2)
 
 
+def test_extend_once_refuses_l_below_1(hamming):
+    for l in (0, -1):
+        with pytest.raises(ValueError, match=f"l must be >= 1, got {l}"):
+            extend_once(hamming, l)
+
+
 def test_extend_once_inconclusive_on_tiny_budget(golay):
-    result, rec = extend_once(golay, 1, config=SolverConfig(node_limit=1))
-    assert result is None
+    rec = extend_once(golay, 1, config=SolverConfig(node_limit=1))
+    assert rec.result is None
     assert rec.search.status is SolveStatus.BUDGET_EXHAUSTED
     assert rec.search.status == "budget_exhausted"
     assert not rec.search.exhausted
@@ -144,13 +151,14 @@ def test_guaranteed_gain_rules(hamming):
     assert hamming.guaranteed_gain(3) == 1
     assert repetition(2, 3).guaranteed_gain(1) == 1
     assert repetition(2, 3).guaranteed_gain(3) == 3
-    extended, rec = extend_once(hamming, 1)
+    rec = extend_once(hamming, 1)
+    extended = rec.result
     assert rec.s == 1
     assert extended.weight_gap_or_none() == 4
     assert extended.guaranteed_gain(2) == 2
     assert extended.guaranteed_gain(4) == 4
-    assert extend_once(extended, 2)[1].s == 2
-    assert extend_once(extended, 1, s=4)[1].s == 4
+    assert extend_once(extended, 2).s == 2
+    assert extend_once(extended, 1, s=4).s == 4
     with pytest.raises(ValueError, match="exceeds the weight gap 4"):
         extend_once(extended, 1, s=5)
     with pytest.raises(ValueError, match="s must be >= 1"):
@@ -162,17 +170,17 @@ def test_extend_once_picks_max_min_slack_solution():
     # [0,1,1]: for l=2 the lexicographic first solution (0,1) has slacks
     # (0,0), while (2,2) reaches min slack 1 and must be preferred.
     code = LinearCode(gf(2), [[1, 1, 0, 0], [0, 0, 1, 1]])
-    new_code, rec = extend_once(code, 2, s=1, config=SolverConfig(max_solutions=50))
+    rec = extend_once(code, 2, s=1, config=SolverConfig(max_solutions=50))
     assert rec.search.status is SolveStatus.FEASIBLE
-    assert rec.slack_min == 1
-    assert rec.columns == (2, 2)
-    assert new_code.params() == (6, 2, 4)
+    assert rec.search.best.min_slack == 1
+    assert rec.search.best.columns == (2, 2)
+    assert rec.result.params() == (6, 2, 4)
 
 
 def test_extend_once_projective(hamming):
-    new_code, rec = extend_once(hamming, 1, projective=True)
+    rec = extend_once(hamming, 1, projective=True)
     assert rec.candidates_masked == 7
-    assert new_code.params() == (8, 4, 4)
+    assert rec.result.params() == (8, 4, 4)
 
 
 # -- special puncturing -----------------------------------------------------------
@@ -180,7 +188,7 @@ def test_extend_once_projective(hamming):
 
 def test_puncture_round_trip(hamming, golay):
     for code in (hamming, golay):
-        new_code, rec = extend_once(code, 1)
+        new_code = extend_once(code, 1).result
         appended = range(code.n, new_code.n)
         back = remove_columns(new_code, appended)
         assert back.params() == code.params()
@@ -189,7 +197,7 @@ def test_puncture_round_trip(hamming, golay):
 
 
 def test_puncture_explicit_columns_reports_qualification(hamming):
-    extended, _ = extend_once(hamming, 1)
+    extended = extend_once(hamming, 1).result
     back = remove_columns(extended, [7])
     assert back.params() == (7, 4, 3)
     # Some weight-4 word is nonzero at the parity column, so removing it does not qualify.
@@ -202,17 +210,17 @@ def test_puncture_search_mode_finds_qualifying_set(golay):
     # use a padded code with a predictable removable column instead.
     padded = LinearCode(gf(2), [[1, 1, 1, 0], [0, 1, 0, 1]])
     # weight-2 word (0101): zero at columns 0, 2; weight-3 word zero at 3.
-    new_code, rec = special_puncture(padded, 1, 1)
+    rec = special_puncture(padded, 1, 1)
     assert rec.operation == "puncture"
     assert rec.search.status is SolveStatus.FEASIBLE
     assert rec.guaranteed_distance == padded.d
-    assert new_code.n == 3
+    assert rec.result.n == 3
 
 
 def test_puncture_search_infeasible_on_repetition():
     code = repetition(2, 3)
-    result, rec = special_puncture(code, 1, 1)
-    assert result is None
+    rec = special_puncture(code, 1, 1)
+    assert rec.result is None
     assert rec.search.status is SolveStatus.INFEASIBLE
 
 
@@ -232,9 +240,9 @@ def test_puncture_refuses_more_than_n_minus_k_columns(hamming, monkeypatch):
     with pytest.raises(ValueError, match=r"need 1 <= l <= n - k = 3, got l=4"):
         special_puncture(hamming, 4, 2)
     monkeypatch.undo()
-    new_code, rec = special_puncture(hamming, 3, 1)
+    rec = special_puncture(hamming, 3, 1)
     assert rec.search.status is SolveStatus.FEASIBLE
-    assert new_code.params() == (4, 4, 1)
+    assert rec.result.params() == (4, 4, 1)
 
 
 def test_puncture_records_the_distance_it_verified():
@@ -242,10 +250,10 @@ def test_puncture_records_the_distance_it_verified():
     # is zero keeps only d - l + min(s, gap) = 1; d - l + s = 3 overclaims.
     code = LinearCode(gf(3), [[0, 1, 1, 0, 2, 0, 0], [0, 2, 2, 2, 0, 2, 1]])
     assert (code.params(), code.weight_gap_or_none()) == ((7, 2, 3), 1)
-    new_code, rec = special_puncture(code, 3, 3)
-    assert rec.columns == (0, 3, 5)
+    rec = special_puncture(code, 3, 3)
+    assert rec.search.best.columns == (0, 3, 5)
     assert rec.guaranteed_distance == 1
-    assert new_code.params() == (4, 2, 2)
+    assert rec.result.params() == (4, 2, 2)
 
 
 def test_puncture_sweep_never_overclaims():
@@ -254,17 +262,18 @@ def test_puncture_sweep_never_overclaims():
         for l in range(1, code.n - code.k + 1):
             for s in range(1, l + 1):
                 try:
-                    new_code, rec = special_puncture(code, l, s)
+                    rec = special_puncture(code, l, s)
                 except RankDeficientError:
                     # A guarantee of at least 1 keeps every nonzero word nonzero,
                     # and with it the rank; below 1 the removal may collapse it.
                     assert code.d - l + code.guaranteed_gain(s) < 1
                     continue
-                if new_code is None:
+                assert (rec.result is None) == (rec.search.status is not SolveStatus.FEASIBLE)
+                if rec.result is None:
                     continue
                 feasible += 1
                 assert rec.guaranteed_distance == code.d - l + code.guaranteed_gain(s)
-                assert new_code.d >= rec.guaranteed_distance, (code.params(), l, s)
+                assert rec.result.d >= rec.guaranteed_distance, (code.params(), l, s)
     assert feasible == 1772
 
 
@@ -298,37 +307,41 @@ def test_remove_columns_rejects_repeats(hamming):
 
 def test_chain_hamming(hamming):
     report = chain_search(hamming, ChainPolicy(max_l=2))
-    assert report.params_start == (7, 4, 3)
+    assert report.start is hamming
     assert len(report.steps) >= 1
     first = report.steps[0]
     assert (first.l, first.s) == (1, 1)
-    assert first.params_after == (8, 4, 4)
-    assert report.params_final[2] >= 4
+    assert first.result.params() == (8, 4, 4)
+    assert report.final is report.steps[-1].result
+    assert report.final.d >= 4
 
 
 def test_chain_golay(golay):
     report = chain_search(golay, ChainPolicy(max_l=2))
-    assert report.steps[0].params_after == (12, 6, 6)
-    assert report.params_final[2] >= 6
+    assert report.steps[0].result.params() == (12, 6, 6)
+    assert report.final is report.steps[-1].result
+    assert report.final.d >= 6
 
 
 def test_chain_steps_are_consistent(golay):
     report = chain_search(golay, ChainPolicy(max_l=2))
-    previous = report.params_start
+    previous = report.start
     for step in report.steps:
-        assert step.params_before == previous
+        assert step.params_before == previous.params()
         n0, k0, d0 = step.params_before
-        n1, k1, d1 = step.params_after
+        n1, k1, d1 = step.result.params()
         assert n1 == n0 + step.l
         assert k1 == k0
         assert d1 >= d0 + step.s
-        previous = step.params_after
-    assert report.params_final == previous
+        assert np.array_equal(step.result.matrix[:, :n0], previous.matrix)
+        previous = step.result
+    assert report.final is previous
 
 
 def test_chain_respects_target_distance(hamming):
     report = chain_search(hamming, ChainPolicy(max_l=2, target_distance=3))
     assert report.steps == ()
+    assert report.final is report.start is hamming
     assert report.stopping_reason is StopReason.TARGET_REACHED
     assert "stop: target distance 3 reached\n" in report.to_text()
 
@@ -377,14 +390,17 @@ def test_chain_round_builds_its_coverage_matrix_once(hamming, monkeypatch):
     monkeypatch.setattr(pipeline, "coverage_matrix", build)
     monkeypatch.setattr(pipeline, "extend_once", extend)
     report = chain_search(hamming, ChainPolicy(max_l=3))
-    assert [step.params_after for step in report.steps] == [(8, 4, 4)]
+    assert [step.result.params() for step in report.steps] == [(8, 4, 4)]
     assert report.stopping_reason is StopReason.NO_EXTENSION
     assert len(built) == 2
     assert tried == [(1, built[0]), (1, built[1]), (2, built[1]), (3, built[1])]
 
 
 def test_extend_once_with_prebuilt_matrix(hamming, golay):
-    assert extend_once(hamming, 1, matrix=coverage_matrix(hamming))[1] == extend_once(hamming, 1)[1]
+    prebuilt, fresh = extend_once(hamming, 1, matrix=coverage_matrix(hamming)), extend_once(hamming, 1)
+    assert prebuilt.describe() == fresh.describe()
+    assert prebuilt.search == fresh.search
+    assert np.array_equal(prebuilt.result.matrix, fresh.result.matrix)
     with pytest.raises(ConsistencyError):
         extend_once(hamming, 1, matrix=coverage_matrix(golay))
 
@@ -405,9 +421,10 @@ def test_round_trip_random_extensions():
     """Every successful extension, punctured at the appended columns, restores
     the original parameters and distribution."""
     for code in random_codes(15, seed=61, qs=(2, 3), max_k=3, max_n=7):
-        new_code, rec = extend_once(code, 1)
-        if new_code is None:
+        rec = extend_once(code, 1)
+        assert (rec.result is None) == (rec.search.status is not SolveStatus.FEASIBLE)
+        if rec.result is None:
             continue
-        back = remove_columns(new_code, range(code.n, new_code.n))
+        back = remove_columns(rec.result, range(code.n, rec.result.n))
         assert back.params() == code.params()
         assert back.weight_distribution() == code.weight_distribution()
