@@ -31,16 +31,27 @@ a row needing more than r covers is U_{r+1} nonempty, the last pick is the
 superset test (P & U_1) == U_1 once U_2 is empty, a column's gain is
 popcount(P & U_1) and the total deficit is the sum of popcount(U_j).
 
-Two scans run over every remaining column: the gain bound (a narrow one
-stops at the first column that gains enough) and the last pick.  A scan
-over at most `_NARROW` columns tests Python ints, precomputed for the last
-`_NARROW` columns only; a wider scan runs in numpy over the packed rows,
-in blocks of at most `_SCAN_WORDS` words of the rows' width, so that its
-temporaries stay small next to the packed rows.  Deep trees over few
-columns thus pay no numpy call per node, wide systems keep their
+The search walks positions, the allowed columns in ascending order.  A
+position maps to its system column through the sorted list of masked
+columns, so a mask costs memory in its own size and none when empty.
+
+Two scans run over every remaining column: the gain bound and the last
+pick.  A scan over at most `_NARROW` columns tests Python ints,
+precomputed for the last `_NARROW` columns only; a wider scan runs in
+numpy over the packed rows, in blocks of at most `_SCAN_WORDS` words of
+the rows' width, so that its temporaries stay small next to the packed
+rows.  Each block reads its column range of `system.packed` in place and
+drops the masked columns from its result.  The gain bound stops at the
+first column (narrow) or block (wide) that gains enough.  Deep trees over
+few columns thus pay no numpy call per node, wide systems keep their
 vectorised scans, and no per-column int or byte copy of a wide matrix is
-ever made.  The rule is
+ever made, masked or not.  The rule is
 fixed, not an option: both forms give the same answers and node counts.
+
+A search holds its system once, plus this bounded scratch, and frees all
+of it when it returns or raises: nothing of its recursion outlives the
+call, so a chain of searches keeps one system alive at a time without
+waiting for the cyclic collector.
 
 A wide last pick scans blocks that double in width from `_NARROW` and
 stops after the block in which it has the solutions it wants, so a pick
@@ -74,6 +85,7 @@ proof that none exists.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
@@ -163,22 +175,35 @@ _NARROW = 64
 _SCAN_WORDS = 1 << 16
 
 
+def _same(rows: np.ndarray) -> np.ndarray:
+    return rows
+
+
 class _Columns:
-    """The allowed columns of a system, read as Python ints or as packed rows.
+    """The allowed columns of a system, read as Python ints or in place from its packed rows.
+
+    Positions 0..count-1 are the allowed columns in ascending order; node
+    charges and the lexicographic order are defined on them.  Position p is
+    system column p + (the masked columns before it), which is p plus the
+    number of entries of masked[i] - i (masked sorted) that are <= p: one
+    bisection of an O(|masked|) list, and the identity when nothing is masked.
+    A scan over positions [start, stop) reads the matching column range of
+    `system.packed` in place and drops the masked columns from its result, so
+    masked and unmasked systems share it and neither is ever copied.
 
     A column or a deficit level is a t-bit int, row i being bit i, which is
     the little-endian reading of a packed row, whatever its word width.
-    Ints for the last `_NARROW` columns are built once; any other column is
-    read on demand from a zero-copy byte view of the packed rows.
+    Ints for the last `_NARROW` allowed columns are built once; any other
+    column is read on demand from a zero-copy byte view of the packed rows.
     """
 
     def __init__(self, system: CoverSystem) -> None:
-        # Positions map to system columns through `allowed` only when some are masked.
-        self.allowed = system.allowed_columns() if system.masked else None
-        packed = system.packed if self.allowed is None else system.packed[self.allowed]
+        packed = system.packed
         # A system of no rows has no words; one zero word per column gives every scan one to read.
         self.packed = packed if packed.shape[1] else np.zeros((len(packed), 1), dtype=packed.dtype)
-        self.count = len(self.packed)
+        self._masked = sorted(system.masked)
+        self._gaps = [col - i for i, col in enumerate(self._masked)]
+        self.count = len(packed) - len(self._masked)
         words = self.packed.shape[1]
         self.nbytes = self.packed.dtype.itemsize * words
         self.block = max(_NARROW, _SCAN_WORDS // words)
@@ -186,27 +211,51 @@ class _Columns:
         self._row = self.packed.dtype if words == 1 else np.dtype((np.void, self.nbytes))
         self._bytes = memoryview(np.ascontiguousarray(self.packed).reshape(-1).view(np.uint8))
         self.narrow_from = max(0, self.count - _NARROW)
+        rows = self._scan(self.narrow_from, self.count, _same)
         if words == 1:
-            self.tail = self.packed[self.narrow_from :, 0].tolist()
+            self.tail = rows[:, 0].tolist()
         else:
-            self.tail = [self._read(pos) for pos in range(self.narrow_from, self.count)]
+            data, size = rows.tobytes(), self.nbytes
+            self.tail = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
         self._tail_reach = self.tail + [0]
         for i in range(len(self.tail) - 1, -1, -1):
             self._tail_reach[i] |= self._tail_reach[i + 1]
         self._root_reach: int | None = None
         self._wide_reach: np.ndarray | None = None
 
-    def index(self, positions):
+    def index(self, positions) -> np.ndarray:
         """The system columns at the given positions."""
-        return positions if self.allowed is None else self.allowed[positions]
+        positions = np.asarray(positions, dtype=np.intp)
+        return positions + np.searchsorted(np.array(self._gaps, dtype=np.intp), positions, side="right")
 
-    def _read(self, pos: int) -> int:
-        return int.from_bytes(self._bytes[pos * self.nbytes : (pos + 1) * self.nbytes], "little")
+    def read(self, col: int) -> int:
+        """System column `col` as an int."""
+        return int.from_bytes(self._bytes[col * self.nbytes : (col + 1) * self.nbytes], "little")
 
     def at(self, pos: int) -> int:
         if pos >= self.narrow_from:
             return self.tail[pos - self.narrow_from]
-        return self._read(pos)
+        return self.read(pos + bisect_right(self._gaps, pos))
+
+    def _scan(self, low: int, high: int, f):
+        """f of the packed rows of positions [low, high), read in place, with
+        the entries of masked columns dropped from its result."""
+        skip_low, skip_high = bisect_right(self._gaps, low), bisect_right(self._gaps, high - 1)
+        first = low + skip_low
+        result = f(self.packed[first : high + skip_high])
+        if skip_high > skip_low:
+            cuts = [col - first for col in self._masked[skip_low:skip_high]]
+            result = np.concatenate([result[a + 1 : b] for a, b in zip([-1] + cuts, cuts + [len(result)])])
+        return result
+
+    def _blocks(self, start: int, stop: int, f, width: int):
+        """(low, f of the rows of [low, high)) for blocks that tile positions
+        [start, stop), `width` positions wide at first and doubling up to `self.block`."""
+        low = start
+        while low < stop:
+            high = min(stop, low + width)
+            yield low, self._scan(low, high, f)
+            low, width = high, min(2 * width, self.block)
 
     def reach(self, start: int) -> int:
         """The rows covered by some column at position >= start."""
@@ -216,28 +265,41 @@ class _Columns:
         # built when a node further in asks.
         if start == 0:
             if self._root_reach is None:
-                union = np.bitwise_or.reduce(self.packed, axis=0)
+                blocks = self._blocks(0, self.count, _same, self.block)
+                union = np.bitwise_or.reduce([np.bitwise_or.reduce(rows, axis=0) for _, rows in blocks])
                 self._root_reach = int.from_bytes(union.tobytes(), "little")
             return self._root_reach
         if self._wide_reach is None:
-            self._wide_reach = np.bitwise_or.accumulate(self.packed[::-1], axis=0)[::-1]
-        return int.from_bytes(self._wide_reach[start].tobytes(), "little")
+            # Row j ORs the allowed columns >= j: masked rows are zeroed before
+            # the suffix OR runs, in place, from the last row up.
+            self._wide_reach = np.array(self.packed)
+            self._wide_reach[self._masked] = 0
+            suffix = self._wide_reach[::-1]
+            np.bitwise_or.accumulate(suffix, axis=0, out=suffix)
+        return int.from_bytes(self._wide_reach[start + bisect_right(self._gaps, start)].tobytes(), "little")
 
     def words(self, level: int) -> np.ndarray:
         """A level as one packed row, for the numpy scans."""
         return np.frombuffer(level.to_bytes(self.nbytes, "little"), dtype=self.packed.dtype)
 
-    def gains(self, start: int, deficient: int) -> np.ndarray:
-        """Deficient rows covered by each column at position >= start, scanned in numpy."""
+    def gains(self, deficient: int) -> np.ndarray:
+        """Deficient rows covered by each system column, scanned in numpy; -1 for a masked one."""
         target = self.words(deficient)
-        blocks = range(start, self.count, self.block)
-        return np.concatenate([popcounts(self.packed[low : low + self.block] & target) for low in blocks])
+        blocks = range(0, len(self.packed), self.block)
+        gains = np.concatenate([popcounts(self.packed[low : low + self.block] & target) for low in blocks])
+        gains[self._masked] = -1
+        return gains
 
     def has_gain(self, start: int, deficient: int, gain: int) -> bool:
-        """Whether some column at position >= start covers at least `gain` deficient rows."""
+        """Whether some column at position >= start covers at least `gain` deficient rows.
+
+        A wide range is scanned block by block and the scan stops at the first
+        block holding such a column."""
         if start >= self.narrow_from:
             return any((col & deficient).bit_count() >= gain for col in self.tail[start - self.narrow_from :])
-        return bool(self.gains(start, deficient).max() >= gain)
+        target = self.words(deficient)
+        blocks = self._blocks(start, self.count, lambda rows: popcounts(rows & target), self.block)
+        return any(gains.max() >= gain for _, gains in blocks)
 
     def covering(self, start: int, stop: int, deficient: int, wanted: int) -> list[int]:
         """The first `wanted` positions in [start, stop) whose column covers every deficient row.
@@ -252,12 +314,14 @@ class _Columns:
         target = self.words(deficient)
         row = target.view(self._row)[0]
         found: list[int] = []
-        low, width = start, _NARROW
-        while low < stop and len(found) < wanted:
-            high = min(stop, low + width)
-            ok = (self.packed[low:high] & target).view(self._row)[:, 0] == row
+
+        def covers(rows):
+            return (rows & target).view(self._row)[:, 0] == row
+
+        for low, ok in self._blocks(start, stop, covers, _NARROW):
             found += (low + np.flatnonzero(ok)[: wanted - len(found)]).tolist()
-            low, width = high, min(2 * width, self.block)
+            if len(found) >= wanted:
+                break
         return found
 
 
@@ -373,8 +437,13 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
                 return True
         return dead(low, count)
 
-    stopped = rec(0, [], _full_levels(system))
-    solutions = solutions_for(system, columns.index(np.array(picks, dtype=np.intp)))
+    try:
+        stopped = rec(0, [], _full_levels(system))
+    finally:
+        # rec's closure holds rec, a cycle that would keep the columns, and
+        # with them the system, alive until the cyclic collector runs.
+        del rec
+    solutions = solutions_for(system, columns.index(picks))
     # Stopping early (budget or max_solutions) means the space was not exhausted.
     return _outcome(solutions, nodes, exhausted=not stopped)
 
@@ -410,7 +479,7 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
     chosen: list[int] = []
     nodes = 0
     for _ in range(system.l):
-        gains = columns.gains(0, levels[0])
+        gains = columns.gains(levels[0])
         if system.distinct:
             nodes += columns.count - len(chosen)
             gains[chosen] = -1
@@ -420,10 +489,10 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
         chosen.append(best)
         if system.distinct and len(chosen) == columns.count < system.l:
             return _outcome([], nodes, exhausted=False)
-        levels = _pick(levels, columns.at(best))
+        levels = _pick(levels, columns.read(best))
     if levels[0]:
         return _outcome([], nodes, exhausted=False)
-    return _outcome(solutions_for(system, [columns.index(chosen)]), nodes, exhausted=False)
+    return _outcome(solutions_for(system, [chosen]), nodes, exhausted=False)
 
 
 _SOLVERS = {

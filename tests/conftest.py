@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,19 @@ def hamming() -> LinearCode:
 @pytest.fixture
 def golay() -> LinearCode:
     return LinearCode(gf(3), GOLAY_ROWS)
+
+
+@pytest.fixture
+def no_gc():
+    """Cyclic garbage collection off: an object a test expects gone must be
+    freed by its reference count alone, not by a collection that happens to run."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def repetition(q: int, n: int) -> LinearCode:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -428,3 +430,40 @@ def test_round_trip_random_extensions():
         back = remove_columns(rec.result, range(code.n, rec.result.n))
         assert back.params() == code.params()
         assert back.weight_distribution() == code.weight_distribution()
+
+
+# -- lifetimes --------------------------------------------------------------------
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """Weak references to the packed rows of every system a step searches."""
+    refs = []
+
+    def solve(system, config):
+        refs.append(weakref.ref(system.packed))
+        return real(system, config)
+
+    real = pipeline.solve
+    monkeypatch.setattr(pipeline, "solve", solve)
+    return refs
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda code: extend_once(code, 1),
+        lambda code: extend_once(code, 2, 1, SolverConfig(strategy="exhaustive")),
+        lambda code: extend_once(code, 1, projective=True),
+        lambda code: special_puncture(code, 2, 1),
+        lambda code: chain_search(code, ChainPolicy(max_l=2, max_total_added=4)),
+        lambda code: chain_search(code, ChainPolicy(max_l=2, max_total_added=4, projective=True)),
+    ],
+    ids=["extend", "extend_exhaustive", "extend_projective", "puncture", "chain", "chain_projective"],
+)
+def test_steps_release_their_systems_on_return(no_gc, searched, golay, step):
+    # With the cyclic collector off, no system a step or a chain round
+    # searched outlives the call: only the record and its codes remain.
+    step(golay)
+    assert searched
+    assert all(ref() is None for ref in searched)

@@ -3,10 +3,12 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import lsext.solver as solver
 from conftest import binary_golay, extended_golay, reed_muller_2_5
 from lsext.extension import (
     CoverSystem,
@@ -15,6 +17,7 @@ from lsext.extension import (
     format_matrix,
     is_good_extension,
     parse_matrix_text,
+    projective_filter,
 )
 from lsext.pipeline import zero_coverage_system
 from lsext.solver import (
@@ -408,19 +411,48 @@ def test_node_counts_pinned_at_budget_and_solution_stops(build, strategy, cfg, e
     assert (outcome.status, outcome.nodes_explored, outcome.exhausted, len(outcome.solutions)) == expected
 
 
-def test_wide_solve_memory_is_bounded():
-    # RM(2,5) at l=1 is one vectorised pick over h = 65,535 columns of 620
-    # rows (5.2 MB packed).  Its peak is about 6.2 MB; reading every column into
-    # a Python int, or copying the packed matrix, would add 5 MB or more.
-    system = cover_system(coverage_matrix(reed_muller_2_5()), 1, 1)
+def _scratch(search, system, config=None):
+    """A search's outcome and the peak of what it allocates, the system being built already."""
     tracemalloc.start()
     try:
-        outcome = solve_branch_and_bound(system)
+        outcome = search(system, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return outcome, peak
+
+
+def test_wide_solve_memory_is_bounded():
+    # RM(2,5) at l=1 is one vectorised pick over h = 65,535 columns of 620
+    # rows (5.2 MB packed).  Its scratch is about 0.6 MB, the blocks of the
+    # scan; reading every column into a Python int, or copying the packed
+    # matrix, would add 5 MB or more.
+    system = cover_system(coverage_matrix(reed_muller_2_5()), 1, 1)
+    outcome, peak = _scratch(solve_branch_and_bound, system)
     assert (outcome.status, outcome.nodes_explored) == (SolveStatus.INFEASIBLE, 65_535)
-    assert peak < 8 * 1024 * 1024
+    assert peak < 2 * 1024 * 1024
+
+
+def test_masked_wide_solve_reads_the_columns_in_place():
+    # The same pick with the code's 32 points masked: positions map to
+    # columns through the masked list and each block is read in place, so
+    # the scratch stays that of the unmasked pick, not a 5.2 MB copy.
+    system = projective_filter(cover_system(coverage_matrix(reed_muller_2_5()), 1, 1))
+    assert len(system.masked) == 32
+    outcome, peak = _scratch(solve_branch_and_bound, system)
+    assert (outcome.status, outcome.nodes_explored) == (SolveStatus.INFEASIBLE, 65_503)
+    assert peak < 1.5 * 1024 * 1024
+
+
+def test_root_gain_bound_streams_its_blocks():
+    # RM(2,5) at l=2, s=2 is cut at the root: no column gains 620 of the
+    # 1240 missing covers.  The bound scans block by block and keeps no
+    # (h,) array of gains.
+    code = reed_muller_2_5()
+    system = cover_system(coverage_matrix(code), 2, code.guaranteed_gain(2))
+    outcome, peak = _scratch(solve_branch_and_bound, system)
+    assert (outcome.status, outcome.nodes_explored) == (SolveStatus.INFEASIBLE, 0)
+    assert peak < 1024 * 1024
 
 
 def test_reach_is_the_or_of_the_columns_from_start():
@@ -519,22 +551,34 @@ def test_wide_covering_scan_agrees_with_a_full_scan():
                 assert columns.covering(start, stop, full, wanted) == hits.tolist()
 
 
+def _wide_one_word_packed():
+    rng = np.random.default_rng(0)
+    packed = rng.integers(0, 7, size=(1 << 18, 1), dtype=np.uint64)  # 3 rows, never all set
+    packed.setflags(write=False)
+    return rng, packed
+
+
 def test_unmasked_wide_pick_keeps_no_index_array():
     # An unmasked l = 1 pick over h = 2^18 one-word columns (2 MB packed).
     # Positions are the system's columns, so no (h,) index array is built,
     # and the pick scans blocks of at most 2^16 words: the peak is about
     # 0.6 MB, where an int64 index array alone would be 2 MB.
-    rng = np.random.default_rng(0)
-    packed = rng.integers(0, 7, size=(1 << 18, 1), dtype=np.uint64)  # 3 rows, never all set
-    packed.setflags(write=False)
+    _, packed = _wide_one_word_packed()
     system = CoverSystem(packed=packed, num_rows=3, l=1, s=1)
-    tracemalloc.start()
-    try:
-        outcome = solve_branch_and_bound(system)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    outcome, peak = _scratch(solve_branch_and_bound, system)
     assert (outcome.status, outcome.nodes_explored) == (SolveStatus.INFEASIBLE, 1 << 18)
+    assert peak < 1024 * 1024
+
+
+def test_masked_wide_pick_keeps_no_index_array():
+    # The same pick with 100 columns masked: positions map to columns through
+    # the 100 masked ones, not an (h,) array of allowed columns, and no
+    # column is copied.
+    rng, packed = _wide_one_word_packed()
+    masked = frozenset(rng.choice(1 << 18, size=100, replace=False).tolist())
+    system = CoverSystem(packed=packed, num_rows=3, l=1, s=1, masked=masked)
+    outcome, peak = _scratch(solve_branch_and_bound, system)
+    assert (outcome.status, outcome.nodes_explored) == (SolveStatus.INFEASIBLE, (1 << 18) - 100)
     assert peak < 1024 * 1024
 
 
@@ -653,3 +697,61 @@ def test_node_counts_pinned_at_two_pick_stops(l, distinct, strategy, cfg, expect
     cfg = {"max_solutions": 1000, **cfg}
     outcome = solve(_two_pick_system(l, distinct), SolverConfig(strategy=strategy, **cfg))
     assert (outcome.status, outcome.nodes_explored, outcome.exhausted, len(outcome.solutions)) == expected
+
+
+def _lifetime_system(kind, feasible):
+    # t = 70 rows (two words), h = 150 columns, so the first picks start in
+    # numpy scans and end over narrow ints.  Sparse random columns, column 140
+    # covering the first 35 rows and columns 145 and 147 the last 35 (or 34
+    # when not `feasible`): (140, 145) and (140, 147) are the only covers by two.
+    rng = np.random.default_rng(70)
+    bits = (rng.random((70, 150)) < 0.3).astype(np.uint8)
+    bits[:35, 140] = 1
+    bits[35 : 70 if feasible else 69, [145, 147]] = 1
+    kw = {"plain": {}, "masked": {"masked": frozenset({3, 77, 120, 146})}, "distinct": {"distinct": True}}[kind]
+    return CoverSystem.from_bits(bits, l=2, s=1, **kw)
+
+
+@pytest.mark.parametrize("kind", ["plain", "masked", "distinct"])
+@pytest.mark.parametrize(
+    "stop, cfg, status",
+    [
+        ("feasible", {}, SolveStatus.FEASIBLE),
+        ("infeasible", {}, SolveStatus.INFEASIBLE),
+        ("budget", {"node_limit": 50}, SolveStatus.BUDGET_EXHAUSTED),
+        ("max_solutions", {"max_solutions": 1}, SolveStatus.FEASIBLE),
+    ],
+)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_search_releases_its_system_on_return(no_gc, strategy, stop, cfg, status, kind):
+    # With the cyclic collector off, nothing of a search may keep the system
+    # alive once it returns, at any stop and on every kind of system.
+    system = _lifetime_system(kind, feasible=stop != "infeasible")
+    ref = weakref.ref(system.packed)
+    outcome = solve(system, SolverConfig(strategy=strategy, **cfg))
+    del system
+    assert ref() is None
+    if strategy == "greedy":
+        assert outcome.status == (SolveStatus.BUDGET_EXHAUSTED if stop == "infeasible" else SolveStatus.FEASIBLE)
+    else:
+        assert outcome.status == status
+        assert outcome.exhausted == (stop in ("feasible", "infeasible"))
+        assert len(outcome.solutions) == {"feasible": 2, "max_solutions": 1}.get(stop, 0)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_search_releases_its_system_when_it_raises(no_gc, monkeypatch, strategy):
+    def fail(system, picks):
+        raise RuntimeError("solutions_for failed")
+
+    monkeypatch.setattr(solver, "solutions_for", fail)
+    system = _lifetime_system("masked", feasible=True)
+    ref = weakref.ref(system.packed)
+    try:
+        solve(system, SolverConfig(strategy=strategy))
+    except RuntimeError:
+        pass
+    else:
+        pytest.fail("the search did not raise")
+    del system
+    assert ref() is None
