@@ -16,6 +16,20 @@ with fixed modulus polynomials (coefficient lists, lowest degree first):
 All operation tables are precomputed at construction (q <= 9 in practice, so
 they are tiny) and never mutated afterwards: a `GF` instance is safe to share
 read-only between any number of threads, and every operation is pure.
+
+The module also owns the canonical order of GF(q)^k (one representative per
+one-dimensional subspace, named by its row in that order) and the kernel
+that enumerates it, `canonical_supports`, which streams the nonzero pattern
+of r @ G for every representative r as packed row bitsets.  The kernel
+tables the partial words of the two halves of a message once each, as
+packed bit-planes.  `_bit_planes` packs letters into planes a block of rows
+at a time: it writes the block's bits of every plane as 0/1 bytes into rows
+padded to the word width and packs them all with one flat `np.packbits`,
+one routine for every table size.  The rows of the enumeration come in
+pieces whose row counts are known before they are built; consecutive pieces
+are gathered into one chunk while their words fit `_CHUNK_WORDS`, so the
+many small pieces of a small code stream as one chunk, and a large code
+streams in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -35,6 +49,9 @@ _MAX_PRIME = 101
 
 # Words (of the row's width) in one chunk of `canonical_supports`; bounds its working memory.
 _CHUNK_WORDS = 1 << 14
+
+# Bytes of 0/1 letters that `_bit_planes` packs in one step; bounds its temporaries.
+_PLANE_BYTES = 1 << 16
 
 # Modulus polynomials for the supported extension fields, keyed by q.
 _MODULI: dict[int, tuple[int, ...]] = {
@@ -342,17 +359,25 @@ def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
     lexicographic order and each built one message position at a time
     (`_partial_planes`), with no message array and no matrix product.  A
     representative led by position i >= s is zero on [:s], so its rows are
-    the supports of B[q^(k-1-i) : 2q^(k-1-i)], read as slices of one shared
-    table.  One led by i < s is a row of A[q^(s-1-i) : 2q^(s-1-i)] followed
-    by any row of B; the word A[a] + B[b] is nonzero exactly where
-    A[a] != -B[b], tested on the ceil(log2 q) packed bit-planes of the two
-    tables by XOR within each plane and OR across them.  A chunk holds at
-    most `_CHUNK_WORDS` words, except one row of A paired with all of B when
-    that is larger; the budget counts words of the row's width, so a chunk
-    has the same rows whatever that width is.  Memory stays bounded by that
-    budget plus the two tables of about q^(k/2) packed rows.  Checks the
-    enumeration cap, like `canonical_representatives`, when iteration
-    starts.
+    the supports of B[q^(k-1-i) : 2q^(k-1-i)], read from one shared table.
+    One led by i < s is a row of A[q^(s-1-i) : 2q^(s-1-i)] followed by any
+    row of B; the word A[a] + B[b] is nonzero exactly where A[a] != -B[b],
+    tested on the ceil(log2 q) packed bit-planes of the two tables by XOR
+    within each plane and OR across them.
+
+    The rows come in pieces: slices of B per lead, and blocks of A rows
+    each paired with all of B.  A piece holds at most `_CHUNK_WORDS` words,
+    except one row of A paired with all of B when that alone is larger.
+    Every piece's row count is known before it is built, so consecutive
+    pieces are gathered into one chunk while their words fit
+    `_CHUNK_WORDS`, and a chunk is built only when it is yielded.  A chunk
+    that is one slice of B is a view of the shared table, any other a fresh
+    array.  The budget counts words of the row's width, so a chunk has the
+    same rows whatever that width is, and a code of few representatives
+    (every k <= 5 code with q <= 9 and n <= 64) streams as one chunk.
+    Memory stays bounded by that budget plus the two tables of about
+    q^(k/2) packed rows.  Checks the enumeration cap, like
+    `canonical_representatives`, when iteration starts.
     """
     mat = field.check_codes(matrix)
     k, n = mat.shape
@@ -362,22 +387,48 @@ def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
     planes_neg_b = _partial_planes(field, mat[split:], negate=True)
     support_b = np.bitwise_or.reduce(planes_neg_b, axis=0)
     support_b.setflags(write=False)
-    step = max(1, _CHUNK_WORDS // max(words, 1))
-    for lead in range(k - 1, split - 1, -1):
-        first = q ** (k - 1 - lead)
-        for start in range(first, 2 * first, step):
-            yield support_b[start : min(start + step, 2 * first)]
-    step = max(1, _CHUNK_WORDS // (len(support_b) * max(words, 1)))
-    for lead in range(split - 1, -1, -1):
-        first = q ** (split - 1 - lead)
-        for start in range(first, 2 * first, step):
-            rows = slice(start, min(start + step, 2 * first))
-            chunk = planes_a[0, rows, None] ^ planes_neg_b[0, None]
-            for plane in range(1, len(planes_a)):
-                chunk |= planes_a[plane, rows, None] ^ planes_neg_b[plane, None]
-            chunk = chunk.reshape(chunk.shape[0] * chunk.shape[1], words)
-            chunk.setflags(write=False)
-            yield chunk
+    budget = max(1, _CHUNK_WORDS // max(words, 1))  # rows per chunk
+    # The pieces (start, stop, mult) in order: B[start:stop] for the leads in
+    # the second half (mult = 1), then A[start:stop] with each row paired
+    # with all mult = len(B) rows of B; at most `budget` rows each, or one
+    # row of A.
+    b_rows = len(support_b)
+    pieces = [
+        (a, min(a + size, 2 * q**i), mult)
+        for leads, size, mult in ((k - split, budget, 1), (split, max(1, budget // b_rows), b_rows))
+        for i in range(leads)
+        for a in range(q**i, 2 * q**i, size)
+    ]
+
+    def chunk(group: list, rows: int) -> np.ndarray:
+        # One piece of B is a view of the shared table; any other group is
+        # built, piece by piece, into a fresh array.
+        if len(group) == 1 and group[0][2] == 1:
+            return support_b[group[0][0] : group[0][1]]
+        out = np.empty((rows, words), dtype=support_b.dtype)
+        at = 0
+        for start, stop, mult in group:
+            block = out[at : at + (stop - start) * mult].reshape(stop - start, mult, words)
+            if mult == 1:
+                block[:, 0] = support_b[start:stop]
+            else:
+                np.bitwise_xor(planes_a[0, start:stop, None], planes_neg_b[0, None], out=block)
+                for plane in range(1, len(planes_a)):
+                    block |= planes_a[plane, start:stop, None] ^ planes_neg_b[plane, None]
+            at += len(block) * mult
+        out.setflags(write=False)
+        return out
+
+    group, rows = [], 0
+    for piece in pieces:
+        size = (piece[1] - piece[0]) * piece[2]
+        if group and rows + size > budget:
+            yield chunk(group, rows)
+            group, rows = [], 0
+        group.append(piece)
+        rows += size
+    if group:
+        yield chunk(group, rows)
 
 
 def _partial_planes(field: GF, rows: np.ndarray, negate: bool = False) -> np.ndarray:
@@ -389,7 +440,8 @@ def _partial_planes(field: GF, rows: np.ndarray, negate: bool = False) -> np.nda
     planes over rows[i+1:] fill their first P rows, those over rows[i:] are
     q blocks of P rows, block c being prev XOR the planes of c * rows[i],
     since adding in GF(2^e) is XOR of the bits and -x = x.  Other fields
-    table the letters with `_partial_words` and pack them with `_bit_planes`.
+    table the letters with `_partial_words`.  Both pack their letters with
+    `_bit_planes`.
     """
     if field.p != 2:
         words = _partial_words(field, rows)
@@ -399,8 +451,8 @@ def _partial_planes(field: GF, rows: np.ndarray, negate: bool = False) -> np.nda
     m, n = rows.shape
     q, e, words = field.q, field.e, packed_words(n)
     # scaled[i, b, c - 1]: plane b of c * rows[i], for every nonzero c.
-    bits = np.arange(e, dtype=np.uint8)[:, None, None]
-    scaled = pack_rows((field.mul_table[1:, rows].transpose(1, 0, 2)[:, None] >> bits) & 1)
+    scaled = _bit_planes(field, field.mul_table[1:, rows].reshape((q - 1) * m, n))
+    scaled = scaled.reshape(e, q - 1, m, words).transpose(2, 0, 1, 3)
     planes = np.zeros((e, q**m, words), dtype=row_dtype(n))
     size = 1
     for i in range(m - 1, -1, -1):
@@ -417,35 +469,44 @@ def _partial_words(field: GF, rows: np.ndarray) -> np.ndarray:
     Built one message position at a time, last row first, in one (q^m, n)
     uint8 array: once the table over rows[i+1:] fills its first P rows, the
     table over rows[i:] is q blocks of P rows, block c being
-    add_table[prev, mul_table[c, rows[i]]] (block 0 is prev itself).  Each
-    step is one table lookup and no temporary is larger than the table.
-    The kernel uses it for odd q; characteristic 2 builds packed planes
-    instead (`_partial_planes`).
+    add_table[prev, c * rows[i]] (block 0 is prev itself).  Each step is
+    one table lookup, indexed by a contiguous copy of the multiples of
+    rows[i], and no temporary is larger than the table.  The kernel uses it
+    for odd q; characteristic 2 builds packed planes instead
+    (`_partial_planes`).
     """
     m, n = rows.shape
     q = field.q
     table = np.zeros((q**m, n), dtype=np.uint8)
+    # scaled[i, c - 1] = c * rows[i], every nonzero c.
+    scaled = np.ascontiguousarray(field.mul_table[1:, rows].transpose(1, 0, 2))
     size = 1
-    for row in rows[::-1]:
+    for i in range(m - 1, -1, -1):
         prev = table[:size]
-        scaled = field.mul_table[1:, row]
-        table[size : q * size].reshape(q - 1, size, n)[...] = field.add_table[prev[None], scaled[:, None]]
+        table[size : q * size].reshape(q - 1, size, n)[...] = field.add_table[prev[None], scaled[i, :, None]]
         size *= q
     return table
 
 
 def _bit_planes(field: GF, words: np.ndarray) -> np.ndarray:
-    """Packed bit-planes of (m, n) words: plane b packs bit b of every letter.
+    """Packed bit-planes of (m, n) letters: plane b packs bit b of every letter.
 
-    Packed one plane at a time, so no temporary is larger than `words`.
+    Rows are packed in blocks.  A block's bits of every plane are written
+    as 0/1 bytes into rows padded to the word width, so that one flat
+    `np.packbits` packs all its planes; no temporary holds more than
+    `_PLANE_BYTES` bytes plus their packed eighth.
     """
     m, n = words.shape
-    planes = np.empty(((field.q - 1).bit_length(), m, packed_words(n)), dtype=row_dtype(n))
-    bit = np.empty_like(words)
-    for b in range(len(planes)):
-        np.right_shift(words, b, out=bit)
-        bit &= 1
-        planes[b] = pack_rows(bit)
+    count = (field.q - 1).bit_length()
+    planes = np.empty((count, m, packed_words(n)), dtype=row_dtype(n))
+    out = planes.view(np.uint8)  # (count, m, bytes per row)
+    step = max(1, _PLANE_BYTES // (8 * count * out.shape[2] or 1))
+    shifts = np.arange(count, dtype=np.uint8)[:, None, None]
+    for low in range(0, m, step):
+        bits = np.zeros((count, min(step, m - low), 8 * out.shape[2]), dtype=np.uint8)
+        np.right_shift(words[low : low + step], shifts, out=bits[..., :n])
+        bits &= 1
+        out[:, low : low + step] = np.packbits(bits, bitorder="little").reshape(bits.shape[:2] + (-1,))
     return planes
 
 
@@ -462,6 +523,7 @@ def popcounts(words: np.ndarray) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=128)
 def row_dtype(n: int) -> np.dtype:
     """The word of a packed row of n letters: the narrowest little-endian
     unsigned integer of 1, 2 or 4 bytes that holds n bits, else 64-bit words."""

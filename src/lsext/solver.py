@@ -40,40 +40,52 @@ pick.  A scan over at most `_NARROW` columns tests Python ints,
 precomputed for the last `_NARROW` columns only; a wider scan runs in
 numpy over the packed rows, in blocks of at most `_SCAN_WORDS` words of
 the rows' width, so that its temporaries stay small next to the packed
-rows.  Each block reads its column range of `system.packed` in place and
-drops the masked columns from its result.  The gain bound stops at the
-first column (narrow) or block (wide) that gains enough.  Deep trees over
-few columns thus pay no numpy call per node, wide systems keep their
-vectorised scans, and no per-column int or byte copy of a wide matrix is
-ever made, masked or not.  The rule is
-fixed, not an option: both forms give the same answers and node counts.
+rows.  Each block reads its column range of `system.packed` in place; the
+masked columns in it come as offsets, whose entries the scan neutralises
+in its own result (a gain of 0, a failed superset test), and the few
+offsets a scan keeps are mapped back to positions.  The gain bound stops
+at the first column (narrow) or block (wide) that gains enough.  Deep
+trees over few columns thus pay no numpy call per node, wide systems keep
+their vectorised scans, and no per-column int or byte copy of a wide
+matrix is ever made, masked or not.  The rule is fixed, not an option:
+both forms give the same answers and node counts.
 
 A search holds its system once, plus this bounded scratch, and frees all
 of it when it returns or raises: nothing of its recursion outlives the
 call, so a chain of searches keeps one system alive at a time without
 waiting for the cyclic collector.
 
-A wide last pick scans blocks that double in width from `_NARROW` and
-stops after the block in which it has the solutions it wants, so a pick
-whose solutions lie among its first columns does not test the rest.  Its
-node charge is computed from positions, not from the columns it tested:
-bnb charges every column the pick could test, exhaustive the leaves up to
-the one that stops it.  So node counts do not depend on where the scan
-stops.
+A wide last pick scans blocks of `_NARROW`, 8 `_NARROW`, 64 `_NARROW`,
+... columns, eightfold each time up to the scan's block width, and stops
+after the block in which it has the solutions it wants: a pick whose
+solutions lie among its first columns does not test the rest, and a pick
+over a few thousand columns costs three numpy blocks, not seven.  When a
+row spans two or more words, a block first tests every column on the
+densest word of the deficient rows alone, one word read per column, and
+tests the full row only on the columns that pass.  A pick's node charge
+is computed from positions, not from the columns it tested: bnb charges
+every column the pick could test, exhaustive the leaves up to the one
+that stops it.  So node counts do not depend on where the scan stops.
 
-A node with two picks left whose remaining columns are all narrow
-recurses only into its live first picks: those a for which U_3.. are
-empty, U_2 lies inside a, and some later column contains
-U_2 | (U_1 & ~a), the rows left for the second pick (the suffix OR of
-the later columns rules most a out before any column is tested).  Every
-other first pick charges what its recursion would have charged, its bnb
-branch plus the leaves of its last pick, summed over each run of them in
-one step and cut at the budget as the recursion would cut it.  So node
-counts do not depend on which first picks are live either.
+A node with two picks left whose remaining columns are all narrow has a
+path of its own (`two_left` in `_search`).  It takes the node's levels
+U_1, U_2 and U_3 as ints, and its parent, the node with three picks
+left, picks them inline, with no level list and no call through the
+general recursion.  Its gain bound and reach cut read the tail ints and
+their suffix ORs directly.  It recurses only into its live first picks:
+those a for which U_3 is empty, U_2 lies inside a, and some later column
+contains U_2 | (U_1 & ~a), the rows left for the second pick.  The
+complements ~P, ~reach and ~(P | reach past P) of the narrow columns are
+built once per search, so the suffix OR rules most a out with one or two
+int operations and before any second pick is tested.  Every other first
+pick charges what its recursion would have charged, its bnb branch plus
+the leaves of its last pick, summed in closed form over each run of them
+and cut at the budget as the recursion would cut it.  So node counts do
+not depend on which first picks are live either.
 
 The search records the positions of each solution it finds and builds
 all the solutions once at the end through `extension.solutions_for`,
-which recomputes their coverage in one batch and raises
+which checks them and recomputes their coverage in one batch and raises
 InfeasibleSolutionError on a short row.
 
 All strategies are deterministic: same system, same config, same outcome,
@@ -85,10 +97,10 @@ proof that none exists.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
-from itertools import groupby
 
 import numpy as np
 
@@ -146,9 +158,12 @@ class SolveOutcome:
     nodes_explored: int
     exhausted: bool
 
-    @property
+    @cached_property
     def best(self) -> ExtensionSolution | None:
-        """Solution maximizing the minimum slack, ties to lexicographic order."""
+        """Solution maximizing the minimum slack, ties to lexicographic order.
+
+        Found on first use: a step, its report and the CLI all read it, and
+        each search of it takes the minimum over every row's slack."""
         if not self.solutions:
             return None
         return max(self.solutions, key=lambda sol: (sol.min_slack, [-c for c in sol.columns]))
@@ -175,10 +190,6 @@ _NARROW = 64
 _SCAN_WORDS = 1 << 16
 
 
-def _same(rows: np.ndarray) -> np.ndarray:
-    return rows
-
-
 class _Columns:
     """The allowed columns of a system, read as Python ints or in place from its packed rows.
 
@@ -188,8 +199,10 @@ class _Columns:
     number of entries of masked[i] - i (masked sorted) that are <= p: one
     bisection of an O(|masked|) list, and the identity when nothing is masked.
     A scan over positions [start, stop) reads the matching column range of
-    `system.packed` in place and drops the masked columns from its result, so
-    masked and unmasked systems share it and neither is ever copied.
+    `system.packed` in place, block by block; each block's masked columns are
+    given as offsets into it, whose entries the scan neutralises in its own
+    result, and the few offsets a scan keeps are mapped back to positions.
+    So masked and unmasked systems share one path and neither is copied.
 
     A column or a deficit level is a t-bit int, row i being bit i, which is
     the little-endian reading of a packed row, whatever its word width.
@@ -211,12 +224,15 @@ class _Columns:
         self._row = self.packed.dtype if words == 1 else np.dtype((np.void, self.nbytes))
         self._bytes = memoryview(np.ascontiguousarray(self.packed).reshape(-1).view(np.uint8))
         self.narrow_from = max(0, self.count - _NARROW)
-        rows = self._scan(self.narrow_from, self.count, _same)
+        first, stop, cuts = self._span(self.narrow_from, self.count)
         if words == 1:
-            self.tail = rows[:, 0].tolist()
+            tail = self.packed[first:stop, 0].tolist()
         else:
-            data, size = rows.tobytes(), self.nbytes
-            self.tail = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+            data, size = self._bytes[first * self.nbytes : stop * self.nbytes], self.nbytes
+            tail = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+        for cut in reversed(cuts):
+            del tail[cut]
+        self.tail = tail
         self._tail_reach = self.tail + [0]
         for i in range(len(self.tail) - 1, -1, -1):
             self._tail_reach[i] |= self._tail_reach[i + 1]
@@ -237,25 +253,24 @@ class _Columns:
             return self.tail[pos - self.narrow_from]
         return self.read(pos + bisect_right(self._gaps, pos))
 
-    def _scan(self, low: int, high: int, f):
-        """f of the packed rows of positions [low, high), read in place, with
-        the entries of masked columns dropped from its result."""
+    def _span(self, low: int, high: int) -> tuple[int, int, list[int]]:
+        """The system columns [first, stop) that positions [low, high) span,
+        and the offsets from first of the masked ones among them."""
         skip_low, skip_high = bisect_right(self._gaps, low), bisect_right(self._gaps, high - 1)
         first = low + skip_low
-        result = f(self.packed[first : high + skip_high])
-        if skip_high > skip_low:
-            cuts = [col - first for col in self._masked[skip_low:skip_high]]
-            result = np.concatenate([result[a + 1 : b] for a, b in zip([-1] + cuts, cuts + [len(result)])])
-        return result
+        return first, high + skip_high, [col - first for col in self._masked[skip_low:skip_high]]
 
-    def _blocks(self, start: int, stop: int, f, width: int):
-        """(low, f of the rows of [low, high)) for blocks that tile positions
-        [start, stop), `width` positions wide at first and doubling up to `self.block`."""
+    def _blocks(self, start: int, stop: int, width: int, grow: int = 1):
+        """(low, rows, cuts) for blocks that tile positions [start, stop): rows
+        are the packed rows that positions [low, high) span, read in place, and
+        cuts the offsets of the masked ones among them.  Blocks are `width`
+        positions wide at first and grow `grow`-fold, up to `self.block`."""
         low = start
         while low < stop:
             high = min(stop, low + width)
-            yield low, self._scan(low, high, f)
-            low, width = high, min(2 * width, self.block)
+            first, end, cuts = self._span(low, high)
+            yield low, self.packed[first:end], cuts
+            low, width = high, min(grow * width, self.block)
 
     def reach(self, start: int) -> int:
         """The rows covered by some column at position >= start."""
@@ -265,9 +280,14 @@ class _Columns:
         # built when a node further in asks.
         if start == 0:
             if self._root_reach is None:
-                blocks = self._blocks(0, self.count, _same, self.block)
-                union = np.bitwise_or.reduce([np.bitwise_or.reduce(rows, axis=0) for _, rows in blocks])
-                self._root_reach = int.from_bytes(union.tobytes(), "little")
+                union = 0
+                for _, rows, cuts in self._blocks(0, self.count, self.block):
+                    keep = True
+                    if cuts:
+                        keep = np.ones((len(rows), 1), dtype=bool)
+                        keep[cuts] = False
+                    union |= int.from_bytes(np.bitwise_or.reduce(rows, axis=0, where=keep).tobytes(), "little")
+                self._root_reach = union
             return self._root_reach
         if self._wide_reach is None:
             # Row j ORs the allowed columns >= j: masked rows are zeroed before
@@ -298,28 +318,45 @@ class _Columns:
         if start >= self.narrow_from:
             return any((col & deficient).bit_count() >= gain for col in self.tail[start - self.narrow_from :])
         target = self.words(deficient)
-        blocks = self._blocks(start, self.count, lambda rows: popcounts(rows & target), self.block)
-        return any(gains.max() >= gain for _, gains in blocks)
+        for _, rows, cuts in self._blocks(start, self.count, self.block):
+            gains = popcounts(rows & target)
+            gains[cuts] = 0  # gain >= 1 here, so a masked column never reaches it
+            if gains.max() >= gain:
+                return True
+        return False
 
     def covering(self, start: int, stop: int, deficient: int, wanted: int) -> list[int]:
         """The first `wanted` positions in [start, stop) whose column covers every deficient row.
 
-        A wide range is scanned in blocks of `_NARROW`, 2 `_NARROW`,
-        4 `_NARROW`, ... columns, at most `self.block` each, and the scan stops
-        after the block in which the `wanted`-th position is found.
+        A wide range is scanned in blocks of `_NARROW`, 8 `_NARROW`,
+        64 `_NARROW`, ... columns, at most `self.block` each, and the scan
+        stops after the block in which the `wanted`-th position is found.
+        A row of two or more words is first tested on the deficient rows'
+        densest word alone, and in full only on the columns that pass.
         """
         if start >= self.narrow_from:
             tail = self.tail[start - self.narrow_from : stop - self.narrow_from]
             return [start + i for i, col in enumerate(tail) if not deficient & ~col][:wanted]
         target = self.words(deficient)
         row = target.view(self._row)[0]
+        word = None
+        if len(target) > 1:
+            counts = np.bitwise_count(target).tolist()
+            word = counts.index(max(counts))
+            key = target[word]
         found: list[int] = []
-
-        def covers(rows):
-            return (rows & target).view(self._row)[:, 0] == row
-
-        for low, ok in self._blocks(start, stop, covers, _NARROW):
-            found += (low + np.flatnonzero(ok)[: wanted - len(found)]).tolist()
+        for low, rows, cuts in self._blocks(start, stop, _NARROW, 8):
+            if word is None:
+                ok = (rows & target).view(self._row)[:, 0] == row
+            else:
+                ok = (rows[:, word] & key) == key
+            if cuts:
+                ok[cuts] = False
+            hits = np.flatnonzero(ok)
+            if word is not None and len(hits):
+                hits = hits[(rows[hits] & target).view(self._row)[:, 0] == row]
+            for hit in hits[: wanted - len(found)].tolist():
+                found.append(low + hit - bisect_left(cuts, hit))
             if len(found) >= wanted:
                 break
         return found
@@ -351,7 +388,8 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
     nodes = 0
     step = 1 if system.distinct else 0
     branch = 1 if prune else 0  # the node a bnb branch charges
-    tail, narrow = columns.tail, columns.narrow_from
+    limit, most, s = config.node_limit, config.max_solutions, system.s
+    tail, narrow, tail_reach = columns.tail, columns.narrow_from, columns._tail_reach
 
     def last_pick(start: int, chosen: list[int], levels: list[int]) -> bool:
         # Every remaining column is one leaf; it is a solution when it
@@ -359,12 +397,12 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         # The budget is charged for the leaves tested, all in one scan.
         nonlocal nodes
         total = count - start
-        take = min(total, config.node_limit - nodes)
+        take = min(total, limit - nodes)
         if not any(levels[1:]):
-            wanted = config.max_solutions - len(picks)
+            wanted = most - len(picks)
             for pos in columns.covering(start, start + take, levels[0], wanted):
                 picks.append(chosen + [pos])
-                if len(picks) >= config.max_solutions:
+                if len(picks) >= most:
                     nodes += take if prune else pos - start + 1
                     return True
         nodes += take
@@ -374,7 +412,7 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         deficient = levels[0]
         if not deficient:
             return system.distinct and count - start < picks_left
-        if picks_left < system.s and levels[picks_left]:
+        if picks_left < s and levels[picks_left]:
             return True
         # Some deficient row unreachable by every remaining column?  This
         # also cuts a node with no remaining column.
@@ -388,29 +426,81 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         # First picks low..high-1 lead to no solution: each charges its bnb
         # branch and the leaves of its last pick, as far as the budget goes.
         nonlocal nodes
-        charge = sum(range(branch + count - high - step + 1, branch + count - low - step + 1))
-        budget = config.node_limit - nodes
+        runs = high - low
+        charge = runs * (branch + count - step) - (low + high - 1) * runs // 2
+        budget = limit - nodes
         nodes += min(charge, budget)
         return charge > budget
 
-    def live(start: int, levels: list[int]):
-        # The first picks, two picks left over narrow columns, that some
-        # second pick completes: U_3.. empty, U_2 inside a, and some later
-        # column containing rest = U_2 | (U_1 & ~a).  The suffix OR rules most
-        # a out before any column is tested.
-        first, second, *upper = levels + [0]
-        if any(upper):
-            return ()
-        reached = [
-            (a, rest)
-            for a in range(start, count)
-            if second & tail[a - narrow] == second
-            and (rest := second | (first & ~tail[a - narrow])) & columns.reach(a + step) == rest
-        ]
-        # One a per completing pair (a, b), generated lazily, so a search that
-        # stops at max_solutions tests no pair past the first pick it stops in.
-        pairs = (a for a, rest in reached for b in tail[a + step - narrow :] if rest & b == rest)
-        return (a for a, _ in groupby(pairs))
+    # The complements that two_left tests against, built at its first call:
+    # ~P, ~reach and ~(P | reach past P), for each narrow column P.
+    uncovered: list[int] = []
+    unreached: list[int] = []
+    blocked: list[int] = []
+
+    def two_left(start: int, chosen: list[int], first: int, second: int, third: int) -> bool:
+        # A node with two picks left over narrow columns, given its levels
+        # U_1, U_2 and U_3 (U_4.. lie inside U_3): bounded_out and rec on the
+        # tail ints.  Only the live first picks a are taken, those that some
+        # second pick b completes: U_3 empty, U_2 inside a, and b containing
+        # rest = U_2 | (U_1 & ~a), which the suffix OR tests for all later b
+        # at once; each run of other first picks is dead.
+        nonlocal nodes
+        if not unreached:
+            uncovered.extend(~col for col in tail)
+            unreached.extend(~reach for reach in tail_reach)
+            blocked.extend(~(col | reach) for col, reach in zip(tail, tail_reach[step:]))
+        base = start - narrow
+        if prune:
+            if not first:
+                if step and count - start < 2:
+                    return False
+            elif third or first & unreached[base]:
+                return False
+            else:
+                need = -(-(first.bit_count() + second.bit_count()) // 2)
+                for i in range(base, len(tail)):
+                    if (tail[i] & first).bit_count() >= need:
+                        break
+                else:
+                    return False
+        if third:
+            return dead(start, count)
+        low = start  # the first position not yet charged
+        end = len(tail)
+        for i in range(base, end):
+            j = i + step  # the tail index of the first second pick
+            if first & blocked[i] or second and (second & uncovered[i] or second & unreached[j]):
+                continue
+            rest = second | (first & uncovered[i])
+            while j < end and rest & uncovered[j]:
+                j += 1
+            if j == end:
+                continue
+            a = i + narrow
+            if a > low and dead(low, a):
+                return True
+            low = a + 1
+            if prune:
+                if nodes >= limit:
+                    return True
+                nodes += 1
+            # The last pick after a: its leaves are [a + step, count), and j
+            # is the first that covers.
+            total = count - a - step
+            take = min(total, limit - nodes)
+            stop = i + step + take
+            while j < stop:
+                if not rest & uncovered[j]:
+                    picks.append(chosen + [a, j + narrow])
+                    if len(picks) >= most:
+                        nodes += take if prune else j - i - step + 1
+                        return True
+                j += 1
+            nodes += take
+            if take < total:
+                return True
+        return dead(low, count)
 
     def rec(start: int, chosen: list[int], levels: list[int]) -> bool:
         # Returns True to stop the whole search.
@@ -418,24 +508,27 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         picks_left = system.l - len(chosen)
         if picks_left == 1:
             return last_pick(start, chosen, levels)
+        u1, u2, u3, u4 = (levels + [0, 0, 0])[:4]
+        if picks_left == 2 and start >= narrow:
+            return two_left(start, chosen, u1, u2, u3)
         if prune and bounded_out(start, picks_left, levels):
             return False
-        positions = live(start, levels) if picks_left == 2 and start >= narrow else range(start, count)
-        low = start  # the first position not yet charged
-        for pos in positions:
-            if pos > low and dead(low, pos):
-                return True
-            low = pos + 1
+        for pos in range(start, count):
             if prune:
-                if nodes >= config.node_limit:
+                if nodes >= limit:
                     return True
                 nodes += 1
             chosen.append(pos)
-            stop = rec(pos + step, chosen, _pick(levels, columns.at(pos)))
+            if picks_left == 3 and pos + step >= narrow:
+                # The child is a two_left node: its levels, picked inline.
+                keep = ~columns.at(pos)
+                stop = two_left(pos + step, chosen, u2 | (u1 & keep), u3 | (u2 & keep), u4 | (u3 & keep))
+            else:
+                stop = rec(pos + step, chosen, _pick(levels, columns.at(pos)))
             chosen.pop()
             if stop:
                 return True
-        return dead(low, count)
+        return False
 
     try:
         stopped = rec(0, [], _full_levels(system))
@@ -465,7 +558,7 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
     A node with two picks left over narrow columns recurses only into the
     first picks that some second pick completes: the others leave a row
     needing two more covers, or rows that no later column contains.  Their
-    nodes are charged in one sum per run, the count the recursion gives.
+    nodes are charged in closed form per run, the count the recursion gives.
     """
     return _search(system, config or SolverConfig(strategy="bnb"), prune=True)
 

@@ -314,6 +314,7 @@ def test_solutions_for_is_solution_for_in_one_batch(golay):
     assert batch == [solution_for(system, p) for p in good]
     assert [sol.slacks for sol in batch] == [tuple(system.bits[:, list(p)].sum(axis=1) - system.s) for p in good]
     assert batch[1].columns == (0, 241)
+    assert solutions_for(system, np.array(good)) == batch
     assert solutions_for(system, []) == []
 
 
@@ -329,6 +330,15 @@ def test_solutions_for_errors():
     distinct = CoverSystem.from_bits(np.ones((1, 2), dtype=np.uint8), l=2, s=1, distinct=True)
     with pytest.raises(ValueError, match="repeats"):
         solutions_for(distinct, [[0, 1], [1, 1]])
+    # An (m, l) integer array is checked in one pass, and a bad row raises
+    # what the checks of that row alone raise, unsigned or unsorted rows too.
+    for bad, text in [([[2], [1]], "masked"), ([[2], [3]], "out of range"), ([[2], [-1]], "out of range")]:
+        for dtype in (np.int64, np.int8):
+            with pytest.raises(ValueError, match=text):
+                solutions_for(system, np.array(bad, dtype=dtype))
+    with pytest.raises(ValueError, match="repeats"):
+        solutions_for(distinct, np.array([[0, 1], [1, 1]], dtype=np.uint8))
+    assert [sol.columns for sol in solutions_for(distinct, np.array([[1, 0]], dtype=np.uint16))] == [(0, 1)]
 
 
 def test_projective_mask_found_once_per_coverage_matrix(hamming, monkeypatch):

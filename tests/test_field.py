@@ -254,10 +254,12 @@ def test_characteristic_two_planes_match_packed_table(q):
                 assert planes.dtype == expected.dtype and np.array_equal(planes, expected)
 
 
-def test_bit_planes_are_packed_one_plane_at_a_time():
+def test_bit_planes_are_packed_in_bounded_blocks():
     # The odd-q kernel's second-half table of a [12,7]_9 code: 9^4 messages of
-    # 12 letters.  Building every plane at once took two (4, 6561, 12) uint8
-    # temporaries, 0.63 MB against the 79 KB table.
+    # 12 letters.  Building every plane of every row at once took two
+    # (4, 6561, 12) uint8 temporaries, 0.63 MB against the 79 KB table; the
+    # planes of a block of rows are packed together, in blocks of at most
+    # _PLANE_BYTES letters.
     f = gf(9)
     words = np.random.default_rng(9).integers(0, 9, size=(9**4, 12)).astype(np.uint8)
     tracemalloc.start()
@@ -272,13 +274,29 @@ def test_bit_planes_are_packed_one_plane_at_a_time():
     assert peak < planes.nbytes + 2 * words.nbytes
 
 
-def test_canonical_supports_chunks_are_read_only():
-    # Chunks of representatives led in the second half are slices of a table
+@pytest.mark.parametrize("q, k, n", [(2, 5, 10), (3, 4, 8), (9, 3, 6), (9, 3, 70), (2, 12, 24)])
+def test_small_enumeration_streams_as_one_chunk(q, k, n):
+    # Every piece of a code whose whole enumeration fits the chunk budget is
+    # gathered into one chunk (the chain codes and the Golay codes are such).
+    f = gf(q)
+    mat = np.random.default_rng(k * n).integers(0, q, size=(k, n))
+    assert canonical_count(q, k) * packed_words(n) <= field_module._CHUNK_WORDS
+    chunks = list(canonical_supports(f, mat))
+    assert len(chunks) == 1
+    assert np.array_equal(chunks[0], _packed_supports(f, mat))
+
+
+def test_canonical_supports_chunks_are_read_only(monkeypatch):
+    # A chunk that is one slice of the second-half table is a view of a table
     # shared by the call; the others are fresh arrays.  Neither may be written.
+    # At the default budget this code streams as one chunk, so a budget of
+    # three two-word rows makes both kinds occur.
+    monkeypatch.setattr(field_module, "_CHUNK_WORDS", 6)
     f = gf(3)
     mat = np.random.default_rng(1).integers(0, 3, size=(4, 70))
     chunks = list(canonical_supports(f, mat))
     assert len(chunks) >= 2
+    assert any(chunk.base is not None for chunk in chunks) and any(chunk.base is None for chunk in chunks)
     for chunk in chunks:
         with pytest.raises(ValueError):
             chunk[0, 0] = 0

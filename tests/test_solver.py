@@ -19,7 +19,7 @@ from lsext.extension import (
     parse_matrix_text,
     projective_filter,
 )
-from lsext.pipeline import zero_coverage_system
+from lsext.pipeline import extend_once, special_puncture, zero_coverage_system
 from lsext.solver import (
     STRATEGIES,
     SolverConfig,
@@ -467,9 +467,10 @@ def test_reach_is_the_or_of_the_columns_from_start():
 
 
 # Offsets from the start of a last pick at which the wide-pick tests plant
-# covering columns: on both sides of the ends of the pick's first blocks
-# (64, 192, 448, 960 and 1984 columns in) and of the powers 256 and 1024.
-_PLANTED = [63, 64, 191, 192, 255, 256, 447, 448, 959, 960, 1023, 1024, 1983, 1984]
+# covering columns: on both sides of the ends of the pick's first blocks,
+# 64 and 576 columns in (blocks of 64, then 512), of 192, 448, 960 and 1984,
+# and of the powers 256 and 1024.
+_PLANTED = [63, 64, 191, 192, 255, 256, 447, 448, 575, 576, 959, 960, 1023, 1024, 1983, 1984]
 
 
 def _planted_wide_system(l, t, masked):
@@ -492,45 +493,46 @@ def _planted_wide_system(l, t, masked):
 @pytest.mark.parametrize(
     "l, masked, strategy, cfg, nodes, found",
     [
-        # Pinned from the search that tested every column of a wide last pick.
+        # Pinned from the search that tested every column of a wide last pick;
+        # a stop at twelve solutions lands on the twelfth planted column, 960 in.
         (1, False, "exhaustive", {"max_solutions": 1}, 64, 1),
-        (1, False, "exhaustive", {}, 961, 10),
+        (1, False, "exhaustive", {"max_solutions": 12}, 961, 12),
         (1, False, "exhaustive", {"node_limit": 500}, 500, 8),
-        (1, False, "exhaustive", {"node_limit": 1100, "max_solutions": 20}, 1100, 12),
+        (1, False, "exhaustive", {"node_limit": 1100, "max_solutions": 20}, 1100, 14),
         (1, False, "bnb", {"max_solutions": 1}, 2100, 1),
-        (1, False, "bnb", {}, 2100, 10),
+        (1, False, "bnb", {"max_solutions": 12}, 2100, 12),
         (1, False, "bnb", {"node_limit": 500}, 500, 8),
-        (1, False, "bnb", {"node_limit": 1100, "max_solutions": 20}, 1100, 12),
+        (1, False, "bnb", {"node_limit": 1100, "max_solutions": 20}, 1100, 14),
         (1, True, "exhaustive", {"max_solutions": 1}, 63, 1),
-        (1, True, "exhaustive", {}, 958, 10),
+        (1, True, "exhaustive", {"max_solutions": 12}, 958, 12),
         (1, True, "exhaustive", {"node_limit": 500}, 500, 8),
-        (1, True, "exhaustive", {"node_limit": 1100, "max_solutions": 20}, 1100, 12),
+        (1, True, "exhaustive", {"node_limit": 1100, "max_solutions": 20}, 1100, 14),
         (1, True, "bnb", {"max_solutions": 1}, 2097, 1),
-        (1, True, "bnb", {}, 2097, 10),
+        (1, True, "bnb", {"max_solutions": 12}, 2097, 12),
         (1, True, "bnb", {"node_limit": 500}, 500, 8),
-        (1, True, "bnb", {"node_limit": 1100, "max_solutions": 20}, 1100, 12),
+        (1, True, "bnb", {"node_limit": 1100, "max_solutions": 20}, 1100, 14),
         (2, False, "exhaustive", {"max_solutions": 1}, 6358, 1),
-        (2, False, "exhaustive", {}, 7255, 10),
+        (2, False, "exhaustive", {"max_solutions": 12}, 7255, 12),
         (2, False, "exhaustive", {"node_limit": 6800}, 6800, 8),
-        (2, False, "exhaustive", {"node_limit": 7400, "max_solutions": 20}, 7400, 12),
+        (2, False, "exhaustive", {"node_limit": 7400, "max_solutions": 20}, 7400, 14),
         (2, False, "bnb", {"max_solutions": 1}, 8394, 1),
-        (2, False, "bnb", {}, 8394, 10),
+        (2, False, "bnb", {"max_solutions": 12}, 8394, 12),
         (2, False, "bnb", {"node_limit": 6800}, 6800, 8),
-        (2, False, "bnb", {"node_limit": 7400, "max_solutions": 20}, 7400, 12),
+        (2, False, "bnb", {"node_limit": 7400, "max_solutions": 20}, 7400, 14),
         (2, True, "exhaustive", {"max_solutions": 1}, 6348, 1),
-        (2, True, "exhaustive", {}, 7243, 10),
+        (2, True, "exhaustive", {"max_solutions": 12}, 7243, 12),
         (2, True, "exhaustive", {"node_limit": 6800}, 6800, 8),
-        (2, True, "exhaustive", {"node_limit": 7400, "max_solutions": 20}, 7400, 12),
+        (2, True, "exhaustive", {"node_limit": 7400, "max_solutions": 20}, 7400, 14),
         (2, True, "bnb", {"max_solutions": 1}, 8382, 1),
-        (2, True, "bnb", {}, 8382, 10),
+        (2, True, "bnb", {"max_solutions": 12}, 8382, 12),
         (2, True, "bnb", {"node_limit": 6800}, 6800, 8),
-        (2, True, "bnb", {"node_limit": 7400, "max_solutions": 20}, 7400, 12),
+        (2, True, "bnb", {"node_limit": 7400, "max_solutions": 20}, 7400, 14),
     ],
 )
 def test_wide_last_pick_stops_at_its_solutions_with_nodes_unchanged(t, l, masked, strategy, cfg, nodes, found):
     # A wide last pick may stop scanning once it has the solutions it wants,
     # but its solutions and node charge are those of a scan of every column:
-    # first, tenth and budget stops land at and across the scan's block ends,
+    # first, twelfth and budget stops land at and across the scan's block ends,
     # over one-word (t = 40) and two-word (t = 70) rows, with and without masked columns.
     outcome = solve(_planted_wide_system(l, t, masked), SolverConfig(strategy=strategy, **cfg))
     expected = [(j,) if l == 1 else (3, 4 + j) for j in _PLANTED[:found]]
@@ -544,11 +546,68 @@ def test_wide_covering_scan_agrees_with_a_full_scan():
     columns = _Columns(system)
     full = (1 << 70) - 1
     planted = np.array(_PLANTED)
-    for start in (0, 1, 62, 63, 64, 65, 191, 500, 1984, 2036, 2099):
-        for stop in (start + 1, start + 65, start + 129, 1025, 2100):
+    for start in (0, 1, 62, 63, 64, 65, 191, 500, 575, 577, 1984, 2036, 2099):
+        for stop in (start + 1, start + 65, start + 129, start + 577, 1025, 2100):
             for wanted in (1, 2, 5, 100):
                 hits = planted[(planted >= start) & (planted < stop)][:wanted]
                 assert columns.covering(start, stop, full, wanted) == hits.tolist()
+
+
+def test_masked_wide_scans_match_the_scans_without_the_masked_columns():
+    # A masked wide scan neutralises the masked columns in each block's result
+    # and maps the offsets it keeps back to positions, so it finds what the
+    # same scan finds over the matrix with those columns deleted.  Over two
+    # words, decoy columns hold the densest word of the rows sought but not
+    # the whole row: they pass the one-word test and fail the full one.
+    rng = np.random.default_rng(11)
+    for t in (40, 70):
+        bits = (rng.random((t, 2100)) < 0.05).astype(np.uint8)
+        bits[:, rng.choice(2100, size=40, replace=False)] = 1
+        decoys = rng.choice(2100, size=40, replace=False)
+        bits[:, decoys] = 1
+        bits[t - 1, decoys] = 0
+        masked = sorted(set(rng.choice(2100, size=60, replace=False).tolist()) | {0, 63, 64, 575, 576, 2099})
+        kept = np.setdiff1d(np.arange(2100), masked)
+        with_mask = _Columns(CoverSystem.from_bits(bits, l=1, s=1, masked=frozenset(masked)))
+        without = _Columns(CoverSystem.from_bits(bits[:, kept], l=1, s=1))
+        assert with_mask.count == without.count == len(kept)
+        full = (1 << t) - 1
+        for start, stop in [(0, len(kept)), (1, 700), (63, 576), (500, len(kept)), (len(kept) - 70, len(kept))]:
+            for wanted in (1, 5, 100):
+                found = with_mask.covering(start, stop, full, wanted)
+                assert found == without.covering(start, stop, full, wanted)
+                assert found == [p for p in range(start, stop) if bits[:, kept[p]].all()][:wanted]
+        for deficient in (full, full >> 3, int(rng.integers(1, 1 << 30))):
+            for start in (0, 1, 640, len(kept) - 65):
+                for gain in (1, 5, 12, t):
+                    assert with_mask.has_gain(start, deficient, gain) == without.has_gain(start, deficient, gain)
+        assert with_mask.reach(0) == without.reach(0)
+
+
+def _golay24_extend_l2_s1():
+    return extend_once(extended_golay(), 2, 1)
+
+
+def _golay24_puncture(l, s):
+    return lambda: special_puncture(extended_golay(), l, s)
+
+
+@pytest.mark.parametrize(
+    "step, status, nodes",
+    [
+        (_golay24_puncture(6, 2), SolveStatus.INFEASIBLE, 178_129),
+        (_golay24_puncture(5, 1), SolveStatus.INFEASIBLE, 54_237),
+        (_golay24_extend_l2_s1, SolveStatus.BUDGET_EXHAUSTED, 1_000_000),
+    ],
+)
+def test_extended_golay_hot_searches_pinned(step, status, nodes):
+    # The three searches of the extended Golay code that the bench's search
+    # workload spends most of its solver time in, at the default budget:
+    # two punctures over 24 narrow positions and an extension whose wide
+    # last picks run out of budget (Griesmer proves it infeasible, 27 > 26).
+    search = step().search
+    assert (search.status, search.nodes_explored, search.solutions) == (status, nodes, ())
+    assert search.exhausted == (status == SolveStatus.INFEASIBLE)
 
 
 def _wide_one_word_packed():
