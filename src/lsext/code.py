@@ -30,7 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateCodeError, RankDeficientError
-from .field import GF, canonical_supports, popcounts, representatives_at
+from .bitsets import popcounts
+from .field import GF, canonical_supports, representatives_at
 
 
 def weight(word) -> int:

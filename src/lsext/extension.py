@@ -11,6 +11,11 @@ slack) gives the exact new weight of each former minimum-weight codeword:
 d + s + slack.  A candidate column is named by its index alone, which depends
 only on (q, k), so `apply_extension` decodes it without the coverage matrix.
 
+The coverage matrix is a view of the enumeration kernel over the
+representatives: it holds the kernel's two half tables, not its h columns.
+A search reads blocks, ranges and single columns from them, and the whole
+packed array is built only when something asks for it (see `CoverageMatrix`).
+
 Equivalently, the coverage matrix is the complement of the rows of the
 point-hyperplane incidence matrix whose normals are the minimum-weight
 representatives; `lsext.geometry` provides that view.
@@ -25,22 +30,24 @@ import numpy as np
 
 from .code import LinearCode
 from .errors import ConsistencyError, InfeasibleSolutionError, VerificationError
-from .field import (
-    canonical_count,
-    canonical_supports,
-    checked_count,
-    pack_rows,
-    packed_words,
-    representatives_at,
-    row_dtype,
-    unpack_rows,
-)
+from .bitsets import pack_rows, packed_words, unpack_rows
+from .field import CanonicalSupports, canonical_count, canonical_supports, representatives_at
 from .geometry import code_points
 
 
-def unpack_columns(packed: np.ndarray, t: int) -> np.ndarray:
-    """Read-only (t, m) uint8 0/1 matrix whose column j is packed row j."""
-    bits = unpack_rows(packed, t).T
+def unpack_columns(packed: np.ndarray | CanonicalSupports, t: int) -> np.ndarray:
+    """Read-only (t, m) uint8 0/1 matrix whose column j is packed row j.
+
+    The kernel's supports are unpacked chunk by chunk into the matrix, so
+    no packed copy of all their rows is built or kept."""
+    if isinstance(packed, np.ndarray):
+        bits = unpack_rows(packed, t).T
+    else:
+        bits = np.empty((t, len(packed)), dtype=np.uint8)
+        start = 0
+        for chunk in packed:
+            bits[:, start : start + len(chunk)] = unpack_rows(chunk, t).T
+            start += len(chunk)
     bits.setflags(write=False)
     return bits
 
@@ -54,22 +61,25 @@ class CoverageMatrix:
     order, columns follow canonical-representative order; both orders are
     fixed by `canonical_representatives`.  No row is all zero.
 
-    The matrix is stored only column by column as packed row bitsets:
-    `packed` is (h, W) words of `field.row_dtype(t)`, W = `packed_words(t)`
-    (one word of 1, 2 or 4 bytes when t <= 32, else ceil(t/64) 64-bit
-    words), and entry (i, j) is bit i % B of word packed[j, i // B], B being
-    the word's width in bits.  This is the layout in which
-    `field.canonical_supports` streams the supports of the candidate columns
-    against the representatives, so the build copies each chunk straight in.
-    `bits`, the (t, h) uint8 matrix, is a read-only view derived from it on
-    each access, for display and checks.
+    The matrix is a view of the enumeration kernel: `supports` is
+    `field.canonical_supports` over the transposed representatives, whose
+    row j is column j of the matrix as a packed row bitset, and it holds
+    only the kernel's two half tables of about q^(k/2) rows.  A search
+    reads its blocks, ranges and single columns from them on demand.
+    `packed`, the (h, W) words of `bitsets.row_dtype(t)`, W =
+    `packed_words(t)` (one word of 1, 2 or 4 bytes when t <= 32, else
+    ceil(t/64) 64-bit words), is built from the tables the first time
+    something asks for the whole array, and kept; entry (i, j) is bit
+    i % B of word packed[j, i // B], B being the word's width in bits.
+    `bits`, the (t, h) uint8 matrix, is built from the tables on each
+    access, chunk by chunk, for display and checks, and builds no `packed`.
     The candidate columns themselves are not stored: `field.representatives_at`
     decodes the ones asked for from their indices.
     """
 
     code: LinearCode = dc_field(repr=False)
     representatives: np.ndarray
-    packed: np.ndarray
+    supports: CanonicalSupports = dc_field(repr=False)
 
     @property
     def t(self) -> int:
@@ -77,11 +87,15 @@ class CoverageMatrix:
 
     @property
     def h(self) -> int:
-        return len(self.packed)
+        return canonical_count(self.code.q, self.code.k)
+
+    @property
+    def packed(self) -> np.ndarray:
+        return np.asarray(self.supports)
 
     @property
     def bits(self) -> np.ndarray:
-        return unpack_columns(self.packed, self.t)
+        return unpack_columns(self.supports, self.t)
 
     @cached_property
     def code_points(self) -> frozenset[int]:
@@ -95,15 +109,18 @@ class CoverSystem:
 
     `packed` holds the columns as row bitsets, laid out as in
     `CoverageMatrix`: (h, W) little-endian unsigned words over `num_rows`
-    rows, W the words of `packed.dtype` that hold them.  `from_bits` builds
-    a system from a (rows, columns) 0/1 matrix, and `bits` unpacks it again.
+    rows, W the words of `packed.dtype` that hold them.  It is either that
+    array or, for a system built by `cover_system`, the coverage matrix's
+    `supports`, which reads like it and builds the rows it is asked for
+    from the kernel's tables.  `from_bits` builds a stored system from a
+    (rows, columns) 0/1 matrix, and `bits` unpacks either kind.
     `masked` columns may never be selected; `distinct` forbids picking the
     same column twice (needed when columns are generator positions to remove,
     as in puncturing).  `matrix` is set when the columns are candidate
     extension columns and is required by the projective filter.
     """
 
-    packed: np.ndarray
+    packed: np.ndarray | CanonicalSupports
     num_rows: int
     l: int
     s: int
@@ -165,22 +182,17 @@ class ExtensionSolution:
 
 
 def coverage_matrix(code: LinearCode) -> CoverageMatrix:
-    """Build the min-weight-representative x candidate-column coverage matrix."""
+    """The min-weight-representative x candidate-column coverage matrix, as
+    the kernel's two half tables: column j's rows are the support of
+    column j @ reps.T."""
     reps = code.min_weight_representatives()
-    t = len(reps)
-    packed = np.zeros((checked_count(code.q, code.k), packed_words(t)), dtype=row_dtype(t))
-    # Column j's rows are the support of column j @ reps.T, streamed in column order.
-    start = 0
-    for support in canonical_supports(code.field, reps.T):
-        packed[start : start + len(support)] = support
-        start += len(support)
-    packed.setflags(write=False)
-    return CoverageMatrix(code=code, representatives=reps, packed=packed)
+    return CoverageMatrix(code=code, representatives=reps, supports=canonical_supports(code.field, reps.T))
 
 
 def cover_system(matrix: CoverageMatrix, l: int, s: int) -> CoverSystem:
-    """Covering system asking for l candidate columns covering every row >= s times."""
-    return CoverSystem(packed=matrix.packed, num_rows=matrix.t, l=l, s=s, matrix=matrix)
+    """Covering system asking for l candidate columns covering every row >= s
+    times; it reads its columns through the matrix's tables."""
+    return CoverSystem(packed=matrix.supports, num_rows=matrix.t, l=l, s=s, matrix=matrix)
 
 
 def _as_multiset(x) -> tuple[int, ...]:
@@ -206,7 +218,8 @@ def _checked(system: CoverSystem, x) -> tuple[int, ...]:
 
 
 def _coverages(system: CoverSystem, multisets: np.ndarray) -> np.ndarray:
-    """(m, num_rows) per-row coverage of an (m, l) array of checked multisets, in one gather and unpack."""
+    """(m, num_rows) per-row coverage of an (m, l) array of checked multisets,
+    in one gather of only their columns and one unpack."""
     bits = unpack_rows(system.packed[multisets], system.num_rows)
     return bits.sum(axis=1, dtype=np.int64)
 

@@ -15,31 +15,39 @@ with fixed modulus polynomials (coefficient lists, lowest degree first):
 
 All operation tables are precomputed at construction (q <= 9 in practice, so
 they are tiny) and never mutated afterwards: a `GF` instance is safe to share
-read-only between any number of threads, and every operation is pure.
+read-only between any number of threads, and every operation is pure.  The
+tables are built on the coefficient vectors of all q elements at once:
+digitwise sums and differences mod p, and polynomial products reduced by the
+modulus.
 
 The module also owns the canonical order of GF(q)^k (one representative per
 one-dimensional subspace, named by its row in that order) and the kernel
-that enumerates it, `canonical_supports`, which streams the nonzero pattern
-of r @ G for every representative r as packed row bitsets.  The kernel
+that enumerates it, `canonical_supports`: the nonzero pattern of r @ G for
+every representative r as packed row bitsets (`lsext.bitsets`).  The kernel
 tables the partial words of the two halves of a message once each, as
-packed bit-planes.  `_bit_planes` packs letters into planes a block of rows
-at a time: it writes the block's bits of every plane as 0/1 bytes into rows
-padded to the word width and packs them all with one flat `np.packbits`,
-one routine for every table size.  The rows of the enumeration come in
-pieces whose row counts are known before they are built; consecutive pieces
-are gathered into one chunk while their words fit `_CHUNK_WORDS`, so the
-many small pieces of a small code stream as one chunk, and a large code
-streams in chunks of bounded size.
+packed bit-planes, and holds only those tables.  From them it streams its
+rows in chunks, and reads any range of rows or any array of row indices at
+random, so that a coverage matrix is a view of it.  `_bit_planes` packs
+letters into planes a block of rows at a time: it writes the block's bits
+of every plane as 0/1 bytes into rows padded to the word width and packs
+them all with one flat `np.packbits`, one routine for every table size.
+The rows of the enumeration come in pieces whose row counts are known
+before they are built; consecutive pieces are gathered into one chunk while
+their words fit `_CHUNK_WORDS`, so the many small pieces of a small code
+stream as one chunk, and a large code streams in chunks of bounded size.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
+from .bitsets import packed_words, row_dtype
 from .errors import EnumerationCapExceeded
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -75,36 +83,17 @@ def enumeration_cap() -> int:
     return value
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, e) with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    for p in range(2, q + 1):
-        if not _is_prime(p):
-            continue
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    p = next(f for f in range(2, q + 1) if q % f == 0)  # the least factor of q is prime
+    e = 1
+    while q % p ** (e + 1) == 0:
+        e += 1
+    if p**e != q:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 class GF:
@@ -137,58 +126,21 @@ class GF:
 
     # -- table construction -------------------------------------------------
 
-    def _digits(self, code: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(code % self.p)
-            code //= self.p
-        return out
-
-    def _code(self, digits: list[int]) -> int:
-        value = 0
-        for d in reversed(digits):
-            value = value * self.p + d
-        return value
-
-    def _poly_mul_mod(self, a: list[int], b: list[int]) -> list[int]:
-        p, e = self.p, self.e
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce by the monic modulus: x^e = -(lower modulus coefficients)
-        mod = self.modulus
-        assert mod is not None
-        for deg in range(2 * e - 2, e - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for j in range(e):
-                    prod[deg - e + j] = (prod[deg - e + j] - c * mod[j]) % p
-        return prod[:e]
-
     def _build_tables(self) -> None:
-        q = self.q
-        if self.e == 1:
-            idx = np.arange(q, dtype=np.int64)
-            add = (idx[:, None] + idx[None, :]) % q
-            sub = (idx[:, None] - idx[None, :]) % q
-            mul = (idx[:, None] * idx[None, :]) % q
-        else:
-            add = np.zeros((q, q), dtype=np.int64)
-            sub = np.zeros((q, q), dtype=np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            digits = [self._digits(c) for c in range(q)]
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self._code(
-                        [(x + y) % self.p for x, y in zip(digits[a], digits[b])]
-                    )
-                    sub[a, b] = self._code(
-                        [(x - y) % self.p for x, y in zip(digits[a], digits[b])]
-                    )
-                    mul[a, b] = self._code(self._poly_mul_mod(digits[a], digits[b]))
+        p, e, q = self.p, self.e, self.q
+        # Element c as its coefficient vector (c read in base p, lowest digit
+        # first), and the integer code of a reduced vector.
+        digits = np.arange(q)[:, None] // p ** np.arange(e) % p
+        place = p ** np.arange(e)
+        add = (digits[:, None] + digits[None]) % p @ place
+        sub = (digits[:, None] - digits[None]) % p @ place
+        prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+        for i in range(e):
+            prod[:, :, i : i + e] += digits[:, None, i, None] * digits[None]
+        # Reduce by the monic modulus, highest degree first: x^e = -(its lower coefficients).
+        for deg in range(2 * e - 2, e - 1, -1):
+            prod[:, :, deg - e : deg] -= prod[:, :, deg, None] * np.array(self.modulus[:e])
+        mul = prod[:, :, :e] % p @ place
         self.add_table = add.astype(np.uint8)
         self.sub_table = sub.astype(np.uint8)
         self.mul_table = mul.astype(np.uint8)
@@ -321,11 +273,15 @@ def representatives_at(field: GF, k: int, index) -> np.ndarray:
     base q.  As r < q^T, the columns left of the leading 1 come out 0.
     """
     q = field.q
+    return (_values(q, k, index)[:, None] // _place_values(q, k) % q).astype(np.uint8)
+
+
+def _values(q: int, k: int, index) -> np.ndarray:
+    """The message at each canonical index, read as an integer in base q (see `representatives_at`)."""
     index = np.asarray(index, dtype=np.int64)
     starts = canonical_count(q, np.arange(k + 1, dtype=np.int64))
     tail = np.searchsorted(starts, index, side="right") - 1
-    value = index - starts[tail] + q**tail
-    return (value[:, None] // _place_values(q, k) % q).astype(np.uint8)
+    return index - starts[tail] + q**tail
 
 
 def canonical_index(field: GF, vectors) -> np.ndarray:
@@ -345,90 +301,157 @@ def canonical_index(field: GF, vectors) -> np.ndarray:
     return vecs @ _place_values(q, k) - q**tail + canonical_count(q, tail)
 
 
-def canonical_supports(field: GF, matrix) -> Iterator[np.ndarray]:
+def canonical_supports(field: GF, matrix) -> CanonicalSupports:
+    """The kernel over a (k, n) matrix: the packed supports of r @ matrix for
+    every canonical representative r, read in chunks or at random."""
+    return CanonicalSupports(field, matrix)
+
+
+class CanonicalSupports:
     """Nonzero patterns of r @ matrix for every canonical representative r, packed.
 
-    For a (k, n) matrix, yields read-only (rows, packed_words(n)) chunks of
-    `row_dtype(n)` row bitsets (the layout of `pack_rows` and
-    `CoverageMatrix.packed`).  Their concatenation has one row per
-    representative of GF(q)^k, in `canonical_representatives` order,
-    without holding all of them.  With n = 0 the chunks have no words.
+    For a (k, n) matrix this reads like a read-only (h, W) array of
+    `row_dtype(n)` row bitsets, h = canonical_count(q, k) and
+    W = packed_words(n) (the layout of `pack_rows` and
+    `CoverageMatrix.packed`), one row per representative in
+    `canonical_representatives` order, but it holds only two tables of
+    about q^(k/2) rows each.  With n = 0 the rows have no words.  The
+    enumeration cap is checked when it is built.
 
     With s = k // 2, the partial words of every message are tabled once for
     the rows [:s] of the matrix (A) and once for the rows [s:] (B), both in
     lexicographic order and each built one message position at a time
-    (`_partial_planes`), with no message array and no matrix product.  A
-    representative led by position i >= s is zero on [:s], so its rows are
-    the supports of B[q^(k-1-i) : 2q^(k-1-i)], read from one shared table.
-    One led by i < s is a row of A[q^(s-1-i) : 2q^(s-1-i)] followed by any
-    row of B; the word A[a] + B[b] is nonzero exactly where A[a] != -B[b],
+    (`_partial_planes`), with no message array and no matrix product.  The
+    message of a representative, read in base q, is a * len(B) + b: its
+    word is A[a] + B[b], which is nonzero exactly where A[a] != -B[b],
     tested on the ceil(log2 q) packed bit-planes of the two tables by XOR
-    within each plane and OR across them.
+    within each plane and OR across them.  A representative led by
+    position i >= s has a = 0, so its row is the support of B[b], read from
+    one shared table.
 
-    The rows come in pieces: slices of B per lead, and blocks of A rows
-    each paired with all of B.  A piece holds at most `_CHUNK_WORDS` words,
-    except one row of A paired with all of B when that alone is larger.
-    Every piece's row count is known before it is built, so consecutive
-    pieces are gathered into one chunk while their words fit
-    `_CHUNK_WORDS`, and a chunk is built only when it is yielded.  A chunk
-    that is one slice of B is a view of the shared table, any other a fresh
-    array.  The budget counts words of the row's width, so a chunk has the
-    same rows whatever that width is, and a code of few representatives
-    (every k <= 5 code with q <= 9 and n <= 64) streams as one chunk.
-    Memory stays bounded by that budget plus the two tables of about
-    q^(k/2) packed rows.  Checks the enumeration cap, like
-    `canonical_representatives`, when iteration starts.
+    Three reads, none of which can write the tables:
+
+    * `self[start:stop]` builds rows [start, stop) of any range, which may
+      start or stop partway through an A row's pairing with B, from the
+      blocks of A rows times B rows it spans.  A range inside one lead of
+      the second half is a view of the shared table, any other a fresh
+      array.
+    * `self[index]` gathers the rows of an integer array of indices, of
+      any shape, and returns them in its shape plus (W,).
+    * Iteration yields the rows in chunks.  The rows come in pieces: slices
+      of B per lead, and blocks of A rows each paired with all of B.  A
+      piece holds at most `_CHUNK_WORDS` words, except one row of A paired
+      with all of B when that alone is larger.  Consecutive pieces are
+      gathered into one chunk while their words fit `_CHUNK_WORDS`
+      (`chunk_rows` rows), and a chunk is built only when it is yielded.
+      The budget counts words of the row's width, so a chunk has the same
+      rows whatever that width is, and a code of few representatives
+      (every k <= 5 code with q <= 9 and n <= 64) streams as one chunk.
+
+    Memory stays bounded by what a read returns plus the two tables, until
+    `np.asarray` asks for the whole array: that is built once, chunk by
+    chunk, kept read-only, and from then on every read comes from it.
     """
-    mat = field.check_codes(matrix)
-    k, n = mat.shape
-    checked_count(field.q, k)
-    q, split, words = field.q, k // 2, packed_words(n)
-    planes_a = _partial_planes(field, mat[:split])
-    planes_neg_b = _partial_planes(field, mat[split:], negate=True)
-    support_b = np.bitwise_or.reduce(planes_neg_b, axis=0)
-    support_b.setflags(write=False)
-    budget = max(1, _CHUNK_WORDS // max(words, 1))  # rows per chunk
-    # The pieces (start, stop, mult) in order: B[start:stop] for the leads in
-    # the second half (mult = 1), then A[start:stop] with each row paired
-    # with all mult = len(B) rows of B; at most `budget` rows each, or one
-    # row of A.
-    b_rows = len(support_b)
-    pieces = [
-        (a, min(a + size, 2 * q**i), mult)
-        for leads, size, mult in ((k - split, budget, 1), (split, max(1, budget // b_rows), b_rows))
-        for i in range(leads)
-        for a in range(q**i, 2 * q**i, size)
-    ]
 
-    def chunk(group: list, rows: int) -> np.ndarray:
-        # One piece of B is a view of the shared table; any other group is
-        # built, piece by piece, into a fresh array.
-        if len(group) == 1 and group[0][2] == 1:
-            return support_b[group[0][0] : group[0][1]]
-        out = np.empty((rows, words), dtype=support_b.dtype)
+    ndim = 2
+
+    def __init__(self, field: GF, matrix) -> None:
+        mat = field.check_codes(matrix)
+        self._q, (self._k, n) = field.q, mat.shape
+        self.shape = (checked_count(self._q, self._k), packed_words(n))
+        self.dtype = row_dtype(n)
+        self._split = self._k // 2
+        # Row leads[T] is the first with a tail of length T, that is led by position k-1-T.
+        self._leads = [0, *accumulate(self._q**tail for tail in range(self._k))]
+        self._a = _partial_planes(field, mat[: self._split])
+        self._neg_b = _partial_planes(field, mat[self._split :], negate=True)
+        self._support_b = np.bitwise_or.reduce(self._neg_b, axis=0)
+        self._support_b.setflags(write=False)
+        self._whole: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def chunk_rows(self) -> int:
+        """Rows per chunk: the words of `_CHUNK_WORDS` in rows of this width."""
+        return max(1, _CHUNK_WORDS // max(self.shape[1], 1))
+
+    def _blocks(self, start: int, stop: int) -> Iterator[tuple[int, int, int, int]]:
+        """(a, a_stop, b, b_stop): the blocks of A rows times B rows that make up rows [start, stop), in order."""
+        size, leads = len(self._support_b), self._leads
+        for tail in range(bisect_right(leads, start) - 1, self._k):
+            low, high = leads[tail], leads[tail + 1]
+            if low >= stop:
+                break
+            # Row r has a tail of this length: it reads q^tail + r - low = r + high - 2 low in base q.
+            value, end = max(start, low) + high - 2 * low, min(stop, high) + high - 2 * low
+            while value < end:
+                a, b = divmod(value, size)
+                rows, b_stop = 1 if b else max(1, (end - value) // size), min(size, b + end - value)
+                yield a, a + rows, b, b_stop
+                value += (rows - 1) * size + b_stop - b
+
+    def __getitem__(self, key) -> np.ndarray:
+        if self._whole is not None:
+            return self._whole[key]
+        if not isinstance(key, slice):
+            a, b = np.divmod(_values(self._q, self._k, key), len(self._support_b))
+            out = self._a[0, a] ^ self._neg_b[0, b]
+            for plane in range(1, len(self._a)):
+                out |= self._a[plane, a] ^ self._neg_b[plane, b]
+            out.setflags(write=False)
+            return out
+        start, stop, _ = key.indices(len(self))
+        return self._build(list(self._blocks(start, stop)), max(stop - start, 0))
+
+    def _build(self, blocks: list[tuple[int, int, int, int]], rows: int) -> np.ndarray:
+        """The rows of consecutive blocks: a view when they are one slice of B, else a fresh array."""
+        if len(blocks) == 1 and blocks[0][0] == 0:
+            return self._support_b[blocks[0][2] : blocks[0][3]]
+        out = np.empty((rows, self.shape[1]), dtype=self.dtype)
         at = 0
-        for start, stop, mult in group:
-            block = out[at : at + (stop - start) * mult].reshape(stop - start, mult, words)
-            if mult == 1:
-                block[:, 0] = support_b[start:stop]
+        for a, a_stop, b, b_stop in blocks:
+            block = out[at : at + (a_stop - a) * (b_stop - b)].reshape(a_stop - a, b_stop - b, self.shape[1])
+            if a:
+                np.bitwise_xor(self._a[0, a:a_stop, None], self._neg_b[0, None, b:b_stop], out=block)
+                for plane in range(1, len(self._a)):
+                    block |= self._a[plane, a:a_stop, None] ^ self._neg_b[plane, None, b:b_stop]
             else:
-                np.bitwise_xor(planes_a[0, start:stop, None], planes_neg_b[0, None], out=block)
-                for plane in range(1, len(planes_a)):
-                    block |= planes_a[plane, start:stop, None] ^ planes_neg_b[plane, None]
-            at += len(block) * mult
+                block[0] = self._support_b[b:b_stop]
+            at += block.shape[0] * block.shape[1]
         out.setflags(write=False)
         return out
 
-    group, rows = [], 0
-    for piece in pieces:
-        size = (piece[1] - piece[0]) * piece[2]
-        if group and rows + size > budget:
-            yield chunk(group, rows)
-            group, rows = [], 0
-        group.append(piece)
-        rows += size
-    if group:
-        yield chunk(group, rows)
+    def __iter__(self) -> Iterator[np.ndarray]:
+        q, budget, b_rows = self._q, self.chunk_rows, len(self._support_b)
+        # The pieces in order, as blocks: B[start:stop] for the leads in the
+        # second half, then A[start:stop] with each row paired with all of
+        # B; at most `budget` rows each, or one row of A.
+        a_rows = max(1, budget // b_rows)
+        pieces = [(0, 1, b, min(b + budget, 2 * q**i)) for i in range(self._k - self._split) for b in range(q**i, 2 * q**i, budget)]
+        pieces += [(a, min(a + a_rows, 2 * q**i), 0, b_rows) for i in range(self._split) for a in range(q**i, 2 * q**i, a_rows)]
+        group, rows = [], 0
+        for piece in pieces:
+            size = (piece[1] - piece[0]) * (piece[3] - piece[2])
+            if group and rows + size > budget:
+                yield self._build(group, rows)
+                group, rows = [], 0
+            group.append(piece)
+            rows += size
+        if group:
+            yield self._build(group, rows)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if self._whole is None:
+            whole = np.empty(self.shape, dtype=self.dtype)
+            at = 0
+            for chunk in self:
+                whole[at : at + len(chunk)] = chunk
+                at += len(chunk)
+            whole.setflags(write=False)
+            self._whole = whole
+        return self._whole.copy() if copy else self._whole
 
 
 def _partial_planes(field: GF, rows: np.ndarray, negate: bool = False) -> np.ndarray:
@@ -508,50 +531,3 @@ def _bit_planes(field: GF, words: np.ndarray) -> np.ndarray:
         bits &= 1
         out[:, low : low + step] = np.packbits(bits, bitorder="little").reshape(bits.shape[:2] + (-1,))
     return planes
-
-
-def popcounts(words: np.ndarray) -> np.ndarray:
-    """Set bits per row of an (m, W) array of unsigned words with W >= 1, as intp.
-
-    The popcounts of all words at once, then their W columns added: faster
-    than a row sum over a short word axis.  Any word width works.
-    """
-    counts = np.bitwise_count(words)
-    total = counts[:, 0].astype(np.intp)
-    for column in range(1, words.shape[1]):
-        total += counts[:, column]
-    return total
-
-
-@lru_cache(maxsize=128)
-def row_dtype(n: int) -> np.dtype:
-    """The word of a packed row of n letters: the narrowest little-endian
-    unsigned integer of 1, 2 or 4 bytes that holds n bits, else 64-bit words."""
-    for width in (1, 2, 4):
-        if n <= 8 * width:
-            return np.dtype(f"<u{width}")
-    return np.dtype("<u8")
-
-
-def packed_words(n: int, dtype=None) -> int:
-    """Words of `dtype` (by default `row_dtype(n)`) per packed row of n letters."""
-    bits = 8 * (row_dtype(n) if dtype is None else np.dtype(dtype)).itemsize
-    return -(-n // bits)
-
-
-def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Pack (..., n) 0/1 rows into (..., packed_words(n)) row bitsets of `row_dtype(n)`.
-
-    Letter j of a row becomes bit j % B of its word j // B, B being the
-    word's width in bits (one word when n <= 32); the bits past n are zero.
-    """
-    n = rows.shape[-1]
-    packed = np.zeros(rows.shape[:-1] + (packed_words(n),), dtype=row_dtype(n))
-    packed.view(np.uint8)[..., : -(-n // 8)] = np.packbits(rows, axis=-1, bitorder="little")
-    return packed
-
-
-def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
-    """(..., n) uint8 0/1 rows of (..., W) row bitsets, the width read from `packed.dtype`."""
-    words = np.ascontiguousarray(packed, dtype=packed.dtype.newbyteorder("<"))
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")

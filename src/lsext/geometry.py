@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bitsets import unpack_rows
 from .code import LinearCode
 from .field import (
     GF,
@@ -28,7 +29,6 @@ from .field import (
     canonical_index,
     canonical_representatives,
     canonical_supports,
-    unpack_rows,
 )
 
 

@@ -21,7 +21,7 @@ when that search is feasible, the re-verified code the step built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -190,18 +190,27 @@ class ChainReport:
 # -- single extension step ---------------------------------------------------------
 
 
-def _search(operation: str, code: LinearCode, system: CoverSystem, config: SolverConfig) -> StepRecord:
-    """Solve a step's covering system and record it; a feasible search's
-    best solution is for the caller to apply and re-verify."""
+def _record(
+    operation: str,
+    code: LinearCode,
+    system: CoverSystem,
+    search: SolveOutcome,
+    result: LinearCode | None = None,
+    guaranteed: int | None = None,
+) -> StepRecord:
+    """A step's record, built once: its search, and the code the caller
+    built and re-verified from the best solution, if there is one."""
     return StepRecord(
         operation=operation,
         l=system.l,
         s=system.s,
         params_before=code.params(),
-        search=solve(system, config),
+        search=search,
         rows=system.num_rows,
         candidates_total=system.num_columns,
         candidates_masked=len(system.masked),
+        result=result,
+        guaranteed_distance=guaranteed,
     )
 
 
@@ -244,12 +253,11 @@ def extend_once(
     system = cover_system(matrix, l, s)
     if projective:
         system = projective_filter(system)
-    record = _search("extend", code, system, config or SolverConfig())
-    best = record.search.best
-    if best is None:
-        return record
-    new_code = apply_extension(code, best.columns)
-    return replace(record, result=new_code, guaranteed_distance=verify_extension(code, new_code, s))
+    search = solve(system, config or SolverConfig())
+    if search.best is None:
+        return _record("extend", code, system, search)
+    new_code = apply_extension(code, search.best.columns)
+    return _record("extend", code, system, search, new_code, verify_extension(code, new_code, s))
 
 
 # -- special puncturing ------------------------------------------------------------
@@ -292,18 +300,18 @@ def special_puncture(
         raise ValueError(f"need 1 <= l <= n - k = {code.n - code.k}, got l={l}")
     if s < 1 or s > l:
         raise ValueError(f"need 1 <= s <= l, got s={s}")
-    record = _search("puncture", code, zero_coverage_system(code, l, s), config or SolverConfig())
-    best = record.search.best
-    if best is None:
-        return record
-    new_code = remove_columns(code, best.columns)
+    system = zero_coverage_system(code, l, s)
+    search = solve(system, config or SolverConfig())
+    if search.best is None:
+        return _record("puncture", code, system, search)
+    new_code = remove_columns(code, search.best.columns)
     guaranteed = code.d - l + code.guaranteed_gain(s)
     if new_code.d < guaranteed:
         raise VerificationError(
             f"puncturing {l} columns dropped the distance from {code.d} to {new_code.d}, "
             f"below the guaranteed floor {guaranteed}"
         )
-    return replace(record, result=new_code, guaranteed_distance=guaranteed)
+    return _record("puncture", code, system, search, new_code, guaranteed)
 
 
 # -- chain search -------------------------------------------------------------------

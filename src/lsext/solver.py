@@ -20,7 +20,8 @@ plus the columns each last pick tests).
 
 All strategies search `system.packed`, the columns as row bitsets: row i
 of column j is bit i % B of word packed[j, i // B], B being the width in
-bits of `packed.dtype` (8, 16 or 32 for at most that many rows, else 64).
+bits of `packed.dtype` (8, 16 or 32 for at most that many rows, else 64),
+stored or read through the kernel's tables (see below).
 The (rows, columns) uint8 matrix `system.bits` is only derived from it for
 display and checks.
 A node's state is s deficit levels, U_j = the rows still short of j or
@@ -49,6 +50,19 @@ trees over few columns thus pay no numpy call per node, wide systems keep
 their vectorised scans, and no per-column int or byte copy of a wide
 matrix is ever made, masked or not.  The rule is fixed, not an option:
 both forms give the same answers and node counts.
+
+A system that `extension.cover_system` builds reads its columns through
+the coverage matrix's kernel tables.  Until the search goes below its
+root, each block a scan reads is built from the tables and tested at
+once, a fresh array bounded by the kernel's chunk budget: the root reach,
+the root gain bound, a last pick at the root and greedy's gains stream
+their blocks, and the narrow tail ints are read as one range.  So a
+search decided at its root, every l = 1 pick and every root cut, holds
+no copy of the whole matrix.  The first read below the root (a column
+per node, or the suffix-OR table) builds the whole packed array, once
+per coverage matrix, and every later scan reads it in place.  A system
+whose whole array fits in one chunk is built at once: streaming it would
+save nothing.
 
 A search holds its system once, plus this bounded scratch, and frees all
 of it when it returns or raises: nothing of its recursion outlives the
@@ -105,7 +119,7 @@ from enum import Enum
 import numpy as np
 
 from .extension import CoverSystem, ExtensionSolution, parse_matrix_text, solutions_for
-from .field import popcounts
+from .bitsets import popcounts
 
 
 class _Text(str, Enum):
@@ -199,7 +213,8 @@ class _Columns:
     number of entries of masked[i] - i (masked sorted) that are <= p: one
     bisection of an O(|masked|) list, and the identity when nothing is masked.
     A scan over positions [start, stop) reads the matching column range of
-    `system.packed` in place, block by block; each block's masked columns are
+    `system.packed` block by block, in place from an array or built from
+    the kernel's tables until `whole` is called; each block's masked columns are
     given as offsets into it, whose entries the scan neutralises in its own
     result, and the few offsets a scan keeps are mapped back to positions.
     So masked and unmasked systems share one path and neither is copied.
@@ -219,16 +234,23 @@ class _Columns:
         self.count = len(packed) - len(self._masked)
         words = self.packed.shape[1]
         self.nbytes = self.packed.dtype.itemsize * words
-        self.block = max(_NARROW, _SCAN_WORDS // words)
         # One scalar per packed row, so the superset test is one comparison per column.
         self._row = self.packed.dtype if words == 1 else np.dtype((np.void, self.nbytes))
-        self._bytes = memoryview(np.ascontiguousarray(self.packed).reshape(-1).view(np.uint8))
+        self._bytes: memoryview | None = None
+        # Until the search goes below its root, each block of a system read
+        # through the kernel's tables is built from them, a fresh array the
+        # size of its chunks; one that fits in a chunk is built whole at once.
+        if isinstance(self.packed, np.ndarray) or len(self.packed) <= self.packed.chunk_rows:
+            self.whole()
+        else:
+            self.block = max(_NARROW, self.packed.chunk_rows)
         self.narrow_from = max(0, self.count - _NARROW)
         first, stop, cuts = self._span(self.narrow_from, self.count)
+        rows = self.packed[first:stop]
         if words == 1:
-            tail = self.packed[first:stop, 0].tolist()
+            tail = rows[:, 0].tolist()
         else:
-            data, size = self._bytes[first * self.nbytes : stop * self.nbytes], self.nbytes
+            data, size = rows.tobytes(), self.nbytes
             tail = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
         for cut in reversed(cuts):
             del tail[cut]
@@ -244,13 +266,27 @@ class _Columns:
         positions = np.asarray(positions, dtype=np.intp)
         return positions + np.searchsorted(np.array(self._gaps, dtype=np.intp), positions, side="right")
 
+    def whole(self) -> None:
+        """Read the packed rows as one array from here on, in place.
+
+        A system built from the kernel's tables builds that array here, once:
+        the reads below the root, one column per node and the suffix-OR
+        table, need it."""
+        self.packed = np.asarray(self.packed)
+        self._bytes = memoryview(self.packed.reshape(-1).view(np.uint8))
+        self.block = max(_NARROW, _SCAN_WORDS // self.packed.shape[1])
+
     def read(self, col: int) -> int:
         """System column `col` as an int."""
+        if self._bytes is None:
+            return int.from_bytes(self.packed[col : col + 1].tobytes(), "little")
         return int.from_bytes(self._bytes[col * self.nbytes : (col + 1) * self.nbytes], "little")
 
     def at(self, pos: int) -> int:
         if pos >= self.narrow_from:
             return self.tail[pos - self.narrow_from]
+        if self._bytes is None:
+            self.whole()
         return self.read(pos + bisect_right(self._gaps, pos))
 
     def _span(self, low: int, high: int) -> tuple[int, int, list[int]]:
@@ -292,6 +328,7 @@ class _Columns:
         if self._wide_reach is None:
             # Row j ORs the allowed columns >= j: masked rows are zeroed before
             # the suffix OR runs, in place, from the last row up.
+            self.whole()
             self._wide_reach = np.array(self.packed)
             self._wide_reach[self._masked] = 0
             suffix = self._wide_reach[::-1]

@@ -25,6 +25,7 @@ from lsext.extension import (
     verify_extension,
 )
 from lsext import extension as extension_module
+from lsext.bitsets import unpack_rows
 from lsext.field import canonical_representatives, gf, representatives_at, row_dtype
 from lsext.solver import STRATEGIES, SolverConfig, solve, solve_exhaustive
 
@@ -59,8 +60,14 @@ def test_coverage_bits_scalar_invariant(golay):
     assert np.array_equal(rescaled_bits, cov.bits)
 
 
-def test_coverage_bits_match_inner_products():
-    for code in random_codes(30, seed=17, qs=(2, 3, 4, 5, 7, 8, 9), max_k=4):
+def test_coverage_bits_match_inner_products(golay):
+    # Random small codes, the ternary Golay code (t = 66, h = 364) and a
+    # [10,7]_3 code, whose 13 first-half message rows led in the first half
+    # are each paired with 81 second-half rows: the column ranges read below
+    # start and stop partway through those pairings.
+    parity = np.random.default_rng(10).integers(0, 3, size=(7, 3))
+    ternary = LinearCode(gf(3), np.concatenate([np.eye(7, dtype=np.uint8), parity], axis=1))
+    for code in random_codes(30, seed=17, qs=(2, 3, 4, 5, 7, 8, 9), max_k=4) + [golay, ternary]:
         cov = coverage_matrix(code)
         reps = code.min_weight_representatives()
         assert np.array_equal(cov.representatives, reps)
@@ -69,6 +76,9 @@ def test_coverage_bits_match_inner_products():
         expected = (code.field.inner(reps, columns) != 0).astype(np.uint8)
         assert cov.bits.dtype == np.uint8
         assert np.array_equal(cov.bits, expected)
+        system = cover_system(cov, 1, 1)
+        for start, stop in [(0, cov.h), (1, 2), (min(100, cov.h), min(300, cov.h)), (7, cov.h - 3)]:
+            assert np.array_equal(unpack_rows(system.packed[start:stop], cov.t).T, expected[:, start:stop])
 
 
 def test_coverage_packed_layout():
@@ -122,6 +132,30 @@ def test_coverage_matrix_stores_no_candidate_table():
     assert cov.packed.nbytes == cov.h
     assert peak < 1.5 * cov.packed.nbytes
     assert np.array_equal(representatives_at(code.field, code.k, [0, cov.h - 1]), [[0] * 17 + [1], [1] * 18])
+
+
+def test_whole_coverage_array_is_built_in_chunks():
+    # `packed`, the whole array, is built chunk by chunk into one array when
+    # first asked for and then kept; `bits` builds no packed array.  The
+    # [30,18]_2 code with one minimum-weight representative (256 KB packed)
+    # and a [15,12]_3 code (260 KB), whose odd-q chunks need a temporary per
+    # plane: each build peaks at about 1.2 times the array.
+    rng = np.random.default_rng(3)
+    binary = LinearCode(gf(2), np.concatenate([np.eye(18, dtype=np.uint8), rng.integers(0, 2, size=(18, 12))], axis=1))
+    ternary = LinearCode(gf(3), np.concatenate([np.eye(12, dtype=np.uint8), rng.integers(0, 3, size=(12, 3))], axis=1))
+    for code in (binary, ternary):
+        cov = coverage_matrix(code)
+        bits = cov.bits
+        assert cov.supports._whole is None
+        tracemalloc.start()
+        try:
+            packed = cov.packed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cov.packed is packed and not packed.flags.writeable
+        assert np.array_equal(unpack_rows(packed, cov.t).T, bits)
+        assert peak < 1.5 * packed.nbytes
 
 
 def test_cover_system_words_of_any_unsigned_width():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lsext import field as field_module
+from lsext.bitsets import packed_words, popcounts, row_dtype, unpack_rows
 from lsext.errors import EnumerationCapExceeded
 from lsext.field import (
     GF,
@@ -15,11 +16,7 @@ from lsext.field import (
     canonical_representatives,
     canonical_supports,
     gf,
-    packed_words,
-    popcounts,
     representatives_at,
-    row_dtype,
-    unpack_rows,
 )
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9]
@@ -300,6 +297,51 @@ def test_canonical_supports_chunks_are_read_only(monkeypatch):
     for chunk in chunks:
         with pytest.raises(ValueError):
             chunk[0, 0] = 0
+
+
+@pytest.mark.parametrize("q", SUPPORTED)
+def test_canonical_supports_random_access_matches_the_whole_array(q):
+    # Any range of rows, and any array of indices, reads what the whole array
+    # holds there.  The ranges start and stop at every lead, at the boundary
+    # between the rows led in the second half (B) and those led in the first
+    # (A), and partway through an A row's pairing with the rows of B.
+    f = gf(q)
+    rng = np.random.default_rng(300 + q)
+    for k in range(1, 6 if q < 7 else 5):
+        for n in (1, 9, 33, 70):
+            mat = rng.integers(0, q, size=(k, n))
+            supports = canonical_supports(f, mat)
+            whole = _packed_supports(f, mat)
+            h, b_rows = len(whole), q ** (k - k // 2)
+            assert supports.shape == whole.shape and supports.dtype == whole.dtype and len(supports) == h
+            leads = [canonical_count(q, tail) for tail in range(k + 1)]
+            b_end = leads[k - k // 2]  # the first row led in the first half
+            edges = set(leads) | {b_end - 1, b_end + 1, b_end + b_rows // 2, b_end + b_rows + 1, h - 1}
+            edges |= set(rng.integers(0, h + 1, size=6).tolist())
+            edges = sorted(e for e in edges if 0 <= e <= h)
+            for start, stop in itertools.combinations(edges, 2):
+                rows = supports[start:stop]
+                assert rows.dtype == whole.dtype and not rows.flags.writeable
+                assert np.array_equal(rows, whole[start:stop])
+            assert len(supports[3:3]) == 0
+            index = rng.integers(0, h, size=(5, 3))
+            assert np.array_equal(supports[index], whole[index])
+            assert np.array_equal(supports[[h - 1, 0, 0]], whole[[h - 1, 0, 0]])
+            assert np.array_equal(np.asarray(supports), whole)
+
+
+def test_canonical_supports_builds_the_whole_array_once():
+    # A read inside one lead of the second half is a view of its shared
+    # table; `np.asarray` builds the whole array once, read-only, and keeps
+    # it, while a copy asked for is a fresh array.
+    f = gf(3)
+    mat = np.random.default_rng(5).integers(0, 3, size=(4, 12))
+    supports = canonical_supports(f, mat)
+    assert supports[1:4].base is not None and supports[1:5].base is None
+    whole = np.asarray(supports)
+    assert np.asarray(supports) is whole and not whole.flags.writeable
+    copied = np.array(supports)
+    assert copied is not whole and copied.flags.writeable and np.array_equal(copied, whole)
 
 
 @pytest.mark.parametrize("q", SUPPORTED + [11])

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import lsext.pipeline as pipeline
-from conftest import GOLAY_FILE, HAMMING_FILE, random_codes, repetition
+from conftest import GOLAY_FILE, HAMMING_FILE, random_codes, reed_muller_2_5, repetition
 from lsext.code import LinearCode
 from lsext.errors import ConsistencyError, ParseError, RankDeficientError
 from lsext.extension import coverage_matrix, is_good_extension
@@ -396,6 +397,24 @@ def test_chain_round_builds_its_coverage_matrix_once(hamming, monkeypatch):
     assert report.stopping_reason is StopReason.NO_EXTENSION
     assert len(built) == 2
     assert tried == [(1, built[0]), (1, built[1]), (2, built[1]), (3, built[1])]
+
+
+@pytest.mark.parametrize("args, nodes", [((1,), 65_535), ((2, 2), 0)])
+def test_root_decided_extension_builds_no_coverage_array(args, nodes):
+    # RM(2,5) at l = 1, and at l = 2, s = 2, is decided at the root of its
+    # search.  The coverage matrix is then the kernel's two half tables
+    # (60 KB with the support table of the second half) and the scans stream
+    # blocks from them, where the packed coverage alone takes 5.2 MB.
+    code = reed_muller_2_5()
+    tracemalloc.start()
+    try:
+        record = extend_once(code, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (record.search.status, record.search.nodes_explored) == (SolveStatus.INFEASIBLE, nodes)
+    assert record.result is None
+    assert peak < 1.5 * 1024 * 1024
 
 
 def test_extend_once_with_prebuilt_matrix(hamming, golay):

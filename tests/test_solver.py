@@ -8,8 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
+import lsext.field as field_module
 import lsext.solver as solver
 from conftest import binary_golay, extended_golay, reed_muller_2_5
+from lsext.code import LinearCode
+from lsext.errors import RankDeficientError
 from lsext.extension import (
     CoverSystem,
     coverage_matrix,
@@ -19,6 +22,7 @@ from lsext.extension import (
     parse_matrix_text,
     projective_filter,
 )
+from lsext.field import gf
 from lsext.pipeline import extend_once, special_puncture, zero_coverage_system
 from lsext.solver import (
     STRATEGIES,
@@ -814,3 +818,78 @@ def test_search_releases_its_system_when_it_raises(no_gc, monkeypatch, strategy)
         pytest.fail("the search did not raise")
     del system
     assert ref() is None
+
+
+# -- systems read through the kernel's tables -------------------------------------
+
+
+def _random_codes_of_many_columns(count, seed):
+    """Random full-rank codes whose candidate columns number about 30 to 3300,
+    over every supported q, so that most searches run numpy scans."""
+    rng = np.random.default_rng(seed)
+    shapes = [(2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (3, 4), (3, 5), (3, 6), (4, 4), (5, 4), (5, 5),
+              (7, 3), (7, 4), (8, 3), (8, 4), (9, 3), (9, 4)]
+    codes = []
+    while len(codes) < count:
+        q, k = shapes[int(rng.integers(len(shapes)))]
+        n = int(rng.integers(k + 2, k + 9))
+        try:
+            codes.append(LinearCode(gf(q), rng.integers(0, q, size=(k, n))))
+        except RankDeficientError:
+            continue
+    return codes
+
+
+def test_lazy_systems_search_like_stored_ones(monkeypatch):
+    # 400 seeded systems: each is searched as `cover_system` builds it, its
+    # columns read through the kernel's tables, and as a stored system over
+    # the whole packed array.  Status, nodes and solutions, in order, must be
+    # equal, under every strategy, with and without projective masks, at
+    # budget and max_solutions stops.  A chunk budget of 97 words makes the
+    # streamed blocks start and stop partway through the pairings of first-
+    # half rows with the second half.
+    monkeypatch.setattr(field_module, "_CHUNK_WORDS", 97)
+    rng = np.random.default_rng(2024)
+    checked, stopped_at_max_solutions = set(), False
+    for code in _random_codes_of_many_columns(100, seed=77):
+        whole = coverage_matrix(code).packed
+        for _ in range(4):
+            l = int(rng.integers(1, 4))
+            s = int(rng.integers(1, code.guaranteed_gain(l) + 1))
+            lazy = cover_system(coverage_matrix(code), l, s)
+            if rng.random() < 0.4 and not code.is_degenerate:
+                lazy = projective_filter(lazy)
+            stored = CoverSystem(packed=whole, num_rows=lazy.num_rows, l=l, s=s, masked=lazy.masked)
+            cfg = SolverConfig(
+                strategy=str(rng.choice(STRATEGIES)),
+                max_solutions=int(rng.choice([1, 3, 10])),
+                node_limit=int(rng.choice([1, 40, 700, 20_000])),
+            )
+            a, b = solve(lazy, cfg), solve(stored, cfg)
+            assert (a.status, a.nodes_explored, a.exhausted) == (b.status, b.nodes_explored, b.exhausted)
+            assert [(x.columns, x.slacks) for x in a.solutions] == [(x.columns, x.slacks) for x in b.solutions]
+            checked.add((cfg.strategy, a.status, bool(lazy.masked), len(whole) > _NARROW))
+            stopped_at_max_solutions |= cfg.strategy != "greedy" and len(a.solutions) == cfg.max_solutions and not a.exhausted
+    statuses = {(strategy, status) for strategy, status, _, _ in checked if strategy != "greedy"}
+    assert statuses == {(x, y) for x in ("bnb", "exhaustive") for y in SolveStatus}
+    assert {(masked, wide) for _, _, masked, wide in checked} == {(False, False), (False, True), (True, False), (True, True)}
+    assert stopped_at_max_solutions
+
+
+def test_root_scans_build_no_whole_array_and_a_deeper_search_builds_it_once(monkeypatch):
+    # RM(2,5) at l = 1 and at l = 2, s = 2 is decided at the root: no whole
+    # array is built.  The extended Golay code at l = 2 goes below its root
+    # and builds it once, the array the coverage matrix then gives as `packed`.
+    built = []
+    real = field_module.CanonicalSupports.__array__
+    monkeypatch.setattr(field_module.CanonicalSupports, "__array__", lambda self, *a, **kw: built.append(1) or real(self, *a, **kw))
+    code = reed_muller_2_5()
+    matrix = coverage_matrix(code)
+    assert solve(cover_system(matrix, 1, 1)).nodes_explored == 65_535
+    assert solve(cover_system(matrix, 2, 2)).nodes_explored == 0
+    assert solve_greedy(cover_system(matrix, 2, 1)).status == SolveStatus.BUDGET_EXHAUSTED
+    assert built == []
+    golay = coverage_matrix(extended_golay())
+    outcome = solve(cover_system(golay, 2, 1), SolverConfig(node_limit=50_000))
+    assert outcome.status == SolveStatus.BUDGET_EXHAUSTED and len(built) == 1
+    assert golay.packed is golay.packed and golay.packed.shape == (4095, 12)
