@@ -2,9 +2,9 @@
 
 Subcommands: analyze, extend, puncture, chain, incidence, dump-d.
 Exit codes: 0 success/feasible, 1 infeasible, 2 inconclusive (solver budget),
-3 input error.  A chain exits 0 once it applied a step, or when it stopped at
-the target distance or the total-length budget.  LSEXT_ENUM_CAP overrides the
-enumeration cap.
+3 input error, a request too large for memory included.  A chain exits 0
+once it applied a step, or when it stopped at the target distance or the
+total-length budget.  LSEXT_ENUM_CAP overrides the enumeration cap.
 
 All output is deterministic: identical inputs produce byte-identical text.
 """
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LsextError, ValueError, OSError, ZeroDivisionError) as exc:
+    except (LsextError, ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

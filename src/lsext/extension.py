@@ -224,28 +224,6 @@ def _coverages(system: CoverSystem, multisets: np.ndarray) -> np.ndarray:
     return bits.sum(axis=1, dtype=np.int64)
 
 
-def _checked_batch(system: CoverSystem, picks) -> np.ndarray:
-    """The multisets of `picks` as an (m, l) array, each row as `_checked` returns it.
-
-    An (m, l) integer array of ascending rows, as the solver gives, is
-    checked in one pass over all its rows; any other input, and a batch with
-    a bad row, goes through `_checked` row by row, which sorts each row, so
-    the first bad multiset raises its own error.
-    """
-    try:
-        arr = np.asarray(picks)
-    except ValueError:  # ragged rows
-        arr = None
-    if arr is not None and arr.ndim == 2 and arr.dtype.kind in "iu" and arr.shape[1] == system.l:
-        descent = arr[:, 1:] <= arr[:, :-1] if system.distinct else arr[:, 1:] < arr[:, :-1]
-        bad = (arr[:, 0] < 0) | (arr[:, -1] >= system.num_columns) | descent.any(axis=1)
-        if system.masked and not system.masked.isdisjoint(arr.ravel().tolist()):
-            bad |= np.array([not system.masked.isdisjoint(row) for row in arr.tolist()])
-        if not bad.any():
-            return arr
-    return np.array([_checked(system, x) for x in picks], dtype=np.intp).reshape(-1, system.l)
-
-
 def is_good_extension(system: CoverSystem, x) -> bool:
     """True iff every row is covered at least s times by the multiset x, counting multiplicity."""
     return bool(np.all(_coverages(system, np.array([_checked(system, x)]))[0] >= system.s))
@@ -259,14 +237,14 @@ def _short_rows_error(system: CoverSystem, slack: np.ndarray) -> InfeasibleSolut
 def solutions_for(system: CoverSystem, picks) -> list[ExtensionSolution]:
     """Solution records for many column multisets, with their slacks.
 
-    Every multiset is checked first (ValueError on a wrong count, a masked,
-    repeated or out-of-range column), all at once when they come as an
-    (m, l) integer array; then the coverage of all of them is read in one
-    gather and unpack of the packed rows.  Raises
+    Every multiset is checked first, one by one with `_checked` (ValueError
+    on a wrong count, a masked, repeated or out-of-range column), so the
+    first bad multiset raises its own error; then the coverage of all of
+    them is read in one gather and unpack of the packed rows.  Raises
     InfeasibleSolutionError, naming the short rows, for the first multiset
     that does not cover the system.
     """
-    multisets = _checked_batch(system, picks)
+    multisets = np.array([_checked(system, x) for x in picks], dtype=np.intp).reshape(-1, system.l)
     if not len(multisets):
         return []
     slack = _coverages(system, multisets) - system.s

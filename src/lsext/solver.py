@@ -3,8 +3,8 @@
 Three strategies share one outcome type:
 
 * exhaustive  - plain lexicographic enumeration of all size-l multisets
-                (or sets, for systems requiring distinct columns); the
-                reference semantics the others must agree with.
+                (or sets, for systems requiring distinct columns), with no
+                bound.
 * bnb         - depth-first search over the same lexicographic space with
                 pruning bounds, so it visits a subset of the exhaustive nodes
                 and still reports solutions in identical order.  Its
@@ -14,9 +14,11 @@ Three strategies share one outcome type:
                 (ties to the lowest index).  A cheap probe: success yields a
                 valid solution, failure proves nothing.
 
-Exhaustive and bnb are one recursive search with pruning off or on; each
-keeps its own node count (exhaustive counts leaves, bnb counts branches
-plus the columns each last pick tests).
+Exhaustive and bnb share one recursion and one last pick; bnb adds its
+bounds and the two-pick node below, which are its alone.  Each keeps its
+own node count (exhaustive counts leaves, bnb counts branches plus the
+columns each last pick tests).  The independent reference both are
+checked against is the brute-force walk in `tests/oracles.py`.
 
 All strategies search `system.packed`, the columns as row bitsets: row i
 of column j is bit i % B of word packed[j, i // B], B being the width in
@@ -81,26 +83,26 @@ is computed from positions, not from the columns it tested: bnb charges
 every column the pick could test, exhaustive the leaves up to the one
 that stops it.  So node counts do not depend on where the scan stops.
 
-A node with two picks left whose remaining columns are all narrow has a
-path of its own (`two_left` in `_search`).  It takes the node's levels
-U_1, U_2 and U_3 as ints, and its parent, the node with three picks
-left, picks them inline, with no level list and no call through the
-general recursion.  Its gain bound and reach cut read the tail ints and
-their suffix ORs directly.  It recurses only into its live first picks:
-those a for which U_3 is empty, U_2 lies inside a, and some later column
-contains U_2 | (U_1 & ~a), the rows left for the second pick.  The
-complements ~P, ~reach and ~(P | reach past P) of the narrow columns are
-built once per search, so the suffix OR rules most a out with one or two
-int operations and before any second pick is tested.  Every other first
-pick charges what its recursion would have charged, its bnb branch plus
-the leaves of its last pick, summed in closed form over each run of them
-and cut at the budget as the recursion would cut it.  So node counts do
-not depend on which first picks are live either.
+In bnb, a node with two picks left whose remaining columns are all
+narrow has a path of its own (`two_left` in `_search`).  It takes the
+node's levels U_1, U_2 and U_3 as ints, and its parent, the node with
+three picks left, picks them inline, with no level list and no call
+through the general recursion.  Its gain bound and reach cut read the
+tail ints and their suffix ORs directly.  It recurses only into its live
+first picks: those a for which U_3 is empty, U_2 lies inside a, and some
+later column contains U_2 | (U_1 & ~a), the rows left for the second
+pick.  The complements ~P, ~reach and ~(P | reach past P) of the narrow
+columns are built once per search, so the suffix OR rules most a out
+with one or two int operations and before any second pick is tested.
+Every other first pick charges what its recursion would have charged,
+its bnb branch plus the leaves of its last pick, summed in closed form
+over each run of them and cut at the budget as the recursion would cut
+it.  So node counts do not depend on which first picks are live either.
 
 The search records the positions of each solution it finds and builds
 all the solutions once at the end through `extension.solutions_for`,
-which checks them and recomputes their coverage in one batch and raises
-InfeasibleSolutionError on a short row.
+which checks each of them, recomputes their coverage in one batch and
+raises InfeasibleSolutionError on a short row.
 
 All strategies are deterministic: same system, same config, same outcome,
 including solution order.  The outcome's `SolveStatus` is the verdict that
@@ -246,12 +248,8 @@ class _Columns:
             self.block = max(_NARROW, self.packed.chunk_rows)
         self.narrow_from = max(0, self.count - _NARROW)
         first, stop, cuts = self._span(self.narrow_from, self.count)
-        rows = self.packed[first:stop]
-        if words == 1:
-            tail = rows[:, 0].tolist()
-        else:
-            data, size = rows.tobytes(), self.nbytes
-            tail = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+        data, size = self.packed[first:stop].tobytes(), self.nbytes
+        tail = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
         for cut in reversed(cuts):
             del tail[cut]
         self.tail = tail
@@ -261,10 +259,11 @@ class _Columns:
         self._root_reach: int | None = None
         self._wide_reach: np.ndarray | None = None
 
-    def index(self, positions) -> np.ndarray:
-        """The system columns at the given positions."""
+    def index(self, positions) -> list:
+        """The system columns at the given positions, as (nested) lists of ints,
+        which `extension.solutions_for` checks faster than numpy rows."""
         positions = np.asarray(positions, dtype=np.intp)
-        return positions + np.searchsorted(np.array(self._gaps, dtype=np.intp), positions, side="right")
+        return (positions + np.searchsorted(np.array(self._gaps, dtype=np.intp), positions, side="right")).tolist()
 
     def whole(self) -> None:
         """Read the packed rows as one array from here on, in place.
@@ -414,17 +413,17 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
     """Depth-first search of the size-l multisets (or sets) in lexicographic order.
 
     With `prune`, the branch-and-bound rules of `solve_branch_and_bound` cut
-    subtrees, and every branch taken counts as a node, as does every column
-    the last pick tests.  Without it, the search is plain enumeration and
-    the nodes are the leaves: the multisets tested, up to and including the
-    one that stops the search.
+    subtrees, nodes with two picks left over narrow columns run `two_left`,
+    and every branch taken counts as a node, as does every column the last
+    pick tests.  Without it, the search is plain enumeration through `rec`
+    and `last_pick` alone, and the nodes are the leaves: the multisets
+    tested, up to and including the one that stops the search.
     """
     columns = _Columns(system)
     count = columns.count
     picks: list[list[int]] = []  # the positions of each solution, in the order found
     nodes = 0
     step = 1 if system.distinct else 0
-    branch = 1 if prune else 0  # the node a bnb branch charges
     limit, most, s = config.node_limit, config.max_solutions, system.s
     tail, narrow, tail_reach = columns.tail, columns.narrow_from, columns._tail_reach
 
@@ -460,11 +459,11 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         return not columns.has_gain(start, deficient, -(-sum(map(int.bit_count, levels)) // picks_left))
 
     def dead(low: int, high: int) -> bool:
-        # First picks low..high-1 lead to no solution: each charges its bnb
+        # First picks low..high-1 lead to no solution: each charges its
         # branch and the leaves of its last pick, as far as the budget goes.
         nonlocal nodes
         runs = high - low
-        charge = runs * (branch + count - step) - (low + high - 1) * runs // 2
+        charge = runs * (1 + count - step) - (low + high - 1) * runs // 2
         budget = limit - nodes
         nodes += min(charge, budget)
         return charge > budget
@@ -476,7 +475,7 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
     blocked: list[int] = []
 
     def two_left(start: int, chosen: list[int], first: int, second: int, third: int) -> bool:
-        # A node with two picks left over narrow columns, given its levels
+        # bnb's node with two picks left over narrow columns, given its levels
         # U_1, U_2 and U_3 (U_4.. lie inside U_3): bounded_out and rec on the
         # tail ints.  Only the live first picks a are taken, those that some
         # second pick b completes: U_3 empty, U_2 inside a, and b containing
@@ -488,21 +487,18 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
             unreached.extend(~reach for reach in tail_reach)
             blocked.extend(~(col | reach) for col, reach in zip(tail, tail_reach[step:]))
         base = start - narrow
-        if prune:
-            if not first:
-                if step and count - start < 2:
-                    return False
-            elif third or first & unreached[base]:
+        if not first:
+            if step and count - start < 2:
                 return False
+        elif third or first & unreached[base]:
+            return False
+        else:
+            need = -(-(first.bit_count() + second.bit_count()) // 2)
+            for i in range(base, len(tail)):
+                if (tail[i] & first).bit_count() >= need:
+                    break
             else:
-                need = -(-(first.bit_count() + second.bit_count()) // 2)
-                for i in range(base, len(tail)):
-                    if (tail[i] & first).bit_count() >= need:
-                        break
-                else:
-                    return False
-        if third:
-            return dead(start, count)
+                return False
         low = start  # the first position not yet charged
         end = len(tail)
         for i in range(base, end):
@@ -518,10 +514,9 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
             if a > low and dead(low, a):
                 return True
             low = a + 1
-            if prune:
-                if nodes >= limit:
-                    return True
-                nodes += 1
+            if nodes >= limit:
+                return True
+            nodes += 1
             # The last pick after a: its leaves are [a + step, count), and j
             # is the first that covers.
             total = count - a - step
@@ -531,7 +526,7 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
                 if not rest & uncovered[j]:
                     picks.append(chosen + [a, j + narrow])
                     if len(picks) >= most:
-                        nodes += take if prune else j - i - step + 1
+                        nodes += take
                         return True
                 j += 1
             nodes += take
@@ -546,17 +541,18 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         if picks_left == 1:
             return last_pick(start, chosen, levels)
         u1, u2, u3, u4 = (levels + [0, 0, 0])[:4]
-        if picks_left == 2 and start >= narrow:
-            return two_left(start, chosen, u1, u2, u3)
-        if prune and bounded_out(start, picks_left, levels):
-            return False
+        if prune:
+            if picks_left == 2 and start >= narrow:
+                return two_left(start, chosen, u1, u2, u3)
+            if bounded_out(start, picks_left, levels):
+                return False
         for pos in range(start, count):
             if prune:
                 if nodes >= limit:
                     return True
                 nodes += 1
             chosen.append(pos)
-            if picks_left == 3 and pos + step >= narrow:
+            if prune and picks_left == 3 and pos + step >= narrow:
                 # The child is a two_left node: its levels, picked inline.
                 keep = ~columns.at(pos)
                 stop = two_left(pos + step, chosen, u2 | (u1 & keep), u3 | (u2 & keep), u4 | (u3 & keep))
@@ -592,10 +588,11 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
     is covered by no remaining column.  The search is complete, so within the
     node budget its `infeasible` verdict is a proof.
 
-    A node with two picks left over narrow columns recurses only into the
-    first picks that some second pick completes: the others leave a row
-    needing two more covers, or rows that no later column contains.  Their
-    nodes are charged in closed form per run, the count the recursion gives.
+    A node with two picks left over narrow columns, a path of bnb's alone,
+    recurses only into the first picks that some second pick completes:
+    the others leave a row needing two more covers, or rows that no later
+    column contains.  Their nodes are charged in closed form per run, the
+    count the recursion gives.
     """
     return _search(system, config or SolverConfig(strategy="bnb"), prune=True)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import GOLAY_FILE, HAMMING_FILE, extended_golay
+import lsext.cli as cli_module
 from lsext.cli import EXIT_CODES, main
 from lsext.pipeline import StopReason, serialize_code
 from lsext.solver import SolveStatus
@@ -289,6 +290,27 @@ CLI_REPORTS = {
         "predicted distance: >= 1 when the second-smallest weight allows\n"
         "punctured code: [4,2,2]_3\n",
     ),
+    "extend-exhaustive": (
+        HAMMING_FILE, ["extend", "--l", "2", "--strategy", "exhaustive"], 0,
+        "code: [7,4,3]_2\n"
+        "candidates: 15  masked: 0  usable: 15\n"
+        "system: l=2 s=1 rows=7\n"
+        "solver: exhaustive  status: feasible  nodes: 64  search: stopped early\n"
+        "solutions found: 10\n"
+        "chosen columns: 0 13 [0001 1110]\n"
+        "slacks: min=0 max=1 zero=4/7\n"
+        "extended code: [9,4,4]_2\n"
+        "minimum-weight words: 7 recomputed, 4 slack-predicted -> differ\n",
+    ),
+    "extend-exhaustive-infeasible": (
+        EXTENDED_HAMMING_FILE, ["extend", "--l", "3", "--strategy", "exhaustive"], 1,
+        "code: [8,4,4]_2\n"
+        "candidates: 15  masked: 0  usable: 15\n"
+        "system: l=3 s=3 rows=14\n"
+        "solver: exhaustive  status: infeasible  nodes: 680  search: complete\n"
+        "solutions found: 0\n"
+        "no (l=3, s=3)-extension exists\n",
+    ),
     "chain": (
         HAMMING_FILE, ["chain", "--max-l", "2"], 0,
         "chain report for a [7,4,3]_2 code\n"
@@ -306,6 +328,18 @@ def test_cli_reports_are_pinned(name, tmp_path, monkeypatch, capsys):
     (tmp_path / "in.code").write_text(text)
     assert main([argv[0], "in.code", *argv[1:]]) == exit_code
     assert capsys.readouterr().out == expected
+
+
+def test_memory_error_is_an_input_error(monkeypatch, capsys):
+    # A request too large for memory exits 3 with one error line, not 1
+    # (infeasible) with a traceback.  Nothing is allocated here.
+    def too_large(field, k):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(cli_module, "incidence_matrix", too_large)
+    assert main(["incidence", "--q", "2", "--k", "17"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: Unable to allocate 16.0 GiB\n"
 
 
 def test_extend_refuses_l_below_1(hamming_file, capsys):

@@ -364,8 +364,9 @@ def test_solutions_for_errors():
     distinct = CoverSystem.from_bits(np.ones((1, 2), dtype=np.uint8), l=2, s=1, distinct=True)
     with pytest.raises(ValueError, match="repeats"):
         solutions_for(distinct, [[0, 1], [1, 1]])
-    # An (m, l) integer array is checked in one pass, and a bad row raises
-    # what the checks of that row alone raise, unsigned or unsorted rows too.
+    # An (m, l) integer array, as the solver gives, is checked row by row as
+    # well: a bad row raises what the checks of that row alone raise,
+    # unsigned or unsorted rows too.
     for bad, text in [([[2], [1]], "masked"), ([[2], [3]], "out of range"), ([[2], [-1]], "out of range")]:
         for dtype in (np.int64, np.int8):
             with pytest.raises(ValueError, match=text):
