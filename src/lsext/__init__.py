@@ -57,12 +57,10 @@ from .solver import (
     SolveOutcome,
     SolverConfig,
     SolveStatus,
-    format_solutions,
     solve,
     solve_branch_and_bound,
     solve_exhaustive,
     solve_greedy,
-    solve_matrix_text,
 )
 
 __version__ = "0.1.0"

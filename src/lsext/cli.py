@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .code import LinearCode
@@ -179,7 +180,9 @@ def _add_node_limit(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node-limit", type=int, default=default, dest="node_limit", help=help_text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lsext` parser, built once per process: building it costs more than a parse."""
     parser = _Parser(prog="lsext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -231,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (LsextError, ValueError, OSError, ZeroDivisionError, MemoryError) as exc:

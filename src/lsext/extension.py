@@ -80,6 +80,8 @@ class CoverageMatrix:
     code: LinearCode = dc_field(repr=False)
     representatives: np.ndarray
     supports: CanonicalSupports = dc_field(repr=False)
+    # The solver's search views of the matrix, one per mask, each made by the first search over it.
+    _views: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def t(self) -> int:

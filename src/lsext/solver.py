@@ -23,9 +23,8 @@ checked against is the brute-force walk in `tests/oracles.py`.
 All strategies search `system.packed`, the columns as row bitsets: row i
 of column j is bit i % B of word packed[j, i // B], B being the width in
 bits of `packed.dtype` (8, 16 or 32 for at most that many rows, else 64),
-stored or read through the kernel's tables (see below).
-The (rows, columns) uint8 matrix `system.bits` is only derived from it for
-display and checks.
+stored or read through the kernel's tables.  The (rows, columns) uint8
+matrix `system.bits` is only derived from it for display and checks.
 A node's state is s deficit levels, U_j = the rows still short of j or
 more covers (j = 1..s), each a t-bit Python int whose bit i is row i (the
 little-endian reading of a packed row), and picking column P maps U_j to
@@ -34,70 +33,56 @@ a row needing more than r covers is U_{r+1} nonempty, the last pick is the
 superset test (P & U_1) == U_1 once U_2 is empty, a column's gain is
 popcount(P & U_1) and the total deficit is the sum of popcount(U_j).
 
-The search walks positions, the allowed columns in ascending order.  A
-position maps to its system column through the sorted list of masked
-columns, so a mask costs memory in its own size and none when empty.
+A search reads its columns through a search view, `_Columns`, built by
+one rule: each part is built on first use and kept with the coverage
+matrix.  The matrix keeps one view per mask, so the searches of a chain
+round, plain or projective, share one; a system of stored rows gets one per
+search.  A view holds no reference to its matrix and is freed with it by
+reference count, so a chain holds one round's matrix and views at a time.
+The parts:
 
-Two scans run over every remaining column: the gain bound and the last
-pick.  A scan over at most `_NARROW` columns tests Python ints,
-precomputed for the last `_NARROW` columns only; a wider scan runs in
-numpy over the packed rows, in blocks of at most `_SCAN_WORDS` words of
-the rows' width, so that its temporaries stay small next to the packed
-rows.  Each block reads its column range of `system.packed` in place; the
-masked columns in it come as offsets, whose entries the scan neutralises
-in its own result (a gain of 0, a failed superset test), and the few
-offsets a scan keeps are mapped back to positions.  The gain bound stops
-at the first column (narrow) or block (wide) that gains enough.  Deep
-trees over few columns thus pay no numpy call per node, wide systems keep
-their vectorised scans, and no per-column int or byte copy of a wide
-matrix is ever made, masked or not.  The rule is fixed, not an option:
-both forms give the same answers and node counts.
+* the ints of the last `_NARROW` allowed columns and their suffix ORs,
+  which every scan over at most `_NARROW` columns tests, and their
+  complements, which `two_left` tests;
+* the root pass, one stream over the columns recording their OR and the
+  weight of the heaviest, which answers both root bounds of bnb;
+* the whole packed array, its byte view, from which a node below the root
+  reads its column, and the suffix-OR table of the reach bound there.
 
-A system that `extension.cover_system` builds reads its columns through
-the coverage matrix's kernel tables.  Until the search goes below its
-root, each block a scan reads is built from the tables and tested at
-once, a fresh array bounded by the kernel's chunk budget: the root reach,
-the root gain bound, a last pick at the root and greedy's gains stream
-their blocks, and the narrow tail ints are read as one range.  So a
-search decided at its root, every l = 1 pick and every root cut, holds
-no copy of the whole matrix.  The first read below the root (a column
-per node, or the suffix-OR table) builds the whole packed array, once
-per coverage matrix, and every later scan reads it in place.  A system
-whose whole array fits in one chunk is built at once: streaming it would
-save nothing.
-
-A search holds its system once, plus this bounded scratch, and frees all
-of it when it returns or raises: nothing of its recursion outlives the
-call, so a chain of searches keeps one system alive at a time without
-waiting for the cyclic collector.
+A wider scan runs in numpy, in blocks of at most `_SCAN_WORDS` words of the
+rows' width so that its temporaries stay small.  A position maps to its
+system column through the sorted list of masked columns, and a block's
+masked columns come as offsets, whose entries the scan neutralises in its
+own result (a gain of 0, a failed superset test): a mask costs memory in
+its own size, and no per-column copy of a wide matrix is made.  A system
+that `extension.cover_system` builds over more than one chunk of the kernel
+streams: until the whole array exists, each block is built from the
+kernel's tables and tested at once.  So a search decided at its root (every
+l = 1 pick, every root cut) and a greedy search build no whole matrix.  The
+gain bound stops at the first column or block that gains enough.  Both
+forms give the same answers and node counts.
 
 A wide last pick scans blocks of `_NARROW`, 8 `_NARROW`, 64 `_NARROW`,
-... columns, eightfold each time up to the scan's block width, and stops
-after the block in which it has the solutions it wants: a pick whose
-solutions lie among its first columns does not test the rest, and a pick
-over a few thousand columns costs three numpy blocks, not seven.  When a
-row spans two or more words, a block first tests every column on the
-densest word of the deficient rows alone, one word read per column, and
-tests the full row only on the columns that pass.  A pick's node charge
-is computed from positions, not from the columns it tested: bnb charges
-every column the pick could test, exhaustive the leaves up to the one
-that stops it.  So node counts do not depend on where the scan stops.
+... columns, up to the scan's block width, and stops after the block in
+which it has the solutions it wants.  When a row spans two or more words,
+a block first tests every column on the densest word of the deficient rows
+alone, and the full row only on the columns that pass.  A pick's node
+charge is computed from positions, not from the columns it tested: bnb
+charges every column the pick could test, exhaustive the leaves up to the
+one that stops it.
 
-In bnb, a node with two picks left whose remaining columns are all
-narrow has a path of its own (`two_left` in `_search`).  It takes the
-node's levels U_1, U_2 and U_3 as ints, and its parent, the node with
-three picks left, picks them inline, with no level list and no call
-through the general recursion.  Its gain bound and reach cut read the
-tail ints and their suffix ORs directly.  It recurses only into its live
-first picks: those a for which U_3 is empty, U_2 lies inside a, and some
-later column contains U_2 | (U_1 & ~a), the rows left for the second
-pick.  The complements ~P, ~reach and ~(P | reach past P) of the narrow
-columns are built once per search, so the suffix OR rules most a out
-with one or two int operations and before any second pick is tested.
-Every other first pick charges what its recursion would have charged,
-its bnb branch plus the leaves of its last pick, summed in closed form
-over each run of them and cut at the budget as the recursion would cut
-it.  So node counts do not depend on which first picks are live either.
+In bnb, a node with two picks left whose remaining columns are all narrow
+has a path of its own (`two_left` in `_search`).  It takes the node's
+levels U_1, U_2 and U_3 as ints, and its parent, the node with three picks
+left, picks them inline.  It recurses only into its live first picks:
+those a for which U_3 is empty, U_2 lies inside a, and some later column
+contains U_2 | (U_1 & ~a), the rows left for the second pick.  The view's
+complements ~P, ~reach and ~(P | reach past P) let the suffix OR rule most
+a out with one or two int operations.  Every other first pick charges what
+its recursion would have charged, its bnb branch plus the leaves of its
+last pick, summed in closed form over each run of them and cut at the
+budget as the recursion would cut it.  So node counts depend neither on
+where a scan stops nor on which first picks are live.
 
 The search records the positions of each solution it finds and builds
 all the solutions once at the end through `extension.solutions_for`,
@@ -120,7 +105,7 @@ from enum import Enum
 
 import numpy as np
 
-from .extension import CoverSystem, ExtensionSolution, parse_matrix_text, solutions_for
+from .extension import CoverSystem, ExtensionSolution, solutions_for
 from .bitsets import popcounts
 
 
@@ -192,9 +177,7 @@ def _outcome(solutions: list[ExtensionSolution], nodes: int, exhausted: bool) ->
         status = SolveStatus.INFEASIBLE
     else:
         status = SolveStatus.BUDGET_EXHAUSTED
-    return SolveOutcome(
-        status=status, solutions=tuple(solutions), nodes_explored=nodes, exhausted=exhausted
-    )
+    return SolveOutcome(status, tuple(solutions), nodes, exhausted)
 
 
 # Widest scan run on Python ints (see the module docstring).  One numpy call
@@ -206,87 +189,128 @@ _NARROW = 64
 _SCAN_WORDS = 1 << 16
 
 
+class _part:
+    """A part of a search view: the method's value, built on its first use
+    and kept as a plain attribute of the same name, where `cached_property`
+    would slow down every attribute of the view."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __get__(self, view, owner):
+        if view is None:
+            return self
+        value = self.build(view)
+        setattr(view, self.build.__name__, value)
+        return value
+
+
 class _Columns:
-    """The allowed columns of a system, read as Python ints or in place from its packed rows.
+    """A system's search view: its allowed columns, read as Python ints or in numpy blocks.
+
+    The constructor only records the packed rows and the mask; every other
+    part is built on first use and kept with the view (`_part`), and the
+    coverage matrix keeps the view (`_view`).
 
     Positions 0..count-1 are the allowed columns in ascending order; node
     charges and the lexicographic order are defined on them.  Position p is
     system column p + (the masked columns before it), which is p plus the
-    number of entries of masked[i] - i (masked sorted) that are <= p: one
-    bisection of an O(|masked|) list, and the identity when nothing is masked.
-    A scan over positions [start, stop) reads the matching column range of
-    `system.packed` block by block, in place from an array or built from
-    the kernel's tables until `whole` is called; each block's masked columns are
-    given as offsets into it, whose entries the scan neutralises in its own
-    result, and the few offsets a scan keeps are mapped back to positions.
-    So masked and unmasked systems share one path and neither is copied.
-
-    A column or a deficit level is a t-bit int, row i being bit i, which is
+    number of entries of masked[i] - i (masked sorted) that are <= p.  A
+    scan over positions [start, stop) reads the matching column range block
+    by block (`_scanned`), with the masked columns of each block as offsets
+    into it.  A column or a deficit level is a t-bit int, row i being bit i,
     the little-endian reading of a packed row, whatever its word width.
-    Ints for the last `_NARROW` allowed columns are built once; any other
-    column is read on demand from a zero-copy byte view of the packed rows.
     """
 
     def __init__(self, system: CoverSystem) -> None:
-        packed = system.packed
-        # A system of no rows has no words; one zero word per column gives every scan one to read.
-        self.packed = packed if packed.shape[1] else np.zeros((len(packed), 1), dtype=packed.dtype)
+        packed = self.packed = system.packed
         self._masked = sorted(system.masked)
         self._gaps = [col - i for i, col in enumerate(self._masked)]
         self.count = len(packed) - len(self._masked)
-        words = self.packed.shape[1]
-        self.nbytes = self.packed.dtype.itemsize * words
-        # One scalar per packed row, so the superset test is one comparison per column.
-        self._row = self.packed.dtype if words == 1 else np.dtype((np.void, self.nbytes))
-        self._bytes: memoryview | None = None
-        # Until the search goes below its root, each block of a system read
-        # through the kernel's tables is built from them, a fresh array the
-        # size of its chunks; one that fits in a chunk is built whole at once.
-        if isinstance(self.packed, np.ndarray) or len(self.packed) <= self.packed.chunk_rows:
-            self.whole()
-        else:
-            self.block = max(_NARROW, self.packed.chunk_rows)
         self.narrow_from = max(0, self.count - _NARROW)
+        self.step = int(system.distinct)
+        # A system of no rows has no words; `whole` gives it one zero word per column to scan.
+        words = max(packed.shape[1], 1)
+        self.nbytes = packed.dtype.itemsize * words
+        # One scalar per packed row, so the superset test is one comparison per column.
+        self._row = packed.dtype if words == 1 else np.dtype((np.void, self.nbytes))
+        # Tables of more than one chunk stream until `whole` is built; smaller ones build it on the first scan.
+        self._streams = not isinstance(packed, np.ndarray) and len(packed) > packed.chunk_rows
+
+    @_part
+    def whole(self) -> np.ndarray:
+        """The packed rows as one array: the system's own, or built from the kernel's tables, which keep it."""
+        whole = np.asarray(self.packed)
+        self._streams = False
+        return whole if whole.shape[1] else np.zeros((len(whole), 1), dtype=whole.dtype)
+
+    def _scanned(self) -> tuple:
+        """What the numpy scans read, and the columns in one block of it: the
+        whole array in blocks of `_SCAN_WORDS` words, but the kernel's tables
+        a chunk at a time while they stream (`_streams`)."""
+        if self._streams:
+            return self.packed, max(_NARROW, self.packed.chunk_rows)
+        return self.whole, max(_NARROW, _SCAN_WORDS // self.whole.shape[1])
+
+    @_part
+    def _bytes(self) -> memoryview:
+        """A zero-copy byte view of the whole array, for the column of a node below the root."""
+        return memoryview(self.whole.reshape(-1).view(np.uint8))
+
+    @_part
+    def tail(self) -> list[int]:
+        """The last `_NARROW` allowed columns, read as one range."""
         first, stop, cuts = self._span(self.narrow_from, self.count)
-        data, size = self.packed[first:stop].tobytes(), self.nbytes
-        tail = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
-        for cut in reversed(cuts):
-            del tail[cut]
-        self.tail = tail
-        self._tail_reach = self.tail + [0]
-        for i in range(len(self.tail) - 1, -1, -1):
-            self._tail_reach[i] |= self._tail_reach[i + 1]
-        self._root_reach: int | None = None
-        self._wide_reach: np.ndarray | None = None
+        data, size = self._scanned()[0][first:stop].tobytes(), self.nbytes
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size) if i // size not in cuts]
+
+    @_part
+    def tail_reach(self) -> list[int]:
+        """Entry i ORs the tail columns from i on; one 0 follows the last."""
+        reach = self.tail + [0]
+        for i in range(len(reach) - 2, -1, -1):
+            reach[i] |= reach[i + 1]
+        return reach
+
+    @_part
+    def complements(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """What `two_left` reads: the tail columns P and their ~P, ~reach and ~(P | reach past P)."""
+        tail, reach = self.tail, self.tail_reach
+        return tail, [~col for col in tail], [~r for r in reach], [~(col | r) for col, r in zip(tail, reach[self.step :])]
+
+    @_part
+    def root(self) -> tuple[int, int]:
+        """The rows some allowed column covers and the most rows one covers, from one pass over the columns."""
+        union = heaviest = 0
+        for _, rows, cuts in self._blocks(0, self.count):
+            weights, keep = popcounts(rows), True
+            if cuts:
+                keep = np.ones((len(rows), 1), dtype=bool)
+                keep[cuts] = weights[cuts] = 0
+            union |= int.from_bytes(np.bitwise_or.reduce(rows, axis=0, where=keep).tobytes(), "little")
+            heaviest = max(heaviest, int(weights.max()))
+        return union, heaviest
+
+    @_part
+    def suffix_or(self) -> np.ndarray:
+        """Row j ORs the allowed columns >= j: masked rows are zeroed before
+        the suffix OR runs, in place, from the last row up."""
+        table = np.array(self.whole)
+        table[self._masked] = 0
+        suffix = table[::-1]
+        np.bitwise_or.accumulate(suffix, axis=0, out=suffix)
+        return table
 
     def index(self, positions) -> list:
         """The system columns at the given positions, as (nested) lists of ints,
         which `extension.solutions_for` checks faster than numpy rows."""
-        positions = np.asarray(positions, dtype=np.intp)
-        return (positions + np.searchsorted(np.array(self._gaps, dtype=np.intp), positions, side="right")).tolist()
-
-    def whole(self) -> None:
-        """Read the packed rows as one array from here on, in place.
-
-        A system built from the kernel's tables builds that array here, once:
-        the reads below the root, one column per node and the suffix-OR
-        table, need it."""
-        self.packed = np.asarray(self.packed)
-        self._bytes = memoryview(self.packed.reshape(-1).view(np.uint8))
-        self.block = max(_NARROW, _SCAN_WORDS // self.packed.shape[1])
-
-    def read(self, col: int) -> int:
-        """System column `col` as an int."""
-        if self._bytes is None:
-            return int.from_bytes(self.packed[col : col + 1].tobytes(), "little")
-        return int.from_bytes(self._bytes[col * self.nbytes : (col + 1) * self.nbytes], "little")
+        return (np.searchsorted(self._gaps, positions, side="right") + positions).tolist()
 
     def at(self, pos: int) -> int:
         if pos >= self.narrow_from:
             return self.tail[pos - self.narrow_from]
-        if self._bytes is None:
-            self.whole()
-        return self.read(pos + bisect_right(self._gaps, pos))
+        col = pos + bisect_right(self._gaps, pos)
+        return int.from_bytes(self._bytes[col * self.nbytes : (col + 1) * self.nbytes], "little")
 
     def _span(self, low: int, high: int) -> tuple[int, int, list[int]]:
         """The system columns [first, stop) that positions [low, high) span,
@@ -295,66 +319,58 @@ class _Columns:
         first = low + skip_low
         return first, high + skip_high, [col - first for col in self._masked[skip_low:skip_high]]
 
-    def _blocks(self, start: int, stop: int, width: int, grow: int = 1):
+    def _blocks(self, start: int, stop: int, grow: bool = False):
         """(low, rows, cuts) for blocks that tile positions [start, stop): rows
-        are the packed rows that positions [low, high) span, read in place, and
-        cuts the offsets of the masked ones among them.  Blocks are `width`
-        positions wide at first and grow `grow`-fold, up to `self.block`."""
-        low = start
+        are the packed rows that positions [low, high) span, and cuts the
+        offsets of the masked ones among them.  Blocks are a scan block wide,
+        or with `grow` `_NARROW` positions at first and eightfold up to it."""
+        source, block = self._scanned()
+        low, width = start, _NARROW if grow else block
         while low < stop:
             high = min(stop, low + width)
             first, end, cuts = self._span(low, high)
-            yield low, self.packed[first:end], cuts
-            low, width = high, min(grow * width, self.block)
+            yield low, source[first:end], cuts
+            low, width = high, min(8 * width, block)
 
     def reach(self, start: int) -> int:
         """The rows covered by some column at position >= start."""
         if start >= self.narrow_from:
-            return self._tail_reach[start - self.narrow_from]
-        # The root needs only the OR of all columns; the suffix-OR table is
-        # built when a node further in asks.
+            return self.tail_reach[start - self.narrow_from]
         if start == 0:
-            if self._root_reach is None:
-                union = 0
-                for _, rows, cuts in self._blocks(0, self.count, self.block):
-                    keep = True
-                    if cuts:
-                        keep = np.ones((len(rows), 1), dtype=bool)
-                        keep[cuts] = False
-                    union |= int.from_bytes(np.bitwise_or.reduce(rows, axis=0, where=keep).tobytes(), "little")
-                self._root_reach = union
-            return self._root_reach
-        if self._wide_reach is None:
-            # Row j ORs the allowed columns >= j: masked rows are zeroed before
-            # the suffix OR runs, in place, from the last row up.
-            self.whole()
-            self._wide_reach = np.array(self.packed)
-            self._wide_reach[self._masked] = 0
-            suffix = self._wide_reach[::-1]
-            np.bitwise_or.accumulate(suffix, axis=0, out=suffix)
-        return int.from_bytes(self._wide_reach[start + bisect_right(self._gaps, start)].tobytes(), "little")
+            return self.root[0]
+        return int.from_bytes(self.suffix_or[start + bisect_right(self._gaps, start)].tobytes(), "little")
 
     def words(self, level: int) -> np.ndarray:
         """A level as one packed row, for the numpy scans."""
         return np.frombuffer(level.to_bytes(self.nbytes, "little"), dtype=self.packed.dtype)
 
+    def read(self, col: int) -> int:
+        """System column `col` as an int, read from what the scans read."""
+        return int.from_bytes(self._scanned()[0][col : col + 1].tobytes(), "little")
+
     def gains(self, deficient: int) -> np.ndarray:
         """Deficient rows covered by each system column, scanned in numpy; -1 for a masked one."""
+        source, block = self._scanned()
         target = self.words(deficient)
-        blocks = range(0, len(self.packed), self.block)
-        gains = np.concatenate([popcounts(self.packed[low : low + self.block] & target) for low in blocks])
+        gains = np.concatenate([popcounts(source[low : low + block] & target) for low in range(0, len(source), block)])
         gains[self._masked] = -1
         return gains
 
     def has_gain(self, start: int, deficient: int, gain: int) -> bool:
         """Whether some column at position >= start covers at least `gain` deficient rows.
 
-        A wide range is scanned block by block and the scan stops at the first
-        block holding such a column."""
+        At position 0 the root pass settles it when no column weighs `gain`
+        or every row a column covers is deficient.  A wide range is scanned
+        block by block and the scan stops at the first block holding such a
+        column."""
         if start >= self.narrow_from:
             return any((col & deficient).bit_count() >= gain for col in self.tail[start - self.narrow_from :])
+        if start == 0:
+            union, heaviest = self.root
+            if heaviest < gain or not union & ~deficient:
+                return heaviest >= gain
         target = self.words(deficient)
-        for _, rows, cuts in self._blocks(start, self.count, self.block):
+        for _, rows, cuts in self._blocks(start, self.count):
             gains = popcounts(rows & target)
             gains[cuts] = 0  # gain >= 1 here, so a masked column never reaches it
             if gains.max() >= gain:
@@ -365,7 +381,7 @@ class _Columns:
         """The first `wanted` positions in [start, stop) whose column covers every deficient row.
 
         A wide range is scanned in blocks of `_NARROW`, 8 `_NARROW`,
-        64 `_NARROW`, ... columns, at most `self.block` each, and the scan
+        64 `_NARROW`, ... columns, at most a scan block each, and the scan
         stops after the block in which the `wanted`-th position is found.
         A row of two or more words is first tested on the deficient rows'
         densest word alone, and in full only on the columns that pass.
@@ -381,7 +397,7 @@ class _Columns:
             word = counts.index(max(counts))
             key = target[word]
         found: list[int] = []
-        for low, rows, cuts in self._blocks(start, stop, _NARROW, 8):
+        for low, rows, cuts in self._blocks(start, stop, grow=True):
             if word is None:
                 ok = (rows & target).view(self._row)[:, 0] == row
             else:
@@ -396,6 +412,16 @@ class _Columns:
             if len(found) >= wanted:
                 break
         return found
+
+
+def _view(system: CoverSystem) -> _Columns:
+    """The search view of a system: the one its coverage matrix keeps for
+    its mask, or a new one for a system of other rows."""
+    matrix, key = system.matrix, (system.masked, system.distinct)
+    views = {} if matrix is None or system.packed is not matrix.supports else matrix._views
+    if key not in views:
+        views[key] = _Columns(system)
+    return views[key]
 
 
 def _full_levels(system: CoverSystem) -> list[int]:
@@ -419,13 +445,11 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
     and `last_pick` alone, and the nodes are the leaves: the multisets
     tested, up to and including the one that stops the search.
     """
-    columns = _Columns(system)
-    count = columns.count
+    columns = _view(system)
+    count, narrow, step = columns.count, columns.narrow_from, columns.step
     picks: list[list[int]] = []  # the positions of each solution, in the order found
     nodes = 0
-    step = 1 if system.distinct else 0
     limit, most, s = config.node_limit, config.max_solutions, system.s
-    tail, narrow, tail_reach = columns.tail, columns.narrow_from, columns._tail_reach
 
     def last_pick(start: int, chosen: list[int], levels: list[int]) -> bool:
         # Every remaining column is one leaf; it is a solution when it
@@ -447,7 +471,7 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
     def bounded_out(start: int, picks_left: int, levels: list[int]) -> bool:
         deficient = levels[0]
         if not deficient:
-            return system.distinct and count - start < picks_left
+            return step and count - start < picks_left
         if picks_left < s and levels[picks_left]:
             return True
         # Some deficient row unreachable by every remaining column?  This
@@ -468,12 +492,6 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         nodes += min(charge, budget)
         return charge > budget
 
-    # The complements that two_left tests against, built at its first call:
-    # ~P, ~reach and ~(P | reach past P), for each narrow column P.
-    uncovered: list[int] = []
-    unreached: list[int] = []
-    blocked: list[int] = []
-
     def two_left(start: int, chosen: list[int], first: int, second: int, third: int) -> bool:
         # bnb's node with two picks left over narrow columns, given its levels
         # U_1, U_2 and U_3 (U_4.. lie inside U_3): bounded_out and rec on the
@@ -482,11 +500,8 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
         # rest = U_2 | (U_1 & ~a), which the suffix OR tests for all later b
         # at once; each run of other first picks is dead.
         nonlocal nodes
-        if not unreached:
-            uncovered.extend(~col for col in tail)
-            unreached.extend(~reach for reach in tail_reach)
-            blocked.extend(~(col | reach) for col, reach in zip(tail, tail_reach[step:]))
-        base = start - narrow
+        tail, uncovered, unreached, blocked = columns.complements
+        base, end = start - narrow, count - narrow
         if not first:
             if step and count - start < 2:
                 return False
@@ -494,13 +509,12 @@ def _search(system: CoverSystem, config: SolverConfig, prune: bool) -> SolveOutc
             return False
         else:
             need = -(-(first.bit_count() + second.bit_count()) // 2)
-            for i in range(base, len(tail)):
+            for i in range(base, end):
                 if (tail[i] & first).bit_count() >= need:
                     break
             else:
                 return False
         low = start  # the first position not yet charged
-        end = len(tail)
         for i in range(base, end):
             j = i + step  # the tail index of the first second pick
             if first & blocked[i] or second and (second & uncovered[i] or second & unreached[j]):
@@ -599,7 +613,7 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
 
 def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutcome:
     """Pick, l times, the column covering the most deficient rows (ties: lowest index)."""
-    columns = _Columns(system)
+    columns = _view(system)
     if not columns.count:
         return _outcome([], 0, exhausted=False)
     levels = _full_levels(system)
@@ -607,11 +621,9 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
     nodes = 0
     for _ in range(system.l):
         gains = columns.gains(levels[0])
-        if system.distinct:
-            nodes += columns.count - len(chosen)
-            gains[chosen] = -1
-        else:
-            nodes += columns.count
+        skip = chosen if system.distinct else []
+        gains[skip] = -1
+        nodes += columns.count - len(skip)
         best = int(np.argmax(gains))  # the first maximum: ties go to the lowest index
         chosen.append(best)
         if system.distinct and len(chosen) == columns.count < system.l:
@@ -634,18 +646,3 @@ def solve(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutco
     config = config or SolverConfig()
     return _SOLVERS[config.strategy](system, config)
 
-
-# -- standalone text interface -------------------------------------------------
-
-
-def solve_matrix_text(
-    text: str, l: int, s: int, config: SolverConfig | None = None, distinct: bool = False
-) -> SolveOutcome:
-    """Solve a covering instance given as a text matrix dump."""
-    bits = parse_matrix_text(text)
-    return solve(CoverSystem.from_bits(bits, l=l, s=s, distinct=distinct), config)
-
-
-def format_solutions(outcome: SolveOutcome) -> str:
-    """One line per solution: space-separated column indices."""
-    return "".join(" ".join(str(c) for c in sol.columns) + "\n" for sol in outcome.solutions)

@@ -207,6 +207,31 @@ def test_usage_error_exits_3(hamming_file):
     assert err.value.code == 3
 
 
+def test_main_builds_its_parser_once_per_process(hamming_file, monkeypatch, capsys):
+    # Building the parser costs more than parsing, so calls share one; it
+    # still maps a usage error after a good call to exit 3.
+    built = []
+
+    class Counted(cli_module._Parser):
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("prog") == "lsext":  # not the subcommands' parsers
+                built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "_Parser", Counted)
+    cli_module.build_parser.cache_clear()
+    try:
+        assert main(["analyze", hamming_file]) == 0
+        assert main(["extend", hamming_file, "--l", "1"]) == 0
+        assert len(built) == 1
+        with pytest.raises(SystemExit) as err:
+            main(["extend", hamming_file])
+        assert err.value.code == 3
+        assert len(built) == 1
+    finally:
+        cli_module.build_parser.cache_clear()
+
+
 def test_enum_cap_env(hamming_file, capsys, monkeypatch):
     monkeypatch.setenv("LSEXT_ENUM_CAP", "5")
     assert main(["analyze", hamming_file]) == 3

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import lsext.pipeline as pipeline
-from conftest import GOLAY_FILE, HAMMING_FILE, random_codes, reed_muller_2_5, repetition
+import lsext.solver as solver
+from conftest import GOLAY_FILE, GOLAY_ROWS, HAMMING_FILE, HAMMING_ROWS, extended_golay, random_codes, reed_muller_2_5, repetition
 from lsext.code import LinearCode
 from lsext.errors import ConsistencyError, ParseError, RankDeficientError
 from lsext.extension import coverage_matrix, is_good_extension
@@ -399,6 +400,38 @@ def test_chain_round_builds_its_coverage_matrix_once(hamming, monkeypatch):
     assert tried == [(1, built[0]), (1, built[1]), (2, built[1]), (3, built[1])]
 
 
+@pytest.mark.parametrize("projective", [False, True])
+def test_chain_round_builds_one_search_view_per_matrix_and_mask(hamming, monkeypatch, projective):
+    # Every l of a round searches the round's matrix under one mask, so the
+    # searches share the one view the matrix keeps: two rounds, two views.
+    built, views, searches = [], [], []
+
+    class Counted(solver._Columns):
+        def __init__(self, system):
+            views.append((system.packed, system.masked))
+            super().__init__(system)
+
+    def build(code):
+        built.append(coverage_matrix(code))
+        return built[-1]
+
+    def solve(system, config):
+        searches.append(system.l)
+        return real(system, config)
+
+    real = pipeline.solve
+    monkeypatch.setattr(solver, "_Columns", Counted)
+    monkeypatch.setattr(pipeline, "coverage_matrix", build)
+    monkeypatch.setattr(pipeline, "solve", solve)
+    report = chain_search(hamming, ChainPolicy(max_l=3, projective=projective))
+    assert report.stopping_reason is StopReason.NO_EXTENSION
+    assert searches == [1, 1, 2, 3]
+    assert len(built) == len(views) == 2
+    for matrix, (packed, masked) in zip(built, views):
+        assert packed is matrix.supports
+        assert masked == (matrix.code_points if projective else frozenset())
+
+
 @pytest.mark.parametrize("args, nodes", [((1,), 65_535), ((2, 2), 0)])
 def test_root_decided_extension_builds_no_coverage_array(args, nodes):
     # RM(2,5) at l = 1, and at l = 2, s = 2, is decided at the root of its
@@ -486,3 +519,42 @@ def test_steps_release_their_systems_on_return(no_gc, searched, golay, step):
     step(golay)
     assert searched
     assert all(ref() is None for ref in searched)
+
+
+def hamming_code():
+    return LinearCode(gf(2), HAMMING_ROWS)
+
+
+def ternary_golay():
+    return LinearCode(gf(3), GOLAY_ROWS)
+
+
+@pytest.mark.parametrize(
+    "code, step",
+    [
+        (extended_golay, lambda code: extend_once(code, 2, 1, SolverConfig(node_limit=2000))),
+        (extended_golay, lambda code: extend_once(code, 1, projective=True)),
+        (ternary_golay, lambda code: extend_once(code, 3, 1, SolverConfig(max_solutions=10**6, node_limit=100_000))),
+        (hamming_code, lambda code: chain_search(code, ChainPolicy(max_l=3))),
+        (ternary_golay, lambda code: chain_search(code, ChainPolicy(max_l=2, max_total_added=4))),
+        (ternary_golay, lambda code: chain_search(code, ChainPolicy(max_l=2, max_total_added=4, projective=True))),
+    ],
+    ids=["extend", "extend_projective", "extend_deep", "chain_narrow", "chain", "chain_projective"],
+)
+def test_search_views_are_freed_with_their_matrix(no_gc, monkeypatch, code, step):
+    # A coverage matrix keeps its search views, which hold its kernel tables
+    # and every part built for its searches (the whole array, the tail ints,
+    # the suffix-OR table): all of it is freed by reference count when the
+    # step returns, and a chain round's when the next round builds its matrix.
+    refs = []
+
+    def build(code):
+        assert all(ref() is None for ref in refs)
+        matrix = coverage_matrix(code)
+        refs.append(weakref.ref(matrix.supports))
+        return matrix
+
+    monkeypatch.setattr(pipeline, "coverage_matrix", build)
+    step(code())
+    assert refs
+    assert all(ref() is None for ref in refs)

@@ -28,12 +28,10 @@ from lsext.solver import (
     STRATEGIES,
     SolverConfig,
     SolveStatus,
-    format_solutions,
     solve,
     solve_branch_and_bound,
     solve_exhaustive,
     solve_greedy,
-    solve_matrix_text,
     _Columns,
     _NARROW,
 )
@@ -247,12 +245,11 @@ def test_text_interface_round_trip():
     text = "2 3\n101\n011\n"
     bits = parse_matrix_text(text)
     assert bits.tolist() == [[1, 0, 1], [0, 1, 1]]
-    outcome = solve_matrix_text(text, l=1, s=1)
+    outcome = solve(CoverSystem.from_bits(bits, l=1, s=1))
     assert outcome.status == SolveStatus.FEASIBLE
-    assert format_solutions(outcome) == "2\n"
-    multi = solve_matrix_text(text, l=2, s=1, config=SolverConfig(max_solutions=10))
-    lines = format_solutions(multi).splitlines()
-    assert lines[0] == "0 1"
+    assert [sol.columns for sol in outcome.solutions] == [(2,)]
+    multi = solve(CoverSystem.from_bits(bits, l=2, s=1), SolverConfig(max_solutions=10))
+    assert multi.solutions[0].columns == (0, 1)
 
 
 def test_matrix_dump_round_trip(hamming, golay):
@@ -262,7 +259,7 @@ def test_matrix_dump_round_trip(hamming, golay):
         text = format_matrix(matrix.bits)
         assert np.array_equal(parse_matrix_text(text), matrix.bits)
         for l, s in ((1, 1), (2, 1)):
-            a = solve_matrix_text(text, l, s)
+            a = solve(CoverSystem.from_bits(parse_matrix_text(text), l=l, s=s))
             b = solve(cover_system(matrix, l, s))
             assert (a.status, a.nodes_explored, a.solutions) == (b.status, b.nodes_explored, b.solutions)
 
@@ -893,3 +890,46 @@ def test_root_scans_build_no_whole_array_and_a_deeper_search_builds_it_once(monk
     outcome = solve(cover_system(golay, 2, 1), SolverConfig(node_limit=50_000))
     assert outcome.status == SolveStatus.BUDGET_EXHAUSTED and len(built) == 1
     assert golay.packed is golay.packed and golay.packed.shape == (4095, 12)
+
+
+@pytest.mark.parametrize("strategy", ["bnb", "exhaustive"])
+@pytest.mark.parametrize("kind", ["coverage", "masked coverage", "stored"])
+def test_wide_one_pick_search_builds_no_tail_ints(monkeypatch, strategy, kind):
+    # An l = 1 search over more than _NARROW columns is one numpy last pick:
+    # the Python ints of the last _NARROW columns are never read, so never built.
+    def unread(view):
+        raise AssertionError("the tail ints were built")
+
+    monkeypatch.setattr(solver._Columns, "tail", property(unread))
+    if kind == "stored":
+        system = _planted_wide_system(1, 70, masked=True)
+    else:
+        system = cover_system(coverage_matrix(reed_muller_2_5()), 1, 1)
+        if kind == "masked coverage":
+            system = projective_filter(system)
+    assert system.num_columns - len(system.masked) > _NARROW
+    outcome = solve(system, SolverConfig(strategy=strategy, max_solutions=3))
+    assert outcome.nodes_explored > _NARROW
+
+
+def test_root_cut_streams_each_kernel_block_once(monkeypatch):
+    # RM(2,5) at l = 2, s = 2 is cut at the root by the gain bound after its
+    # reach test.  One pass over the kernel's tables gives both: every block
+    # is built once, the blocks tile the columns, and no whole array is built.
+    reads, built = [], []
+    real_read, real_array = field_module.CanonicalSupports.__getitem__, field_module.CanonicalSupports.__array__
+
+    def read(self, key):
+        if isinstance(key, slice):
+            reads.append((key.start, key.stop))
+        return real_read(self, key)
+
+    monkeypatch.setattr(field_module.CanonicalSupports, "__getitem__", read)
+    monkeypatch.setattr(field_module.CanonicalSupports, "__array__", lambda self, *a, **kw: built.append(1) or real_array(self, *a, **kw))
+    matrix = coverage_matrix(reed_muller_2_5())
+    outcome = solve(cover_system(matrix, 2, 2))
+    assert (outcome.status, outcome.nodes_explored) == (SolveStatus.INFEASIBLE, 0)
+    assert built == []
+    assert len(reads) > 1
+    assert [start for start, _ in reads] == [0] + [stop for _, stop in reads[:-1]]
+    assert reads[-1][1] == matrix.h
