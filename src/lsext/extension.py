@@ -39,15 +39,12 @@ def unpack_columns(packed: np.ndarray | CanonicalSupports, t: int) -> np.ndarray
     """Read-only (t, m) uint8 0/1 matrix whose column j is packed row j.
 
     The kernel's supports are unpacked chunk by chunk into the matrix, so
-    no packed copy of all their rows is built or kept."""
-    if isinstance(packed, np.ndarray):
-        bits = unpack_rows(packed, t).T
-    else:
-        bits = np.empty((t, len(packed)), dtype=np.uint8)
-        start = 0
-        for chunk in packed:
-            bits[:, start : start + len(chunk)] = unpack_rows(chunk, t).T
-            start += len(chunk)
+    no packed copy of all their rows is built; a stored array is one chunk."""
+    bits = np.empty((t, len(packed)), dtype=np.uint8)
+    start = 0
+    for chunk in [packed] if isinstance(packed, np.ndarray) else packed:
+        bits[:, start : start + len(chunk)] = unpack_rows(chunk, t).T
+        start += len(chunk)
     bits.setflags(write=False)
     return bits
 

@@ -230,34 +230,17 @@ def checked_count(q: int, k: int) -> int:
     return count
 
 
-def _fill_lexicographic(dest: np.ndarray, q: int) -> None:
-    """Write all q^m vectors of GF(q)^m, lexicographically, into the (q^m, m) array dest."""
-    m = dest.shape[1]
-    digits = np.arange(q, dtype=np.uint8)
-    for j in range(m):
-        dest[:, j] = np.tile(np.repeat(digits, q ** (m - 1 - j)), q**j)
-
-
 def canonical_representatives(field: GF, k: int) -> np.ndarray:
     """All canonical subspace representatives of GF(q)^k, lexicographically.
 
     One vector per one-dimensional subspace, normalized so the first nonzero
     entry is 1, returned as a ((q^k-1)/(q-1), k) uint8 array sorted by the
     integer codes read left to right.  This order fixes the row and column
-    indexing used everywhere downstream.
+    indexing used everywhere downstream; it is `representatives_at` at every index.
     """
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
-    q = field.q
-    out = np.zeros((checked_count(q, k), k), dtype=np.uint8)
-    row = 0
-    # Lexicographic order: vectors led by a later 1 sort first.
-    for lead in range(k - 1, -1, -1):
-        block = q ** (k - 1 - lead)
-        out[row : row + block, lead] = 1
-        _fill_lexicographic(out[row : row + block, lead + 1 :], q)
-        row += block
-    return out
+    return representatives_at(field, k, np.arange(checked_count(field.q, k)))
 
 
 def _place_values(q: int, k: int) -> np.ndarray:
@@ -326,16 +309,14 @@ class CanonicalSupports:
     word is A[a] + B[b], which is nonzero exactly where A[a] != -B[b],
     tested on the ceil(log2 q) packed bit-planes of the two tables by XOR
     within each plane and OR across them.  A representative led by
-    position i >= s has a = 0, so its row is the support of B[b], read from
-    one shared table.
+    position i >= s has a = 0, so its row is the support of B[b], which is
+    tabled once.
 
     Three reads, none of which can write the tables:
 
     * `self[start:stop]` builds rows [start, stop) of any range, which may
       start or stop partway through an A row's pairing with B, from the
-      blocks of A rows times B rows it spans.  A range inside one lead of
-      the second half is a view of the shared table, any other a fresh
-      array.
+      blocks of A rows times B rows it spans, as a fresh array.
     * `self[index]` gathers the rows of an integer array of indices, of
       any shape, and returns them in its shape plus (W,).
     * Iteration yields the rows in chunks.  The rows come in pieces: slices
@@ -366,7 +347,6 @@ class CanonicalSupports:
         self._a = _partial_planes(field, mat[: self._split])
         self._neg_b = _partial_planes(field, mat[self._split :], negate=True)
         self._support_b = np.bitwise_or.reduce(self._neg_b, axis=0)
-        self._support_b.setflags(write=False)
         self._whole: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -406,9 +386,7 @@ class CanonicalSupports:
         return self._build(list(self._blocks(start, stop)), max(stop - start, 0))
 
     def _build(self, blocks: list[tuple[int, int, int, int]], rows: int) -> np.ndarray:
-        """The rows of consecutive blocks: a view when they are one slice of B, else a fresh array."""
-        if len(blocks) == 1 and blocks[0][0] == 0:
-            return self._support_b[blocks[0][2] : blocks[0][3]]
+        """The rows of consecutive blocks, as a fresh read-only array."""
         out = np.empty((rows, self.shape[1]), dtype=self.dtype)
         at = 0
         for a, a_stop, b, b_stop in blocks:

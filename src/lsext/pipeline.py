@@ -291,21 +291,26 @@ def special_puncture(
     The same solver machinery as extension searches the zero-coverage system
     over generator positions; no qualifying set is an infeasibility result.
     The punctured code, the record's `result`, is verified to reach, and the
-    record states, the distance d - l + `code.guaranteed_gain(s)`.  Removing
-    more than n - k columns always collapses the rank, so l > n - k is
-    refused before the search.  To remove given columns, use `remove_columns`, and test whether
-    they qualify with `is_good_extension(zero_coverage_system(code, l, s), columns)`.
+    record states, the distance d - l + `code.guaranteed_gain(s)`.  A request
+    is refused with ValueError before the search when l > n - k, which always
+    collapses the rank, or when that distance is below 1, which may collapse
+    it.  To remove given columns, use `remove_columns`, and test whether they
+    qualify with `is_good_extension(zero_coverage_system(code, l, s), columns)`.
     """
     if not 1 <= l <= code.n - code.k:
         raise ValueError(f"need 1 <= l <= n - k = {code.n - code.k}, got l={l}")
     if s < 1 or s > l:
         raise ValueError(f"need 1 <= s <= l, got s={s}")
+    gain = code.guaranteed_gain(s)
+    guaranteed = code.d - l + gain
+    if guaranteed < 1:
+        raise ValueError(f"puncturing l={l} columns guarantees distance d - l + guaranteed_gain(s) = "
+                         f"{code.d} - {l} + {gain} = {guaranteed}, below 1, so the punctured code could lose rank")
     system = zero_coverage_system(code, l, s)
     search = solve(system, config or SolverConfig())
     if search.best is None:
         return _record("puncture", code, system, search)
     new_code = remove_columns(code, search.best.columns)
-    guaranteed = code.d - l + code.guaranteed_gain(s)
     if new_code.d < guaranteed:
         raise VerificationError(
             f"puncturing {l} columns dropped the distance from {code.d} to {new_code.d}, "

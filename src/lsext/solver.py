@@ -46,8 +46,8 @@ The parts:
   complements, which `two_left` tests;
 * the root pass, one stream over the columns recording their OR and the
   weight of the heaviest, which answers both root bounds of bnb;
-* the whole packed array, its byte view, from which a node below the root
-  reads its column, and the suffix-OR table of the reach bound there.
+* the whole packed array, from which a node below the root reads its
+  column, and the suffix-OR table of the reach bound there.
 
 A wider scan runs in numpy, in blocks of at most `_SCAN_WORDS` words of the
 rows' width so that its temporaries stay small.  A position maps to its
@@ -253,11 +253,6 @@ class _Columns:
         return self.whole, max(_NARROW, _SCAN_WORDS // self.whole.shape[1])
 
     @_part
-    def _bytes(self) -> memoryview:
-        """A zero-copy byte view of the whole array, for the column of a node below the root."""
-        return memoryview(self.whole.reshape(-1).view(np.uint8))
-
-    @_part
     def tail(self) -> list[int]:
         """The last `_NARROW` allowed columns, read as one range."""
         first, stop, cuts = self._span(self.narrow_from, self.count)
@@ -310,7 +305,7 @@ class _Columns:
         if pos >= self.narrow_from:
             return self.tail[pos - self.narrow_from]
         col = pos + bisect_right(self._gaps, pos)
-        return int.from_bytes(self._bytes[col * self.nbytes : (col + 1) * self.nbytes], "little")
+        return int.from_bytes(self.whole[col].tobytes(), "little")
 
     def _span(self, low: int, high: int) -> tuple[int, int, list[int]]:
         """The system columns [first, stop) that positions [low, high) span,

@@ -126,3 +126,34 @@ def oracle_search(
         solutions.append((columns, slacks))
     status = "feasible" if solutions else "budget_exhausted" if stopped else "infeasible"
     return status, nodes, not stopped, solutions
+
+
+def oracle_greedy(bits, l: int, s: int, *, distinct: bool = False, masked=frozenset()):
+    """Reference greedy: (status, nodes, columns or None).
+
+    Each of the l picks takes the column covering the most rows that still
+    need a cover, ties to the lowest column.  Masked columns are never
+    picked, nor, with `distinct`, columns already chosen; each pick charges
+    the columns it could take.  With no column left to take, or rows still
+    short after l picks, greedy has missed: `budget_exhausted`, never
+    `infeasible`.
+    """
+    columns = np.asarray(bits).T.tolist()
+    need = [s] * np.shape(bits)[0]
+    chosen: list[int] = []
+    nodes = 0
+    for _ in range(l):
+        candidates = [j for j in range(len(columns)) if j not in masked and not (distinct and j in chosen)]
+        if not candidates:
+            return "budget_exhausted", nodes, None
+        nodes += len(candidates)
+        best, best_gain = None, -1
+        for j in candidates:
+            gain = sum(1 for covers, left in zip(columns[j], need) if covers and left > 0)
+            if gain > best_gain:
+                best, best_gain = j, gain
+        chosen.append(best)
+        need = [left - covers for covers, left in zip(columns[best], need)]
+    if any(left > 0 for left in need):
+        return "budget_exhausted", nodes, None
+    return "feasible", nodes, tuple(sorted(chosen))

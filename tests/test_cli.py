@@ -288,6 +288,18 @@ CLI_REPORTS = {
         "extended code: [8,4,4]_2\n"
         "minimum-weight words: 14 recomputed, 7 slack-predicted -> differ\n",
     ),
+    "extend-greedy-projective": (
+        HAMMING_FILE, ["extend", "--l", "1", "--strategy", "greedy", "--projective"], 0,
+        "code: [7,4,3]_2\n"
+        "candidates: 15  masked: 7  usable: 8\n"
+        "system: l=1 s=1 rows=7\n"
+        "solver: greedy  status: feasible  nodes: 8  search: stopped early\n"
+        "solutions found: 1\n"
+        "chosen columns: 13 [1110]\n"
+        "slacks: min=0 max=0 zero=7/7\n"
+        "extended code: [8,4,4]_2\n"
+        "minimum-weight words: 14 recomputed, 7 slack-predicted -> differ\n",
+    ),
     "extend-infeasible": (
         EXTENDED_HAMMING_FILE, ["extend", "--l", "1"], 1,
         "code: [8,4,4]_2\n"

@@ -260,25 +260,38 @@ def test_puncture_records_the_distance_it_verified():
     assert rec.result.params() == (4, 2, 2)
 
 
+def test_puncture_refuses_a_guarantee_below_one(monkeypatch):
+    # Rows 1100 and 1101 give d = 1, so removing two positions guarantees
+    # 1 - 2 + 1 = 0.  The search would remove positions 0 and 1 and keep
+    # the columns 00 and 01, of rank 1.  The request is refused before the
+    # system is built, with a message that names the guarantee, not
+    # reported as a rank collapse of the user's code.
+    code = LinearCode(gf(2), [[1, 1, 0, 0], [1, 1, 0, 1]])
+    assert code.params() == (4, 2, 1)
+    monkeypatch.setattr(pipeline, "zero_coverage_system", None)
+    with pytest.raises(ValueError, match=r"guarantees distance d - l \+ guaranteed_gain\(s\) = 1 - 2 \+ 1 = 0, below 1"):
+        special_puncture(code, 2, 1)
+
+
 def test_puncture_sweep_never_overclaims():
     feasible = 0
     for code in random_codes(200, 7, qs=(2, 3, 4), max_k=4, max_n=10):
         for l in range(1, code.n - code.k + 1):
             for s in range(1, l + 1):
-                try:
-                    rec = special_puncture(code, l, s)
-                except RankDeficientError:
+                if code.d - l + code.guaranteed_gain(s) < 1:
                     # A guarantee of at least 1 keeps every nonzero word nonzero,
                     # and with it the rank; below 1 the removal may collapse it.
-                    assert code.d - l + code.guaranteed_gain(s) < 1
+                    with pytest.raises(ValueError, match="below 1"):
+                        special_puncture(code, l, s)
                     continue
+                rec = special_puncture(code, l, s)
                 assert (rec.result is None) == (rec.search.status is not SolveStatus.FEASIBLE)
                 if rec.result is None:
                     continue
                 feasible += 1
                 assert rec.guaranteed_distance == code.d - l + code.guaranteed_gain(s)
                 assert rec.result.d >= rec.guaranteed_distance, (code.params(), l, s)
-    assert feasible == 1772
+    assert feasible == 1050
 
 
 def test_zero_coverage_bits_read_only(hamming):

@@ -35,7 +35,7 @@ from lsext.solver import (
     _Columns,
     _NARROW,
 )
-from oracles import oracle_cover_feasible, oracle_search
+from oracles import oracle_cover_feasible, oracle_greedy, oracle_search
 
 
 def system_of(rows, l, s, **kw):
@@ -871,6 +871,44 @@ def test_lazy_systems_search_like_stored_ones(monkeypatch):
     assert statuses == {(x, y) for x in ("bnb", "exhaustive") for y in SolveStatus}
     assert {(masked, wide) for _, _, masked, wide in checked} == {(False, False), (False, True), (True, False), (True, True)}
     assert stopped_at_max_solutions
+
+
+def test_greedy_matches_reference(monkeypatch):
+    # Greedy against the scalar reference of `tests/oracles.py`: status,
+    # nodes and solution columns.  Seeded stored systems, plain, masked and
+    # distinct, on both sides of _NARROW columns, with no allowed column
+    # and with fewer distinct columns than picks; then systems that stream
+    # their columns from the kernel's tables (a chunk budget of 13 words),
+    # plain and projective.
+    rng = np.random.default_rng(2027)
+    seen, corners = set(), set()
+    for _ in range(300):
+        h, t = int(rng.integers(1, 100)), int(rng.integers(0, 40))
+        l, s = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        bits = (rng.random((t, h)) < rng.choice([0.2, 0.5, 0.8, 0.95])).astype(np.uint8)
+        masked = frozenset(rng.choice(h, size=int(rng.integers(0, h + 1)), replace=False).tolist())
+        kind = int(rng.integers(3))
+        kw = [{}, {"masked": masked}, {"distinct": True}][kind]
+        outcome = solve_greedy(CoverSystem.from_bits(bits, l=l, s=s, **kw))
+        got = (outcome.status, outcome.nodes_explored, outcome.solutions[0].columns if outcome.solutions else None)
+        assert got == oracle_greedy(bits, l, s, **kw)
+        seen.add((kind, outcome.status, h > _NARROW))
+        corners.add("no column" if kind == 1 and len(masked) == h else "too few" if kind == 2 and h < l else None)
+    assert seen >= {(kind, status, wide) for kind in range(3) for status in ("feasible", "budget_exhausted") for wide in (False, True)}
+    assert corners >= {"no column", "too few"}
+    monkeypatch.setattr(field_module, "_CHUNK_WORDS", 13)
+    streamed = set()
+    for code in _random_codes_of_many_columns(40, seed=78):
+        l = int(rng.integers(1, 5))
+        system = cover_system(coverage_matrix(code), l, int(rng.integers(1, l + 1)))
+        if rng.random() < 0.5 and not code.is_degenerate:
+            system = projective_filter(system)
+        outcome = solve_greedy(system)
+        got = (outcome.status, outcome.nodes_explored, outcome.solutions[0].columns if outcome.solutions else None)
+        assert got == oracle_greedy(system.bits, system.l, system.s, masked=system.masked)
+        if len(system.packed) > system.packed.chunk_rows:
+            streamed.add((bool(system.masked), outcome.status))
+    assert streamed == {(masked, status) for masked in (False, True) for status in ("feasible", "budget_exhausted")}
 
 
 def test_root_scans_build_no_whole_array_and_a_deeper_search_builds_it_once(monkeypatch):
