@@ -28,9 +28,7 @@ from .extension import (
     coverage_matrix,
     format_matrix,
     is_good_extension,
-    parse_matrix_text,
     projective_filter,
-    solution_for,
     solutions_for,
     verify_extension,
 )

@@ -159,14 +159,6 @@ class CoverSystem:
     def bits(self) -> np.ndarray:
         return unpack_columns(self.packed, self.num_rows)
 
-    def allowed_columns(self) -> np.ndarray:
-        """Indices of the columns not masked, ascending."""
-        if not self.masked:
-            return np.arange(self.num_columns)
-        keep = np.ones(self.num_columns, dtype=bool)
-        keep[list(self.masked)] = False
-        return np.flatnonzero(keep)
-
 
 @dataclass(frozen=True, order=True)
 class ExtensionSolution:
@@ -256,11 +248,6 @@ def solutions_for(system: CoverSystem, picks) -> list[ExtensionSolution]:
     ]
 
 
-def solution_for(system: CoverSystem, x) -> ExtensionSolution:
-    """Solution record for x with its slacks; raises when x does not cover the system."""
-    return solutions_for(system, [x])[0]
-
-
 def apply_extension(code: LinearCode, x) -> LinearCode:
     """Append the candidate columns x (sorted, repeats adjacent) to the code.
 
@@ -317,28 +304,8 @@ def projective_filter(system: CoverSystem) -> CoverSystem:
 
 
 def format_matrix(bits: np.ndarray) -> str:
-    """Text dump of a 0/1 matrix: header '<rows> <cols>', then 0/1 rows."""
+    """Text dump of a 0/1 matrix: header '<rows> <cols>', then one row of
+    letters per matrix row, 1 for a nonzero entry and 0 for a zero."""
     rows, cols = bits.shape
-    lines = [f"{rows} {cols}"]
-    for row in bits:
-        lines.append("".join("1" if b else "0" for b in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Read the text dump that `format_matrix` writes."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"expected header '<rows> <cols>', got {lines[0]!r}")
-    rows, cols = int(head[0]), int(head[1])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")
-    bits = np.zeros((rows, cols), dtype=np.uint8)
-    for i, ln in enumerate(lines[1:]):
-        if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError(f"row {i} must be {cols} characters of 0/1, got {ln!r}")
-        bits[i] = [1 if ch == "1" else 0 for ch in ln]
-    return bits
+    letters = (bits != 0).view(np.uint8) + np.uint8(ord("0"))
+    return "\n".join([f"{rows} {cols}", *(row.tobytes().decode() for row in letters)]) + "\n"

@@ -61,6 +61,9 @@ _CHUNK_WORDS = 1 << 14
 # Bytes of 0/1 letters that `_bit_planes` packs in one step; bounds its temporaries.
 _PLANE_BYTES = 1 << 16
 
+# Letters that `representatives_at` decodes in one step; bounds its int64 temporaries.
+_DECODE_LETTERS = 1 << 16
+
 # Modulus polynomials for the supported extension fields, keyed by q.
 _MODULI: dict[int, tuple[int, ...]] = {
     4: (1, 1, 1),
@@ -254,9 +257,16 @@ def representatives_at(field: GF, k: int, index) -> np.ndarray:
     Representatives with a tail of length T (leading 1 at k-1-T) start at
     row canonical_count(q, T), and the one r rows further reads q^T + r in
     base q.  As r < q^T, the columns left of the leading 1 come out 0.
+    Rows are decoded into the uint8 result in blocks of `_DECODE_LETTERS` letters.
     """
     q = field.q
-    return (_values(q, k, index)[:, None] // _place_values(q, k) % q).astype(np.uint8)
+    index = np.asarray(index, dtype=np.int64)
+    out = np.empty((len(index), k), dtype=np.uint8)
+    places = _place_values(q, k)
+    step = max(1, _DECODE_LETTERS // k)
+    for start in range(0, len(index), step):
+        out[start : start + step] = _values(q, k, index[start : start + step])[:, None] // places % q
+    return out
 
 
 def _values(q: int, k: int, index) -> np.ndarray:
@@ -331,7 +341,8 @@ class CanonicalSupports:
 
     Memory stays bounded by what a read returns plus the two tables, until
     `np.asarray` asks for the whole array: that is built once, chunk by
-    chunk, kept read-only, and from then on every read comes from it.
+    chunk, and kept read-only.  From then on `np.asarray` and indexing read
+    from it, while iteration still builds its chunks from the tables.
     """
 
     ndim = 2

@@ -25,7 +25,7 @@ from lsext.extension import (
     cover_system,
     coverage_matrix,
     is_good_extension,
-    solution_for,
+    solutions_for,
 )
 from lsext.field import canonical_count, canonical_representatives, gf, representatives_at
 from lsext.geometry import incidence_matrix, geometric_extension_criterion
@@ -99,7 +99,7 @@ def test_criterion_2_ternary_golay_extension(files, capsys):
     rec = extend_once(golay, 1)
     assert rec.result.params() == (12, 6, 6)
     cov = coverage_matrix(golay)
-    _record(golay, 1, 1, solution_for(cover_system(cov, 1, 1), rec.search.best.columns), rec.result)
+    _record(golay, 1, 1, solutions_for(cover_system(cov, 1, 1), [rec.search.best.columns])[0], rec.result)
     _pass(2, f"[11,6,5]_3 with A_5=132 -> verified [12,6,6]_3 over h=364 in {elapsed:.3f}s")
 
 

@@ -355,6 +355,17 @@ CLI_REPORTS = {
         "stop: no feasible extension with l <= 2\n"
         "final: [8,4,4]_2\n",
     ),
+    "dump-d": (
+        HAMMING_FILE, ["dump-d"], 0,
+        "7 15\n"
+        "011001100110011\n"
+        "110011001100110\n"
+        "000111100001111\n"
+        "101101001011010\n"
+        "000000011111111\n"
+        "101010110101010\n"
+        "011110011000011\n",
+    ),
 }
 
 

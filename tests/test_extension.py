@@ -20,7 +20,6 @@ from lsext.extension import (
     format_matrix,
     is_good_extension,
     projective_filter,
-    solution_for,
     solutions_for,
     verify_extension,
 )
@@ -200,18 +199,18 @@ def test_is_good_extension_argument_errors():
 
 def test_slacks_examples():
     one = CoverSystem.from_bits(np.array([[1]], dtype=np.uint8), l=1, s=1)
-    assert solution_for(one, [0]).slacks == (0,)
+    assert solutions_for(one, [[0]])[0].slacks == (0,)
     double = CoverSystem.from_bits(np.array([[1, 1]], dtype=np.uint8), l=2, s=1)
-    assert solution_for(double, [0, 1]).slacks == (1,)
+    assert solutions_for(double, [[0, 1]])[0].slacks == (1,)
     split = CoverSystem.from_bits(np.array([[1, 0], [0, 1]], dtype=np.uint8), l=1, s=1)
     with pytest.raises(InfeasibleSolutionError):
-        solution_for(split, [0])
+        solutions_for(split, [[0]])
 
 
 def test_hamming_parity_solution_slacks(hamming):
     cov = coverage_matrix(hamming)
     system = cover_system(cov, 1, 1)
-    assert solution_for(system, [13]).slacks == (0,) * 7
+    assert solutions_for(system, [[13]])[0].slacks == (0,) * 7
 
 
 def test_slack_identity_after_extension(hamming, golay):
@@ -247,7 +246,7 @@ def test_verify_extension_reports(hamming):
     cov = coverage_matrix(hamming)
     system = cover_system(cov, 1, 1)
     new_code = apply_extension(hamming, [13])
-    assert solution_for(system, [13]).slacks == (0,) * 7
+    assert solutions_for(system, [[13]])[0].slacks == (0,) * 7
     assert new_code.params() == (8, 4, 4)
     assert verify_extension(hamming, new_code, 1) == 4
 
@@ -270,11 +269,11 @@ def test_projective_filter(hamming):
     cov = coverage_matrix(hamming)
     system = projective_filter(cover_system(cov, 1, 1))
     assert len(system.masked) == 7
-    assert len(system.allowed_columns()) == 8
+    assert system.num_columns - len(system.masked) == 8
     rep = repetition(2, 3)
     rcov = coverage_matrix(rep)
     rsystem = projective_filter(cover_system(rcov, 1, 1))
-    assert len(rsystem.allowed_columns()) == 0
+    assert rsystem.num_columns - len(rsystem.masked) == 0
     assert solve_exhaustive(rsystem).status == "infeasible"
 
 
@@ -345,7 +344,7 @@ def test_solutions_for_is_solution_for_in_one_batch(golay):
     good = [p for p in picks if is_good_extension(system, p)]
     assert len(good) >= 2
     batch = solutions_for(system, good)
-    assert batch == [solution_for(system, p) for p in good]
+    assert batch == [solutions_for(system, [p])[0] for p in good]
     assert [sol.slacks for sol in batch] == [tuple(system.bits[:, list(p)].sum(axis=1) - system.s) for p in good]
     assert batch[1].columns == (0, 241)
     assert solutions_for(system, np.array(good)) == batch
