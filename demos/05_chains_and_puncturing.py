@@ -66,4 +66,4 @@ print("\nsearch-mode puncture of", ham_ext.params(), "->", rec.search.status)
 print("\ncode file:")
 print(serialize_code(back), end="")
 print("\ncoverage matrix dump (first 3 lines):")
-print("\n".join(format_matrix(coverage_matrix(back).bits).splitlines()[:3]))
+print("\n".join("".join(format_matrix(coverage_matrix(back).bits)).splitlines()[:3]))

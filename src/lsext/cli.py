@@ -61,11 +61,13 @@ def _load(path: str) -> LinearCode:
     return parse_code(Path(path).read_text())
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(lines, out: str | None) -> None:
+    """Write the lines to the --out file, or to stdout, as they come."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _params(code: LinearCode) -> str:
@@ -114,14 +116,7 @@ def cmd_extend(args) -> int:
         recomputed = rec.result.min_weight_count
         verdict = "agree" if predicted == recomputed else "differ"
         print(f"minimum-weight words: {recomputed} recomputed, {predicted} slack-predicted -> {verdict}")
-        if args.out:
-            Path(args.out).write_text(serialize_code(rec.result))
-            print(f"wrote: {args.out}")
-    elif rec.search.status is SolveStatus.BUDGET_EXHAUSTED:
-        print("inconclusive: node budget exhausted before a solution was found")
-    else:
-        print(f"no (l={rec.l}, s={rec.s})-extension exists")
-    return EXIT_CODES[rec.search.status]
+    return _finish(rec, args.out, f"no (l={rec.l}, s={rec.s})-extension exists")
 
 
 def cmd_puncture(args) -> int:
@@ -135,14 +130,21 @@ def cmd_puncture(args) -> int:
         print(f"removed columns: {' '.join(str(c) for c in rec.search.best.columns)}")
         print(f"predicted distance: >= {rec.guaranteed_distance} when the second-smallest weight allows")
         print(f"punctured code: {_params(rec.result)}")
-        if args.out:
-            Path(args.out).write_text(serialize_code(rec.result))
-            print(f"wrote: {args.out}")
+    return _finish(rec, args.out, f"no qualifying column set: some minimum-weight word has fewer "
+                                  f"than s={rec.s} zeros in every candidate set")
+
+
+def _finish(rec, out: str | None, missing: str) -> int:
+    """The tail of extend and puncture: write the new code to `out`, or say why there is none
+    (`missing` when the search proved it), and return the exit code of the step's verdict."""
+    if rec.result is not None:
+        if out:
+            Path(out).write_text(serialize_code(rec.result))
+            print(f"wrote: {out}")
     elif rec.search.status is SolveStatus.BUDGET_EXHAUSTED:
         print("inconclusive: node budget exhausted before a solution was found")
     else:
-        print(f"no qualifying column set: some minimum-weight word has fewer than s={rec.s} "
-              f"zeros in every candidate set")
+        print(missing)
     return EXIT_CODES[rec.search.status]
 
 

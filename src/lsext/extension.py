@@ -23,6 +23,7 @@ representatives; `lsext.geometry` provides that view.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
@@ -220,11 +221,6 @@ def is_good_extension(system: CoverSystem, x) -> bool:
     return bool(np.all(_coverages(system, np.array([_checked(system, x)]))[0] >= system.s))
 
 
-def _short_rows_error(system: CoverSystem, slack: np.ndarray) -> InfeasibleSolutionError:
-    short = np.flatnonzero(slack < 0).tolist()
-    return InfeasibleSolutionError(f"rows {short} are covered fewer than s={system.s} times")
-
-
 def solutions_for(system: CoverSystem, picks) -> list[ExtensionSolution]:
     """Solution records for many column multisets, with their slacks.
 
@@ -241,7 +237,8 @@ def solutions_for(system: CoverSystem, picks) -> list[ExtensionSolution]:
     slack = _coverages(system, multisets) - system.s
     short = np.flatnonzero((slack < 0).any(axis=1))
     if len(short):
-        raise _short_rows_error(system, slack[short[0]])
+        rows = np.flatnonzero(slack[short[0]] < 0).tolist()
+        raise InfeasibleSolutionError(f"rows {rows} are covered fewer than s={system.s} times")
     return [
         ExtensionSolution(columns=tuple(cols), slacks=tuple(row))
         for cols, row in zip(multisets.tolist(), slack.tolist())
@@ -262,33 +259,33 @@ def apply_extension(code: LinearCode, x) -> LinearCode:
     return LinearCode(code.field, np.concatenate([code.matrix, appended], axis=1))
 
 
+def _check_distance(old: LinearCode, new: LinearCode, floor: int) -> int:
+    """The one distance rule of every step, returning floor: the new code keeps q and k, and its d,
+    from its own enumeration, lies in [floor, d_old + the columns it gained].  Solutions are
+    validated before they are built, so a VerificationError here means an implementation bug."""
+    if new.q != old.q or new.k != old.k:
+        raise VerificationError(f"built code [{new.n},{new.k}]_{new.q} does not keep the q and k of [{old.n},{old.k}]_{old.q}")
+    added = max(0, new.n - old.n)
+    if new.d < floor:
+        raise VerificationError(f"step claims minimum distance >= {floor} but recomputation finds {new.d}")
+    if new.d > old.d + added:
+        raise VerificationError(f"distance rose from {old.d} to {new.d} with only {added} columns appended")
+    return floor
+
+
 def verify_extension(old: LinearCode, new: LinearCode, s: int) -> int:
     """Enforce the distance claim on the new code and return the bound it
     enforced: d_old + `old.guaranteed_gain(s)`.
 
-    The new code's d comes from its own enumeration, run when it was built
-    from its generator matrix, so the claim is re-verified from scratch.
-
-    Any violation, including a distance gain above the number of appended
-    columns, raises VerificationError: solutions are validated before
-    application, so failure here means an implementation bug.
+    The new code must append columns to a code of the same q and k
+    (ConsistencyError otherwise); its distance must then pass
+    `_check_distance`, whose ceiling is d_old plus the appended columns.
     """
-    added = new.n - old.n
-    if added < 1 or new.k != old.k or new.q != old.q:
+    if new.n <= old.n or new.k != old.k or new.q != old.q:
         raise ConsistencyError(
             f"extended code [{new.n},{new.k}]_{new.q} does not extend [{old.n},{old.k}]_{old.q}"
         )
-    required = old.d + old.guaranteed_gain(s)
-    d_new = new.d
-    if d_new < required:
-        raise VerificationError(
-            f"extension claims minimum distance >= {required} but recomputation finds {d_new}"
-        )
-    if d_new > old.d + added:
-        raise VerificationError(
-            f"distance rose by {d_new - old.d} after appending only {added} columns"
-        )
-    return required
+    return _check_distance(old, new, old.d + old.guaranteed_gain(s))
 
 
 def projective_filter(system: CoverSystem) -> CoverSystem:
@@ -303,9 +300,11 @@ def projective_filter(system: CoverSystem) -> CoverSystem:
     return replace(system, masked=system.masked | system.matrix.code_points)
 
 
-def format_matrix(bits: np.ndarray) -> str:
-    """Text dump of a 0/1 matrix: header '<rows> <cols>', then one row of
-    letters per matrix row, 1 for a nonzero entry and 0 for a zero."""
+def format_matrix(bits: np.ndarray) -> Iterator[str]:
+    """Text dump of a 0/1 matrix, yielded line by line so that a writer holds
+    one row at a time: header '<rows> <cols>', then one row of letters per
+    matrix row, 1 for a nonzero entry and 0 for a zero."""
     rows, cols = bits.shape
-    letters = (bits != 0).view(np.uint8) + np.uint8(ord("0"))
-    return "\n".join([f"{rows} {cols}", *(row.tobytes().decode() for row in letters)]) + "\n"
+    yield f"{rows} {cols}\n"
+    for row in bits:
+        yield ((row != 0).view(np.uint8) + 48).tobytes().decode() + "\n"

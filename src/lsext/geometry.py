@@ -25,7 +25,6 @@ from .bitsets import unpack_rows
 from .code import LinearCode
 from .field import (
     GF,
-    canonical_count,
     canonical_index,
     canonical_representatives,
     canonical_supports,
@@ -43,7 +42,7 @@ def incidence_matrix(field: GF, k: int) -> np.ndarray:
 
     Rows are hyperplanes and columns points, both by canonical index;
     entry (i, j) is 1 iff point j lies on hyperplane i.  Every row has
-    `hyperplane_row_weight(q, k)` ones.
+    (q^(k-1) - 1)/(q - 1) ones, the points of PG(k-2, q).
     """
     points = canonical_representatives(field, k)
     bits = np.empty((len(points), len(points)), dtype=np.uint8)
@@ -54,11 +53,6 @@ def incidence_matrix(field: GF, k: int) -> np.ndarray:
         start += len(support)
     bits.setflags(write=False)
     return bits
-
-
-def hyperplane_row_weight(q: int, k: int) -> int:
-    """Points per hyperplane of PG(k-1,q): (q^(k-1)-1)/(q-1)."""
-    return canonical_count(q, k - 1) if k > 1 else 0
 
 
 def geometric_extension_criterion(code: LinearCode, chosen) -> bool:

@@ -13,10 +13,12 @@ l generator columns such that every minimum-weight codeword has at least s
 zeros among them, which drops the length by l while costing at most
 l - guaranteed_gain(s) distance.
 
-A step returns one `StepRecord`, which holds each fact of the step once: the
-`SolveOutcome` of its search (whose `SolveStatus` is the step's verdict and
-whose best solution gives the chosen columns and their slacks) and, exactly
-when that search is feasible, the re-verified code the step built.
+Both run through one step routine, `_step`: search, build, re-verify against
+the one distance rule `extension._check_distance`, and return one `StepRecord`,
+which holds each fact of the step once: the `SolveOutcome` of its search (whose
+`SolveStatus` is the step's verdict and whose best solution gives the chosen
+columns and their slacks) and, exactly when that search is feasible, the
+re-verified code the step built.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .code import LinearCode
-from .errors import ConsistencyError, ParseError, VerificationError
+from .errors import ConsistencyError, ParseError
 from .extension import (
     CoverageMatrix,
     CoverSystem,
+    _check_distance,
     apply_extension,
     coverage_matrix,
     cover_system,
@@ -187,19 +190,19 @@ class ChainReport:
         return "\n".join(lines) + "\n"
 
 
-# -- single extension step ---------------------------------------------------------
+# -- the step routine and single extension steps ------------------------------------
 
 
-def _record(
-    operation: str,
-    code: LinearCode,
-    system: CoverSystem,
-    search: SolveOutcome,
-    result: LinearCode | None = None,
-    guaranteed: int | None = None,
-) -> StepRecord:
-    """A step's record, built once: its search, and the code the caller
-    built and re-verified from the best solution, if there is one."""
+def _step(operation: str, code: LinearCode, system: CoverSystem, config: SolverConfig | None, build, verify) -> StepRecord:
+    """The one step routine of extend and puncture: search the system, build
+    the new code from the best solution with `build(code, columns)`, take the
+    distance that `verify(code, new, s)` proves on it, and record the step.
+    An infeasible or stopped search records no code."""
+    search = solve(system, config or SolverConfig())
+    result = guaranteed = None
+    if search.best is not None:
+        result = build(code, search.best.columns)
+        guaranteed = verify(code, result, system.s)
     return StepRecord(
         operation=operation,
         l=system.l,
@@ -253,11 +256,7 @@ def extend_once(
     system = cover_system(matrix, l, s)
     if projective:
         system = projective_filter(system)
-    search = solve(system, config or SolverConfig())
-    if search.best is None:
-        return _record("extend", code, system, search)
-    new_code = apply_extension(code, search.best.columns)
-    return _record("extend", code, system, search, new_code, verify_extension(code, new_code, s))
+    return _step("extend", code, system, config, apply_extension, verify_extension)
 
 
 # -- special puncturing ------------------------------------------------------------
@@ -290,8 +289,9 @@ def special_puncture(
 
     The same solver machinery as extension searches the zero-coverage system
     over generator positions; no qualifying set is an infeasibility result.
-    The punctured code, the record's `result`, is verified to reach, and the
-    record states, the distance d - l + `code.guaranteed_gain(s)`.  A request
+    The punctured code, the record's `result`, keeps q and k and is verified
+    to reach, and the record states, the distance d - l +
+    `code.guaranteed_gain(s)`, and not to exceed d.  A request
     is refused with ValueError before the search when l > n - k, which always
     collapses the rank, or when that distance is below 1, which may collapse
     it.  To remove given columns, use `remove_columns`, and test whether they
@@ -306,17 +306,12 @@ def special_puncture(
     if guaranteed < 1:
         raise ValueError(f"puncturing l={l} columns guarantees distance d - l + guaranteed_gain(s) = "
                          f"{code.d} - {l} + {gain} = {guaranteed}, below 1, so the punctured code could lose rank")
-    system = zero_coverage_system(code, l, s)
-    search = solve(system, config or SolverConfig())
-    if search.best is None:
-        return _record("puncture", code, system, search)
-    new_code = remove_columns(code, search.best.columns)
-    if new_code.d < guaranteed:
-        raise VerificationError(
-            f"puncturing {l} columns dropped the distance from {code.d} to {new_code.d}, "
-            f"below the guaranteed floor {guaranteed}"
-        )
-    return _record("puncture", code, system, search, new_code, guaranteed)
+    return _step("puncture", code, zero_coverage_system(code, l, s), config, remove_columns, _verify_puncture)
+
+
+def _verify_puncture(old: LinearCode, new: LinearCode, s: int) -> int:
+    """The distance a puncture proves, d - l + guaranteed_gain(s), checked on the punctured code."""
+    return _check_distance(old, new, old.d - (old.n - new.n) + old.guaranteed_gain(s))
 
 
 # -- chain search -------------------------------------------------------------------

@@ -36,6 +36,11 @@ def oracle_min_distance(field, matrix) -> int:
     return min(w for w in dist if w > 0)
 
 
+def hyperplane_row_weight(q: int, k: int) -> int:
+    """Points per hyperplane of PG(k-1,q): (q^(k-1)-1)/(q-1)."""
+    return (q ** (k - 1) - 1) // (q - 1)
+
+
 def oracle_cover_feasible(bits, l: int, s: int, distinct: bool = False):
     """(feasible, first multiset in lexicographic order or None)."""
     bits = np.asarray(bits)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
-from conftest import GOLAY_FILE, HAMMING_FILE, extended_golay
+from conftest import GOLAY_FILE, HAMMING_FILE, HAMMING_ROWS, extended_golay
 import lsext.cli as cli_module
+import lsext.pipeline as pipeline_module
+from lsext.code import LinearCode
+from lsext.field import gf
 from lsext.cli import EXIT_CODES, main
 from lsext.pipeline import StopReason, serialize_code
 from lsext.solver import SolveStatus
@@ -187,6 +192,46 @@ def test_dump_d_header(hamming_file, capsys):
     assert lines[0] == "7 15"
     assert len(lines) == 8
     assert all(ch in "01" for ch in lines[1])
+
+
+def test_dump_d_writes_one_row_at_a_time(tmp_path, capsys):
+    # The extended Golay dump is 759 rows of 4,095 letters.  Written as it is
+    # formatted, it costs the (759, 4095) uint8 bits and one row at a time,
+    # not a mask, a letter array and the joined text as well.
+    path = tmp_path / "golay24.code"
+    path.write_text(serialize_code(extended_golay()))
+    out = tmp_path / "d.txt"
+    cli_module.build_parser()
+    tracemalloc.start()
+    try:
+        assert main(["dump-d", str(path), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 759 * 4095
+    assert main(["dump-d", str(path)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "759 4095" and len(lines) == 760 and all(len(row) == 4095 for row in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "argv, build, built",
+    [
+        (["extend", "--l", "1"], "apply_extension", [row + [0] for row in HAMMING_ROWS]),
+        (["puncture", "--l", "1", "--s", "1"], "remove_columns", [[1, 1, 0], [0, 1, 0]]),
+    ],
+    ids=["extend", "puncture"],
+)
+def test_a_built_code_below_the_floor_exits_3(argv, build, built, tmp_path, monkeypatch, capsys):
+    # The Hamming code padded with a zero column stays at d = 3 under the
+    # extension floor 4; the puncture of the [4,2,2] code has floor 2.
+    path = tmp_path / "in.code"
+    path.write_text(HAMMING_FILE if argv[0] == "extend" else "2 2 4\n1 1 1 0\n0 1 0 1\n")
+    monkeypatch.setattr(pipeline_module, build, lambda code, columns: LinearCode(gf(2), built))
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    floor, d = (4, 3) if argv[0] == "extend" else (2, 1)
+    assert capsys.readouterr().err == f"error: step claims minimum distance >= {floor} but recomputation finds {d}\n"
 
 
 def test_input_errors_exit_3(tmp_path, capsys):

@@ -332,7 +332,7 @@ def test_good_extension_raises_distance_at_least_min_s_gap():
 
 
 def test_format_matrix_header(hamming):
-    text = format_matrix(coverage_matrix(hamming).bits)
+    text = "".join(format_matrix(coverage_matrix(hamming).bits))
     lines = text.splitlines()
     assert lines[0] == "7 15"
     assert len(lines) == 8

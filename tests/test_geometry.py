@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import binary_golay, extended_golay, random_codes, repetition
+from oracles import hyperplane_row_weight
 from lsext.code import LinearCode, weight
 from lsext.errors import DegenerateCodeError
 from lsext.extension import cover_system, coverage_matrix, format_matrix, is_good_extension
 from lsext.field import canonical_count, canonical_index, canonical_representatives, gf, representatives_at
 from lsext.geometry import (
     code_points,
-    hyperplane_row_weight,
     incidence_matrix,
     geometric_extension_criterion,
 )
@@ -192,7 +192,7 @@ def test_geometric_criterion_memory_is_bounded():
 
 
 def test_format_incidence_header():
-    text = format_matrix(incidence_matrix(gf(2), 3))
+    text = "".join(format_matrix(incidence_matrix(gf(2), 3)))
     lines = text.splitlines()
     assert lines[0] == "7 7"
     assert len(lines) == 8

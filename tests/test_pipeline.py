@@ -10,7 +10,7 @@ import lsext.pipeline as pipeline
 import lsext.solver as solver
 from conftest import GOLAY_FILE, GOLAY_ROWS, HAMMING_FILE, HAMMING_ROWS, extended_golay, random_codes, reed_muller_2_5, repetition
 from lsext.code import LinearCode
-from lsext.errors import ConsistencyError, ParseError, RankDeficientError
+from lsext.errors import ConsistencyError, ParseError, RankDeficientError, VerificationError
 from lsext.extension import coverage_matrix, is_good_extension
 from lsext.field import gf
 from lsext.pipeline import (
@@ -258,6 +258,49 @@ def test_puncture_records_the_distance_it_verified():
     assert rec.search.best.columns == (0, 3, 5)
     assert rec.guaranteed_distance == 1
     assert rec.result.params() == (4, 2, 2)
+
+
+# A code each step can build, and one below that step's floor: the Hamming
+# code padded with a zero column stays at d = 3 under the l = 1 floor of 4;
+# puncturing one position of the [4,2,2] code below has floor 2, and
+# [[1,1,0],[0,1,0]] has d = 1.
+PAD_ROWS = [[1, 1, 1, 0], [0, 1, 0, 1]]
+BELOW_FLOOR = {
+    "extend": ("apply_extension", HAMMING_ROWS, [row + [0] for row in HAMMING_ROWS], 4, 3),
+    "puncture": ("remove_columns", PAD_ROWS, [[1, 1, 0], [0, 1, 0]], 2, 1),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(BELOW_FLOOR))
+def test_every_step_refuses_a_built_code_below_its_floor(operation, monkeypatch):
+    build, rows, built, floor, d = BELOW_FLOOR[operation]
+    code = LinearCode(gf(2), rows)
+    step = extend_once if operation == "extend" else special_puncture
+    assert step(code, 1, 1).result.d >= floor
+    monkeypatch.setattr(pipeline, build, lambda code, columns: LinearCode(gf(2), built))
+    with pytest.raises(VerificationError, match=rf"claims minimum distance >= {floor} but recomputation finds {d}$"):
+        step(code, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "built, message",
+    [
+        # d = 3 above the original d = 2: no removal can raise the distance.
+        ([[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]], r"distance rose from 2 to 3 with only 0 columns appended"),
+        # k = 1: a punctured code keeps the rank of the original.
+        ([[1, 1, 1, 1, 1]], r"built code \[5,1\]_2 does not keep the q and k of \[6,2\]_2"),
+    ],
+    ids=["distance-rose", "rank-dropped"],
+)
+def test_puncture_refuses_a_code_the_removal_cannot_give(built, message, monkeypatch):
+    # Weights 2, 4 and 6: removing position 2, a zero of the weight-2 word,
+    # keeps d = 2, which is also the floor d - l + guaranteed_gain(s) = 2 - 1 + 1.
+    code = LinearCode(gf(2), [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]])
+    rec = special_puncture(code, 1, 1)
+    assert (rec.search.best.columns, rec.guaranteed_distance, rec.result.params()) == ((2,), 2, (5, 2, 2))
+    monkeypatch.setattr(pipeline, "remove_columns", lambda code, columns: LinearCode(gf(2), built))
+    with pytest.raises(VerificationError, match=message):
+        special_puncture(code, 1, 1)
 
 
 def test_puncture_refuses_a_guarantee_below_one(monkeypatch):

@@ -242,10 +242,10 @@ def test_dispatch():
 
 def test_text_interface_round_trip():
     bits = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    assert format_matrix(bits) == "2 3\n101\n011\n"
+    assert "".join(format_matrix(bits)) == "2 3\n101\n011\n"
     # Any nonzero entry is written as 1; a matrix without rows is its header alone.
-    assert format_matrix(np.array([[2, 0, 255], [0, 7, 0]], dtype=np.uint8)) == "2 3\n101\n010\n"
-    assert format_matrix(np.zeros((0, 4), dtype=np.uint8)) == "0 4\n"
+    assert "".join(format_matrix(np.array([[2, 0, 255], [0, 7, 0]], dtype=np.uint8))) == "2 3\n101\n010\n"
+    assert "".join(format_matrix(np.zeros((0, 4), dtype=np.uint8))) == "0 4\n"
     outcome = solve(CoverSystem.from_bits(bits, l=1, s=1))
     assert outcome.status == SolveStatus.FEASIBLE
     assert [sol.columns for sol in outcome.solutions] == [(2,)]
@@ -259,7 +259,7 @@ def test_matrix_dump_round_trip(hamming, golay):
         matrix = coverage_matrix(code)
         bits = matrix.bits
         rows = ["".join(str(b) for b in row) for row in bits.tolist()]
-        assert format_matrix(bits) == "\n".join([f"{matrix.t} {matrix.h}", *rows]) + "\n"
+        assert "".join(format_matrix(bits)) == "\n".join([f"{matrix.t} {matrix.h}", *rows]) + "\n"
         for l, s in ((1, 1), (2, 1)):
             a = solve(CoverSystem.from_bits(bits, l=l, s=s))
             b = solve(cover_system(matrix, l, s))
