@@ -18,7 +18,8 @@ bitsets by `field.canonical_supports`, so a codeword's weight is the popcount
 of its row, and the analysis keeps only the weight histogram and the
 minimum-weight representatives.  Its memory does not grow with the number of
 representatives h = (q^k-1)/(q-1), only with the number of those of minimum
-weight.
+weight.  A code whose h times max(k, n) fits the kernel's chunk budget is
+one product over a cached table of representatives; a larger one streams.
 
 All results are computed at construction, which therefore checks the
 enumeration cap; the object is immutable and safe to share read-only across

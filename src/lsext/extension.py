@@ -15,6 +15,9 @@ The coverage matrix is a view of the enumeration kernel over the
 representatives: it holds the kernel's two half tables, not its h columns.
 A search reads blocks, ranges and single columns from them, and the whole
 packed array is built only when something asks for it (see `CoverageMatrix`).
+A small matrix, whose h columns times max(k, t) fit the kernel's chunk
+budget, is instead built whole at once, as one product over the cached
+table of representatives.
 
 Equivalently, the coverage matrix is the complement of the rows of the
 point-hyperplane incidence matrix whose normals are the minimum-weight
@@ -62,8 +65,10 @@ class CoverageMatrix:
     The matrix is a view of the enumeration kernel: `supports` is
     `field.canonical_supports` over the transposed representatives, whose
     row j is column j of the matrix as a packed row bitset, and it holds
-    only the kernel's two half tables of about q^(k/2) rows.  A search
-    reads its blocks, ranges and single columns from them on demand.
+    only the kernel's two half tables of about q^(k/2) rows (a small
+    matrix, whose h times max(k, t) fits the kernel's chunk budget, is
+    built whole at once instead).  A search reads its blocks, ranges and
+    single columns from them on demand.
     `packed`, the (h, W) words of `bitsets.row_dtype(t)`, W =
     `packed_words(t)` (one word of 1, 2 or 4 bytes when t <= 32, else
     ceil(t/64) 64-bit words), is built from the tables the first time
@@ -175,8 +180,7 @@ class ExtensionSolution:
 
 def coverage_matrix(code: LinearCode) -> CoverageMatrix:
     """The min-weight-representative x candidate-column coverage matrix, as
-    the kernel's two half tables: column j's rows are the support of
-    column j @ reps.T."""
+    a view of the kernel: column j's rows are the support of column j @ reps.T."""
     reps = code.min_weight_representatives()
     return CoverageMatrix(code=code, representatives=reps, supports=canonical_supports(code.field, reps.T))
 

@@ -23,18 +23,29 @@ modulus.
 The module also owns the canonical order of GF(q)^k (one representative per
 one-dimensional subspace, named by its row in that order) and the kernel
 that enumerates it, `canonical_supports`: the nonzero pattern of r @ G for
-every representative r as packed row bitsets (`lsext.bitsets`).  The kernel
-tables the partial words of the two halves of a message once each, as
-packed bit-planes, and holds only those tables.  From them it streams its
-rows in chunks, and reads any range of rows or any array of row indices at
-random, so that a coverage matrix is a view of it.  `_bit_planes` packs
-letters into planes a block of rows at a time: it writes the block's bits
-of every plane as 0/1 bytes into rows padded to the word width and packs
-them all with one flat `np.packbits`, one routine for every table size.
-The rows of the enumeration come in pieces whose row counts are known
-before they are built; consecutive pieces are gathered into one chunk while
-their words fit `_CHUNK_WORDS`, so the many small pieces of a small code
-stream as one chunk, and a large code streams in chunks of bounded size.
+every representative r as packed row bitsets (`lsext.bitsets`).
+
+The chunk budget `_CHUNK_WORDS` chooses between two paths by the input
+size alone.  When the h representatives of a (q, k) times k fit it, their
+table is decoded once (`_table`, cached per (q, k)) and kept read-only, and
+`representatives_at` gathers rows from it.  When h times max(k, n) fits
+it, the kernel over a (k, n) matrix is one product over that table through
+`GF.vecmat`, packed at construction: its whole array is its one chunk and
+serves every read.  Such codes (the small codes of a chain step) pay a
+fixed cost per kernel, which the product keeps small.
+
+Every larger kernel tables the partial words of the two halves of a
+message once each, as packed bit-planes, and holds only those tables.  From
+them it streams its rows in chunks, and reads any range of rows or any
+array of row indices at random, so that a coverage matrix is a view of it.
+`_bit_planes` packs letters into planes a block of rows at a time: it
+writes the block's bits of every plane as 0/1 bytes into rows padded to
+the word width and packs them all with one flat `np.packbits`, one routine
+for every table size.  The rows of the enumeration come in pieces whose row
+counts are known before they are built; consecutive pieces are gathered
+into one chunk while their words fit `_CHUNK_WORDS`, so the many small
+pieces of a code that fits the budget stream as one chunk, and a large
+code streams in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bitsets import packed_words, row_dtype
+from .bitsets import pack_rows, packed_words, row_dtype
 from .errors import EnumerationCapExceeded
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -56,6 +67,8 @@ ENUM_CAP_ENV_VAR = "LSEXT_ENUM_CAP"
 _MAX_PRIME = 101
 
 # Words (of the row's width) in one chunk of `canonical_supports`; bounds its working memory.
+# It also bounds the letters of a cached table of representatives and the
+# int64 letters of the product that replaces the half tables for a small kernel.
 _CHUNK_WORDS = 1 << 14
 
 # Bytes of 0/1 letters that `_bit_planes` packs in one step; bounds its temporaries.
@@ -74,9 +87,7 @@ _MODULI: dict[int, tuple[int, ...]] = {
 
 def enumeration_cap() -> int:
     """Active cap on one-shot enumerations (env LSEXT_ENUM_CAP or default)."""
-    raw = os.environ.get(ENUM_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
+    raw = os.environ.get(ENUM_CAP_ENV_VAR, DEFAULT_ENUM_CAP)
     try:
         value = int(raw)
     except ValueError as exc:
@@ -109,20 +120,11 @@ class GF:
 
     def __init__(self, q: int) -> None:
         p, e = _factor_prime_power(q)
-        if e == 1:
-            if p > _MAX_PRIME:
-                raise ValueError(f"prime fields are supported up to q={_MAX_PRIME}, got {q}")
-            modulus = None
-        else:
-            if q not in _MODULI:
-                raise ValueError(
-                    f"extension fields are supported only for q in {sorted(_MODULI)}, got {q}"
-                )
-            modulus = _MODULI[q]
-        self.p = p
-        self.e = e
-        self.q = q
-        self.modulus = modulus
+        if e == 1 and p > _MAX_PRIME:
+            raise ValueError(f"prime fields are supported up to q={_MAX_PRIME}, got {q}")
+        if e > 1 and q not in _MODULI:
+            raise ValueError(f"extension fields are supported only for q in {sorted(_MODULI)}, got {q}")
+        self.p, self.e, self.q, self.modulus = p, e, q, _MODULI.get(q)
         self._build_tables()
         for table in (self.add_table, self.sub_table, self.mul_table, self.neg, self.inv):
             table.setflags(write=False)
@@ -190,9 +192,13 @@ class GF:
             )
         if self.e == 1:
             return ((vecs.astype(np.int64) @ mat.astype(np.int64)) % self.p).astype(np.uint8)
+        # Per message position, the multiples of its matrix row are gathered by
+        # the position's letters, then added by one flat lookup: a * q + b
+        # indexes the (q, q) addition table read as one row, and stays below
+        # q * q <= 81, inside the uint8 letters.
         acc = np.zeros((vecs.shape[0], mat.shape[1]), dtype=np.uint8)
-        for i in range(mat.shape[0]):
-            acc = self.add_table[acc, self.mul_table[vecs[:, i][:, None], mat[i][None, :]]]
+        for column, row in zip(vecs.T, mat):
+            acc = self.add_table.ravel()[acc * self.q + self.mul_table[:, row][column]]
         return acc
 
     def inner(self, a, b) -> np.ndarray:
@@ -257,16 +263,31 @@ def representatives_at(field: GF, k: int, index) -> np.ndarray:
     Representatives with a tail of length T (leading 1 at k-1-T) start at
     row canonical_count(q, T), and the one r rows further reads q^T + r in
     base q.  As r < q^T, the columns left of the leading 1 come out 0.
-    Rows are decoded into the uint8 result in blocks of `_DECODE_LETTERS` letters.
+    When all h rows of k letters fit `_CHUNK_WORDS`, the rows are gathered
+    from the cached read-only table of them (`_table`) into a fresh array;
+    otherwise they are decoded into the uint8 result in blocks of
+    `_DECODE_LETTERS` letters.
     """
     q = field.q
     index = np.asarray(index, dtype=np.int64)
+    if canonical_count(q, k) * k <= _CHUNK_WORDS:
+        return _table(q, k)[index]
     out = np.empty((len(index), k), dtype=np.uint8)
     places = _place_values(q, k)
     step = max(1, _DECODE_LETTERS // k)
     for start in range(0, len(index), step):
         out[start : start + step] = _values(q, k, index[start : start + step])[:, None] // places % q
     return out
+
+
+@lru_cache
+def _table(q: int, k: int) -> np.ndarray:
+    """Every canonical representative of GF(q)^k, decoded once and kept
+    read-only; only `representatives_at` and the product path of
+    `CanonicalSupports` read it, and neither hands it out."""
+    table = (_values(q, k, np.arange(canonical_count(q, k)))[:, None] // _place_values(q, k) % q).astype(np.uint8)
+    table.setflags(write=False)
+    return table
 
 
 def _values(q: int, k: int, index) -> np.ndarray:
@@ -307,9 +328,17 @@ class CanonicalSupports:
     `row_dtype(n)` row bitsets, h = canonical_count(q, k) and
     W = packed_words(n) (the layout of `pack_rows` and
     `CoverageMatrix.packed`), one row per representative in
-    `canonical_representatives` order, but it holds only two tables of
-    about q^(k/2) rows each.  With n = 0 the rows have no words.  The
-    enumeration cap is checked when it is built.
+    `canonical_representatives` order.  With n = 0 the rows have no words.
+    The enumeration cap is checked when it is built, before any table.
+
+    When h * max(k, n) fits `_CHUNK_WORDS`, it is built at construction as
+    the packed nonzero pattern of one product over GF(q), the cached table
+    of representatives times the matrix (`GF.vecmat`), and kept read-only.
+    It holds no half tables; iteration yields that array as its only chunk,
+    and every range, index read and `np.asarray` reads from it.  The words
+    of that chunk, the product's int64 letters and the table's letters are
+    all bounded by the budget.  Every larger matrix takes the half-table
+    kernel below, which holds only two tables of about q^(k/2) rows each.
 
     With s = k // 2, the partial words of every message are tabled once for
     the rows [:s] of the matrix (A) and once for the rows [s:] (B), both in
@@ -336,13 +365,15 @@ class CanonicalSupports:
       gathered into one chunk while their words fit `_CHUNK_WORDS`
       (`chunk_rows` rows), and a chunk is built only when it is yielded.
       The budget counts words of the row's width, so a chunk has the same
-      rows whatever that width is, and a code of few representatives
-      (every k <= 5 code with q <= 9 and n <= 64) streams as one chunk.
+      rows whatever that width is, and a code whose words fit the budget
+      streams as one chunk.
 
-    Memory stays bounded by what a read returns plus the two tables, until
-    `np.asarray` asks for the whole array: that is built once, chunk by
-    chunk, and kept read-only.  From then on `np.asarray` and indexing read
-    from it, while iteration still builds its chunks from the tables.
+    The half-table kernel's memory stays bounded by what a read returns plus
+    the two tables (an index read also takes temporaries of a few times its
+    result, one per bit-plane), until `np.asarray` asks for the whole array:
+    that is built once, chunk by chunk, and kept read-only.  From then on
+    `np.asarray` and indexing read from it, while iteration still builds its
+    chunks from the tables.
     """
 
     ndim = 2
@@ -352,13 +383,17 @@ class CanonicalSupports:
         self._q, (self._k, n) = field.q, mat.shape
         self.shape = (checked_count(self._q, self._k), packed_words(n))
         self.dtype = row_dtype(n)
+        self._whole: np.ndarray | None = None
+        if self.shape[0] * max(self._k, n) <= _CHUNK_WORDS:
+            self._a, self._whole = None, pack_rows(field.vecmat(_table(self._q, self._k), mat) != 0)
+            self._whole.setflags(write=False)
+            return
         self._split = self._k // 2
         # Row leads[T] is the first with a tail of length T, that is led by position k-1-T.
         self._leads = [0, *accumulate(self._q**tail for tail in range(self._k))]
         self._a = _partial_planes(field, mat[: self._split])
         self._neg_b = _partial_planes(field, mat[self._split :], negate=True)
         self._support_b = np.bitwise_or.reduce(self._neg_b, axis=0)
-        self._whole: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -388,9 +423,7 @@ class CanonicalSupports:
             return self._whole[key]
         if not isinstance(key, slice):
             a, b = np.divmod(_values(self._q, self._k, key), len(self._support_b))
-            out = self._a[0, a] ^ self._neg_b[0, b]
-            for plane in range(1, len(self._a)):
-                out |= self._a[plane, a] ^ self._neg_b[plane, b]
+            out = np.bitwise_or.reduce(self._a[:, a] ^ self._neg_b[:, b], axis=0)
             out.setflags(write=False)
             return out
         start, stop, _ = key.indices(len(self))
@@ -413,6 +446,9 @@ class CanonicalSupports:
         return out
 
     def __iter__(self) -> Iterator[np.ndarray]:
+        if self._a is None:  # the product path: its whole array is its one chunk
+            yield self._whole
+            return
         q, budget, b_rows = self._q, self.chunk_rows, len(self._support_b)
         # The pieces in order, as blocks: B[start:stop] for the leads in the
         # second half, then A[start:stop] with each row paired with all of

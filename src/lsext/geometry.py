@@ -11,8 +11,9 @@ weight n minus the number of those points on the hyperplane of normal r.
 The incidence matrix stores 1 where a point lies ON its hyperplane (inner
 product zero); the extension machinery works with the complement.  Both it
 and the geometric extension criterion stream the hyperplane normals through
-`field.canonical_supports`, which yields packed row bitsets built from two
-half tables of partial words, and unpack each chunk they read.
+`field.canonical_supports`, which yields packed row bitsets (one product
+over the table of representatives for a small input, else built from two
+half tables of partial words), and unpack each chunk they read.
 
 Everything here is pure.
 """

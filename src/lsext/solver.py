@@ -58,9 +58,10 @@ its own size, and no per-column copy of a wide matrix is made.  A system
 that `extension.cover_system` builds over more than one chunk of the kernel
 streams: until the whole array exists, each block is built from the
 kernel's tables and tested at once.  So a search decided at its root (every
-l = 1 pick, every root cut) and a greedy search build no whole matrix.  The
-gain bound stops at the first column or block that gains enough.  Both
-forms give the same answers and node counts.
+l = 1 pick, every root cut) and a greedy search of one pick build no whole
+matrix.  A greedy search of more picks builds it first, in one pass, and
+every pick scans it in place.  The gain bound stops at the first column or
+block that gains enough.  Both forms give the same answers and node counts.
 
 A wide last pick scans blocks of `_NARROW`, 8 `_NARROW`, 64 `_NARROW`,
 ... columns, up to the scan's block width, and stops after the block in
@@ -614,6 +615,8 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
     levels = _full_levels(system)
     chosen: list[int] = []
     nodes = 0
+    if system.l > 1:
+        columns.whole  # built in one pass, so that every pick scans it in place
     for _ in range(system.l):
         gains = columns.gains(levels[0])
         skip = chosen if system.distinct else []

@@ -8,7 +8,8 @@ import pytest
 
 from lsext import field as field_module
 from lsext.bitsets import packed_words, popcounts, row_dtype, unpack_rows
-from lsext.errors import EnumerationCapExceeded
+from lsext.code import LinearCode
+from lsext.errors import EnumerationCapExceeded, RankDeficientError
 from lsext.field import (
     GF,
     canonical_count,
@@ -18,6 +19,10 @@ from lsext.field import (
     gf,
     representatives_at,
 )
+from lsext.pipeline import ChainPolicy, chain_search
+
+from conftest import binary_golay
+from oracles import oracle_weight_distribution
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9]
 
@@ -302,8 +307,10 @@ def test_bit_planes_are_packed_in_bounded_blocks():
 
 @pytest.mark.parametrize("q, k, n", [(2, 5, 10), (3, 4, 8), (9, 3, 6), (9, 3, 70), (2, 12, 24)])
 def test_small_enumeration_streams_as_one_chunk(q, k, n):
-    # Every piece of a code whose whole enumeration fits the chunk budget is
-    # gathered into one chunk (the chain codes and the Golay codes are such).
+    # A code whose whole enumeration fits the chunk budget comes as one chunk:
+    # the first four (the chain codes are such) are one product over the table
+    # of representatives, and the binary Golay code's (2, 12, 24) gathers
+    # every piece of the half-table kernel into one chunk.
     f = gf(q)
     mat = np.random.default_rng(k * n).integers(0, q, size=(k, n))
     assert canonical_count(q, k) * packed_words(n) <= field_module._CHUNK_WORDS
@@ -368,6 +375,134 @@ def test_canonical_supports_builds_the_whole_array_once():
     assert np.asarray(supports) is whole and not whole.flags.writeable
     copied = np.array(supports)
     assert copied is not whole and copied.flags.writeable and np.array_equal(copied, whole)
+
+
+def _takes_product(q, k, n):
+    return canonical_count(q, k) * max(k, n) <= field_module._CHUNK_WORDS
+
+
+def _reads(supports, h, rng):
+    """Everything a caller can read from the kernel: its chunks, some ranges,
+    two index arrays and the whole array (asked for last, as it is kept)."""
+    edges = sorted({0, 1, h // 2, h - 1, h, *rng.integers(0, h + 1, size=4).tolist()})
+    index = rng.integers(0, h, size=(5, 3))
+    return {
+        "chunks": list(supports),
+        "ranges": [supports[a:b] for a, b in itertools.combinations(edges, 2)],
+        "index": [supports[index], supports[[h - 1, 0, 0]], supports[h // 2]],
+        "whole": np.asarray(supports),
+    }
+
+
+@pytest.mark.parametrize("q", SUPPORTED + [11])
+def test_product_path_agrees_with_the_kernel(q, monkeypatch):
+    """A kernel whose rows times max(k, n) fit the chunk budget is one product
+    over the table of representatives, built at construction; every read of
+    it equals the half-table kernel's, which a budget of 0 forces, and no read
+    that shares its memory can write it."""
+    f = gf(q)
+    rng = np.random.default_rng(400 + q)
+    cases = [(k, n, rng.integers(0, q, size=(k, n))) for k in range(1, 6) for n in (0, 1, 9, 17, 33, 65)]
+    product = {}
+    for k, n, mat in cases:
+        supports = canonical_supports(f, mat)
+        assert (supports._a is None) == _takes_product(q, k, n)
+        reads = product[k, n] = _reads(supports, len(supports), np.random.default_rng(k * 100 + n))
+        if supports._a is None:
+            assert len(reads["chunks"]) == 1 and reads["chunks"][0] is reads["whole"]
+            for rows in reads["chunks"] + reads["ranges"] + [reads["whole"]]:
+                assert not rows.flags.writeable
+            for rows in reads["index"]:
+                assert not rows.flags.writeable or not np.shares_memory(rows, reads["whole"])
+    assert sum(_takes_product(q, k, n) for k, n, _ in cases) >= 12
+    monkeypatch.setattr(field_module, "_CHUNK_WORDS", 0)
+    for k, n, mat in cases:
+        supports = canonical_supports(f, mat)
+        assert supports._a is not None
+        kernel = _reads(supports, len(supports), np.random.default_rng(k * 100 + n))
+        assert np.array_equal(np.concatenate(kernel["chunks"]), np.concatenate(product[k, n]["chunks"]))
+        for part in ("ranges", "index"):
+            for mine, theirs in zip(product[k, n][part], kernel[part], strict=True):
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert np.array_equal(product[k, n]["whole"], kernel["whole"])
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+@pytest.mark.parametrize("q", SUPPORTED + [11])
+def test_weight_distributions_on_both_sides_of_the_rule(q, budget, monkeypatch):
+    """`LinearCode` gives the scalar oracle's weight distribution whichever
+    path enumerates it, and a weight-0 representative is a rank error on both."""
+    if budget is not None:
+        monkeypatch.setattr(field_module, "_CHUNK_WORDS", budget)
+    f = gf(q)
+    rng = np.random.default_rng(500 + q)
+    for k in range(1, 5 if q < 7 else 4):
+        for n in (k, 9, 17):
+            mat = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, q, size=(k, n - k))])
+            assert LinearCode(f, mat).weight_distribution() == oracle_weight_distribution(f, mat)
+            if k > 1:
+                deficient = mat.copy()
+                deficient[-1] = f.vecmat(rng.integers(0, q, size=k - 1), mat[:-1])[0]
+                with pytest.raises(RankDeficientError):
+                    LinearCode(f, deficient)
+    # A code that takes the kernel at the default budget as well.
+    mat = np.hstack([np.eye(11, dtype=np.int64), np.random.default_rng(11).integers(0, 2, size=(11, 2))])
+    assert not _takes_product(2, 11, 13)
+    assert LinearCode(gf(2), mat).weight_distribution() == oracle_weight_distribution(gf(2), mat)
+
+
+def test_cap_is_checked_before_any_table_is_built(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built past the cap")
+
+    monkeypatch.setattr(field_module, "_table", no_table)
+    monkeypatch.setattr(field_module, "_partial_planes", no_table)
+    monkeypatch.setenv("LSEXT_ENUM_CAP", "39")  # h = 40 for q = 3, k = 4
+    f = gf(3)
+    mat = np.hstack([np.eye(4, dtype=np.int64), np.ones((4, 4), dtype=np.int64)])
+    assert _takes_product(3, 4, 8)
+    for build in (lambda: canonical_supports(f, mat), lambda: LinearCode(f, mat), lambda: canonical_representatives(f, 4)):
+        with pytest.raises(EnumerationCapExceeded):
+            build()
+
+
+def test_chain_codes_take_the_product_and_the_golay_code_the_kernel(monkeypatch):
+    """The rule picks the path from the input size: a small chain runs without
+    the half tables, and the binary Golay code still builds them."""
+
+    def no_half_tables(*args, **kwargs):
+        raise AssertionError("half tables built")
+
+    monkeypatch.setattr(field_module, "_partial_planes", no_half_tables)
+    f = gf(3)
+    start = LinearCode(f, np.hstack([np.eye(4, dtype=np.int64), np.random.default_rng(3).integers(0, 3, size=(4, 4))]))
+    report = chain_search(start, ChainPolicy(max_l=3, max_total_added=12))
+    assert report.steps and report.final.d > start.d
+    with pytest.raises(AssertionError, match="half tables built"):
+        binary_golay()
+
+
+@pytest.mark.parametrize("q", SUPPORTED + [11])
+def test_representatives_read_from_the_table(q, monkeypatch):
+    """Every index of a (q, k) whose table fits the budget reads the rows that
+    the block decode gives; what it returns is a fresh, writable array."""
+    f = gf(q)
+    ks = [k for k in range(1, 9) if canonical_count(q, k) * k <= field_module._CHUNK_WORDS]
+    assert ks
+    read = {k: representatives_at(f, k, np.arange(canonical_count(q, k))) for k in ks}
+    monkeypatch.setattr(field_module, "_CHUNK_WORDS", 0)
+    for k in ks:
+        assert read[k].dtype == np.uint8 and np.array_equal(read[k], representatives_at(f, k, np.arange(canonical_count(q, k))))
+    monkeypatch.undo()
+    k = ks[-1]
+    rows = representatives_at(f, k, [2, 0, 2])
+    assert rows.flags.writeable
+    rows[:] = 7
+    assert np.array_equal(representatives_at(f, k, [2, 0, 2]), read[k][[2, 0, 2]])
+    first, second = canonical_representatives(f, k), canonical_representatives(f, k)
+    assert first.flags.writeable and not np.shares_memory(first, second)
+    first[:] = 0
+    assert np.array_equal(second, read[k]) and np.array_equal(canonical_representatives(f, k), read[k])
 
 
 @pytest.mark.parametrize("q", SUPPORTED + [11])

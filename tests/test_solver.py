@@ -904,10 +904,37 @@ def test_greedy_matches_reference(monkeypatch):
     assert streamed == {(masked, status) for masked in (False, True) for status in ("feasible", "budget_exhausted")}
 
 
+def test_greedy_of_several_picks_builds_the_whole_array_in_one_pass(monkeypatch):
+    # RM(2,5)'s coverage matrix streams from the kernel's tables.  A greedy
+    # search of one pick scans its blocks once and builds no whole array; one
+    # of three picks builds the whole array in one pass and scans it in place
+    # on every pick, so it builds no block again.  The answer and node count
+    # are those of a search over a stored array.
+    builds = []
+    real = field_module.CanonicalSupports._build
+    monkeypatch.setattr(field_module.CanonicalSupports, "_build", lambda self, *a: builds.append(1) or real(self, *a))
+    code = reed_muller_2_5()
+    one_pass = len(list(coverage_matrix(code).supports))
+    for l in (1, 3):
+        matrix = coverage_matrix(code)
+        system = cover_system(matrix, l, 1)
+        assert len(system.packed) > system.packed.chunk_rows
+        builds.clear()
+        outcome = solve_greedy(system)
+        assert len(builds) <= 2 * one_pass
+        assert (matrix.supports._whole is None) == (l == 1)
+        stored = solve_greedy(CoverSystem(np.array(matrix.supports), system.num_rows, l, 1))
+        assert (outcome.status, outcome.nodes_explored, outcome.solutions) == (stored.status, stored.nodes_explored, stored.solutions)
+    assert len(builds) == one_pass and outcome.nodes_explored == 3 * 65_535
+
+
 def test_root_scans_build_no_whole_array_and_a_deeper_search_builds_it_once(monkeypatch):
-    # RM(2,5) at l = 1 and at l = 2, s = 2 is decided at the root: no whole
-    # array is built.  The extended Golay code at l = 2 goes below its root
-    # and builds it once, the array the coverage matrix then gives as `packed`.
+    # RM(2,5) at l = 1 and at l = 2, s = 2 is decided at the root, and a
+    # greedy search of one pick scans the blocks once: no whole array is
+    # built.  (A greedy search of more picks builds it; see
+    # test_greedy_of_several_picks_builds_the_whole_array_in_one_pass.)  The
+    # extended Golay code at l = 2 goes below its root and builds it once,
+    # the array the coverage matrix then gives as `packed`.
     built = []
     real = field_module.CanonicalSupports.__array__
     monkeypatch.setattr(field_module.CanonicalSupports, "__array__", lambda self, *a, **kw: built.append(1) or real(self, *a, **kw))
@@ -915,7 +942,7 @@ def test_root_scans_build_no_whole_array_and_a_deeper_search_builds_it_once(monk
     matrix = coverage_matrix(code)
     assert solve(cover_system(matrix, 1, 1)).nodes_explored == 65_535
     assert solve(cover_system(matrix, 2, 2)).nodes_explored == 0
-    assert solve_greedy(cover_system(matrix, 2, 1)).status == SolveStatus.BUDGET_EXHAUSTED
+    assert solve_greedy(cover_system(matrix, 1, 1)).status == SolveStatus.BUDGET_EXHAUSTED
     assert built == []
     golay = coverage_matrix(extended_golay())
     outcome = solve(cover_system(golay, 2, 1), SolverConfig(node_limit=50_000))
