@@ -26,12 +26,11 @@ that enumerates it, `canonical_supports`: the nonzero pattern of r @ G for
 every representative r as packed row bitsets (`lsext.bitsets`).
 
 The chunk budget `_CHUNK_WORDS` chooses between two paths by the input
-size alone.  When the h representatives of a (q, k) times k fit it, their
-table is decoded once (`_table`, cached per (q, k)) and kept read-only, and
-`representatives_at` gathers rows from it.  When h times max(k, n) fits
-it, the kernel over a (k, n) matrix is one product over that table through
-`GF.vecmat`, packed at construction: its whole array is its one chunk and
-serves every read.  Such codes (the small codes of a chain step) pay a
+size alone.  When the h representatives of a (q, k) times max(k, n) fit
+it, the kernel over a (k, n) matrix is one product through `GF.vecmat`
+over the table of those representatives (`_table`, decoded once per
+(q, k), cached and kept read-only), packed at construction: its whole
+array is its one chunk and serves every read.  Such codes (the small codes of a chain step) pay a
 fixed cost per kernel, which the product keeps small.
 
 Every larger kernel tables the partial words of the two halves of a
@@ -87,7 +86,9 @@ _MODULI: dict[int, tuple[int, ...]] = {
 
 def enumeration_cap() -> int:
     """Active cap on one-shot enumerations (env LSEXT_ENUM_CAP or default)."""
-    raw = os.environ.get(ENUM_CAP_ENV_VAR, DEFAULT_ENUM_CAP)
+    raw = os.environ.get(ENUM_CAP_ENV_VAR)
+    if raw is None:
+        return DEFAULT_ENUM_CAP
     try:
         value = int(raw)
     except ValueError as exc:
@@ -120,11 +121,20 @@ class GF:
 
     def __init__(self, q: int) -> None:
         p, e = _factor_prime_power(q)
-        if e == 1 and p > _MAX_PRIME:
-            raise ValueError(f"prime fields are supported up to q={_MAX_PRIME}, got {q}")
-        if e > 1 and q not in _MODULI:
-            raise ValueError(f"extension fields are supported only for q in {sorted(_MODULI)}, got {q}")
-        self.p, self.e, self.q, self.modulus = p, e, q, _MODULI.get(q)
+        if e == 1:
+            if p > _MAX_PRIME:
+                raise ValueError(f"prime fields are supported up to q={_MAX_PRIME}, got {q}")
+            modulus = None
+        else:
+            if q not in _MODULI:
+                raise ValueError(
+                    f"extension fields are supported only for q in {sorted(_MODULI)}, got {q}"
+                )
+            modulus = _MODULI[q]
+        self.p = p
+        self.e = e
+        self.q = q
+        self.modulus = modulus
         self._build_tables()
         for table in (self.add_table, self.sub_table, self.mul_table, self.neg, self.inv):
             table.setflags(write=False)
@@ -263,15 +273,10 @@ def representatives_at(field: GF, k: int, index) -> np.ndarray:
     Representatives with a tail of length T (leading 1 at k-1-T) start at
     row canonical_count(q, T), and the one r rows further reads q^T + r in
     base q.  As r < q^T, the columns left of the leading 1 come out 0.
-    When all h rows of k letters fit `_CHUNK_WORDS`, the rows are gathered
-    from the cached read-only table of them (`_table`) into a fresh array;
-    otherwise they are decoded into the uint8 result in blocks of
-    `_DECODE_LETTERS` letters.
+    Rows are decoded into the uint8 result in blocks of `_DECODE_LETTERS` letters.
     """
     q = field.q
     index = np.asarray(index, dtype=np.int64)
-    if canonical_count(q, k) * k <= _CHUNK_WORDS:
-        return _table(q, k)[index]
     out = np.empty((len(index), k), dtype=np.uint8)
     places = _place_values(q, k)
     step = max(1, _DECODE_LETTERS // k)
@@ -282,10 +287,10 @@ def representatives_at(field: GF, k: int, index) -> np.ndarray:
 
 @lru_cache
 def _table(q: int, k: int) -> np.ndarray:
-    """Every canonical representative of GF(q)^k, decoded once and kept
-    read-only; only `representatives_at` and the product path of
-    `CanonicalSupports` read it, and neither hands it out."""
-    table = (_values(q, k, np.arange(canonical_count(q, k)))[:, None] // _place_values(q, k) % q).astype(np.uint8)
+    """Every canonical representative of GF(q)^k, decoded once by
+    `representatives_at` and kept read-only; only the product path of
+    `CanonicalSupports` reads it, and never hands it out."""
+    table = representatives_at(gf(q), k, np.arange(canonical_count(q, k)))
     table.setflags(write=False)
     return table
 
@@ -369,9 +374,8 @@ class CanonicalSupports:
       streams as one chunk.
 
     The half-table kernel's memory stays bounded by what a read returns plus
-    the two tables (an index read also takes temporaries of a few times its
-    result, one per bit-plane), until `np.asarray` asks for the whole array:
-    that is built once, chunk by chunk, and kept read-only.  From then on
+    the two tables, until `np.asarray` asks for the whole array: that is
+    built once, chunk by chunk, and kept read-only.  From then on
     `np.asarray` and indexing read from it, while iteration still builds its
     chunks from the tables.
     """
@@ -423,7 +427,9 @@ class CanonicalSupports:
             return self._whole[key]
         if not isinstance(key, slice):
             a, b = np.divmod(_values(self._q, self._k, key), len(self._support_b))
-            out = np.bitwise_or.reduce(self._a[:, a] ^ self._neg_b[:, b], axis=0)
+            out = self._a[0, a] ^ self._neg_b[0, b]
+            for plane in range(1, len(self._a)):
+                out |= self._a[plane, a] ^ self._neg_b[plane, b]
             out.setflags(write=False)
             return out
         start, stop, _ = key.indices(len(self))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lsext import field as field_module
-from lsext.bitsets import packed_words, popcounts, row_dtype, unpack_rows
+from lsext.bitsets import pack_rows, packed_words, popcounts, row_dtype, unpack_rows
 from lsext.code import LinearCode
 from lsext.errors import EnumerationCapExceeded, RankDeficientError
 from lsext.field import (
@@ -483,26 +483,28 @@ def test_chain_codes_take_the_product_and_the_golay_code_the_kernel(monkeypatch)
 
 
 @pytest.mark.parametrize("q", SUPPORTED + [11])
-def test_representatives_read_from_the_table(q, monkeypatch):
-    """Every index of a (q, k) whose table fits the budget reads the rows that
-    the block decode gives; what it returns is a fresh, writable array."""
+def test_table_of_representatives_is_read_only_and_never_handed_out(q):
+    """The product path's cached table holds every canonical representative
+    and cannot be written; `representatives_at` and `canonical_representatives`
+    return fresh, writable arrays, and writing them changes no later read."""
     f = gf(q)
     ks = [k for k in range(1, 9) if canonical_count(q, k) * k <= field_module._CHUNK_WORDS]
     assert ks
-    read = {k: representatives_at(f, k, np.arange(canonical_count(q, k))) for k in ks}
-    monkeypatch.setattr(field_module, "_CHUNK_WORDS", 0)
     for k in ks:
-        assert read[k].dtype == np.uint8 and np.array_equal(read[k], representatives_at(f, k, np.arange(canonical_count(q, k))))
-    monkeypatch.undo()
+        table = field_module._table(q, k)
+        assert not table.flags.writeable and table.dtype == np.uint8
+        assert np.array_equal(table, canonical_representatives(f, k))
     k = ks[-1]
+    expected = field_module._table(q, k).copy()
     rows = representatives_at(f, k, [2, 0, 2])
     assert rows.flags.writeable
     rows[:] = 7
-    assert np.array_equal(representatives_at(f, k, [2, 0, 2]), read[k][[2, 0, 2]])
+    assert np.array_equal(representatives_at(f, k, [2, 0, 2]), expected[[2, 0, 2]])
     first, second = canonical_representatives(f, k), canonical_representatives(f, k)
     assert first.flags.writeable and not np.shares_memory(first, second)
     first[:] = 0
-    assert np.array_equal(second, read[k]) and np.array_equal(canonical_representatives(f, k), read[k])
+    assert np.array_equal(second, expected) and np.array_equal(field_module._table(q, k), expected)
+    assert np.array_equal(np.asarray(canonical_supports(f, np.eye(k, dtype=np.uint8))), pack_rows(expected != 0))
 
 
 @pytest.mark.parametrize("q", SUPPORTED + [11])
