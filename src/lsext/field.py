@@ -30,8 +30,9 @@ size alone.  When the h representatives of a (q, k) times max(k, n) fit
 it, the kernel over a (k, n) matrix is one product through `GF.vecmat`
 over the table of those representatives (`_table`, decoded once per
 (q, k), cached and kept read-only), packed at construction: its whole
-array is its one chunk and serves every read.  Such codes (the small codes of a chain step) pay a
-fixed cost per kernel, which the product keeps small.
+array is its one chunk and serves every read.  Such codes (the small
+codes of a chain step) pay a fixed cost per kernel, which the product
+keeps small.
 
 Every larger kernel tables the partial words of the two halves of a
 message once each, as packed bit-planes, and holds only those tables.  From
