@@ -5,7 +5,7 @@ in bits of the row's word, `row_dtype(n)`: the narrowest unsigned integer
 of 1, 2 or 4 bytes that holds n bits, else 64-bit words, `packed_words(n)`
 of them per row.  The bits past n are zero.  Read little-endian, a packed
 row is the integer whose bit j is letter j, whatever its word width.  The
-enumeration kernel (`field.canonical_supports`) yields codeword supports in
+enumeration kernel (`field.CanonicalSupports`) yields codeword supports in
 this layout, and the coverage matrix and the solver read it.
 """
 

@@ -14,7 +14,7 @@ is when some canonical representative has weight 0.
 much of a per-word gain s the weight gap lets a step claim.
 
 The representatives' codeword supports are streamed in chunks of packed row
-bitsets by `field.canonical_supports`, so a codeword's weight is the popcount
+bitsets by `field.CanonicalSupports`, so a codeword's weight is the popcount
 of its row, and the analysis keeps only the weight histogram and the
 minimum-weight representatives.  Its memory does not grow with the number of
 representatives h = (q^k-1)/(q-1), only with the number of those of minimum
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateCodeError, RankDeficientError
 from .bitsets import popcounts
-from .field import GF, canonical_supports, representatives_at
+from .field import GF, CanonicalSupports, representatives_at
 
 
 def weight(word) -> int:
@@ -51,7 +51,7 @@ class LinearCode:
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError(f"generator matrix must be 2-D and nonempty, got shape {mat.shape}")
         self.field = field
-        self.matrix = mat.copy()
+        self.matrix = mat
         self.matrix.setflags(write=False)
         self.k, self.n = mat.shape
         if self.k > self.n:
@@ -86,7 +86,7 @@ class LinearCode:
         lowest = self.n + 1
         hits: list[np.ndarray] = []  # canonical indices of the representatives of weight `lowest`
         start = 0
-        for support in canonical_supports(self.field, self.matrix):
+        for support in CanonicalSupports(self.field, self.matrix):
             weights = popcounts(support)
             histogram += np.bincount(weights, minlength=self.n + 1)
             low = int(weights.min())

@@ -35,7 +35,7 @@ import numpy as np
 from .code import LinearCode
 from .errors import ConsistencyError, InfeasibleSolutionError, VerificationError
 from .bitsets import pack_rows, packed_words, unpack_rows
-from .field import CanonicalSupports, canonical_count, canonical_supports, representatives_at
+from .field import CanonicalSupports, canonical_count, representatives_at
 from .geometry import code_points
 
 
@@ -63,7 +63,7 @@ class CoverageMatrix:
     fixed by `canonical_representatives`.  No row is all zero.
 
     The matrix is a view of the enumeration kernel: `supports` is
-    `field.canonical_supports` over the transposed representatives, whose
+    `field.CanonicalSupports` over the transposed representatives, whose
     row j is column j of the matrix as a packed row bitset, and it holds
     only the kernel's two half tables of about q^(k/2) rows (a small
     matrix, whose h times max(k, t) fits the kernel's chunk budget, is
@@ -182,7 +182,7 @@ def coverage_matrix(code: LinearCode) -> CoverageMatrix:
     """The min-weight-representative x candidate-column coverage matrix, as
     a view of the kernel: column j's rows are the support of column j @ reps.T."""
     reps = code.min_weight_representatives()
-    return CoverageMatrix(code=code, representatives=reps, supports=canonical_supports(code.field, reps.T))
+    return CoverageMatrix(code=code, representatives=reps, supports=CanonicalSupports(code.field, reps.T))
 
 
 def cover_system(matrix: CoverageMatrix, l: int, s: int) -> CoverSystem:

@@ -22,12 +22,18 @@ modulus.
 
 The module also owns the canonical order of GF(q)^k (one representative per
 one-dimensional subspace, named by its row in that order) and the kernel
-that enumerates it, `canonical_supports`: the nonzero pattern of r @ G for
+that enumerates it, `CanonicalSupports`: the nonzero pattern of r @ G for
 every representative r as packed row bitsets (`lsext.bitsets`).
+
+Letters are checked once, where they enter lsext: `GF.check_codes` refuses
+a letter that is not an integer in 0..q-1 for the public `GF` operations,
+`canonical_index`, `LinearCode` and `geometric_extension_criterion`, and
+`pipeline.parse_code` refuses one itself.  Inside, `CanonicalSupports` and
+`GF._product` read checked uint8 letters and check nothing.
 
 The chunk budget `_CHUNK_WORDS` chooses between two paths by the input
 size alone.  When the h representatives of a (q, k) times max(k, n) fit
-it, the kernel over a (k, n) matrix is one product through `GF.vecmat`
+it, the kernel over a (k, n) matrix is one product through `GF._product`
 over the table of those representatives (`_table`, decoded once per
 (q, k), cached and kept read-only), packed at construction: its whole
 array is its one chunk and serves every read.  Such codes (the small
@@ -66,7 +72,7 @@ ENUM_CAP_ENV_VAR = "LSEXT_ENUM_CAP"
 
 _MAX_PRIME = 101
 
-# Words (of the row's width) in one chunk of `canonical_supports`; bounds its working memory.
+# Words (of the row's width) in one chunk of `CanonicalSupports`; bounds its working memory.
 # It also bounds the letters of a cached table of representatives and the
 # int64 letters of the product that replaces the half tables for a small kernel.
 _CHUNK_WORDS = 1 << 14
@@ -172,10 +178,10 @@ class GF:
     # -- scalar / array operations -------------------------------------------
 
     def check_codes(self, a) -> np.ndarray:
-        """Validate element codes and return them as a uint8 array."""
+        """Element codes as a new uint8 array; any that is not an integer in 0..q-1 is refused."""
         arr = np.asarray(a)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
-            raise ValueError(f"element code out of range 0..{self.q - 1}")
+        if arr.size and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= self.q):
+            raise ValueError(f"element codes must be integers in 0..{self.q - 1}")
         return arr.astype(np.uint8)
 
     def add(self, a, b):
@@ -201,6 +207,10 @@ class GF:
             raise ValueError(
                 f"shape mismatch: vectors of length {vecs.shape[1]} vs matrix with {mat.shape[0]} rows"
             )
+        return self._product(vecs, mat)
+
+    def _product(self, vecs: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        """`vecmat` over letters already checked, (m, k) and (k, n) uint8 arrays."""
         if self.e == 1:
             return ((vecs.astype(np.int64) @ mat.astype(np.int64)) % self.p).astype(np.uint8)
         # Per message position, the multiples of its matrix row are gathered by
@@ -214,8 +224,7 @@ class GF:
 
     def inner(self, a, b) -> np.ndarray:
         """Pairwise inner products: (m, k) x (r, k) -> (m, r)."""
-        b = np.atleast_2d(self.check_codes(b))
-        return self.vecmat(a, b.T)
+        return self.vecmat(a, np.atleast_2d(b).T)
 
     def scale_to_canonical(self, vec) -> np.ndarray:
         """Scale nonzero vectors along the last axis so each first nonzero entry becomes 1."""
@@ -288,10 +297,10 @@ def representatives_at(field: GF, k: int, index) -> np.ndarray:
 
 @lru_cache
 def _table(q: int, k: int) -> np.ndarray:
-    """Every canonical representative of GF(q)^k, decoded once by
-    `representatives_at` and kept read-only; only the product path of
-    `CanonicalSupports` reads it, and never hands it out."""
-    table = representatives_at(gf(q), k, np.arange(canonical_count(q, k)))
+    """Every canonical representative of GF(q)^k, decoded once and kept
+    read-only; only the product path of `CanonicalSupports` reads it, and
+    never hands it out."""
+    table = canonical_representatives(gf(q), k)
     table.setflags(write=False)
     return table
 
@@ -321,25 +330,20 @@ def canonical_index(field: GF, vectors) -> np.ndarray:
     return vecs @ _place_values(q, k) - q**tail + canonical_count(q, tail)
 
 
-def canonical_supports(field: GF, matrix) -> CanonicalSupports:
-    """The kernel over a (k, n) matrix: the packed supports of r @ matrix for
-    every canonical representative r, read in chunks or at random."""
-    return CanonicalSupports(field, matrix)
-
-
 class CanonicalSupports:
     """Nonzero patterns of r @ matrix for every canonical representative r, packed.
 
-    For a (k, n) matrix this reads like a read-only (h, W) array of
-    `row_dtype(n)` row bitsets, h = canonical_count(q, k) and
-    W = packed_words(n) (the layout of `pack_rows` and
-    `CoverageMatrix.packed`), one row per representative in
-    `canonical_representatives` order.  With n = 0 the rows have no words.
+    The matrix is a (k, n) uint8 array of letters already checked (see the
+    module docstring), and nothing here checks it again.  The kernel reads
+    like a read-only (h, W) array of `row_dtype(n)` row bitsets,
+    h = canonical_count(q, k) and W = packed_words(n) (the layout of
+    `pack_rows` and `CoverageMatrix.packed`), one row per representative
+    in `canonical_representatives` order.  With n = 0 the rows have no words.
     The enumeration cap is checked when it is built, before any table.
 
     When h * max(k, n) fits `_CHUNK_WORDS`, it is built at construction as
     the packed nonzero pattern of one product over GF(q), the cached table
-    of representatives times the matrix (`GF.vecmat`), and kept read-only.
+    of representatives times the matrix (`GF._product`), and kept read-only.
     It holds no half tables; iteration yields that array as its only chunk,
     and every range, index read and `np.asarray` reads from it.  The words
     of that chunk, the product's int64 letters and the table's letters are
@@ -383,21 +387,20 @@ class CanonicalSupports:
 
     ndim = 2
 
-    def __init__(self, field: GF, matrix) -> None:
-        mat = field.check_codes(matrix)
-        self._q, (self._k, n) = field.q, mat.shape
+    def __init__(self, field: GF, matrix: np.ndarray) -> None:
+        self._q, (self._k, n) = field.q, matrix.shape
         self.shape = (checked_count(self._q, self._k), packed_words(n))
         self.dtype = row_dtype(n)
         self._whole: np.ndarray | None = None
         if self.shape[0] * max(self._k, n) <= _CHUNK_WORDS:
-            self._a, self._whole = None, pack_rows(field.vecmat(_table(self._q, self._k), mat) != 0)
+            self._a, self._whole = None, pack_rows(field._product(_table(self._q, self._k), matrix) != 0)
             self._whole.setflags(write=False)
             return
         self._split = self._k // 2
         # Row leads[T] is the first with a tail of length T, that is led by position k-1-T.
         self._leads = [0, *accumulate(self._q**tail for tail in range(self._k))]
-        self._a = _partial_planes(field, mat[: self._split])
-        self._neg_b = _partial_planes(field, mat[self._split :], negate=True)
+        self._a = _partial_planes(field, matrix[: self._split])
+        self._neg_b = _partial_planes(field, matrix[self._split :], negate=True)
         self._support_b = np.bitwise_or.reduce(self._neg_b, axis=0)
 
     def __len__(self) -> int:

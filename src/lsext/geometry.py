@@ -11,7 +11,7 @@ weight n minus the number of those points on the hyperplane of normal r.
 The incidence matrix stores 1 where a point lies ON its hyperplane (inner
 product zero); the extension machinery works with the complement.  Both it
 and the geometric extension criterion stream the hyperplane normals through
-`field.canonical_supports`, which yields packed row bitsets (one product
+`field.CanonicalSupports`, which yields packed row bitsets (one product
 over the table of representatives for a small input, else built from two
 half tables of partial words), and unpack each chunk they read.
 
@@ -24,12 +24,7 @@ import numpy as np
 
 from .bitsets import unpack_rows
 from .code import LinearCode
-from .field import (
-    GF,
-    canonical_index,
-    canonical_representatives,
-    canonical_supports,
-)
+from .field import GF, CanonicalSupports, canonical_index, canonical_representatives
 
 
 def code_points(code: LinearCode) -> np.ndarray:
@@ -49,7 +44,7 @@ def incidence_matrix(field: GF, k: int) -> np.ndarray:
     bits = np.empty((len(points), len(points)), dtype=np.uint8)
     # Row i is the zero pattern of points[i] @ points.T, streamed in row order.
     start = 0
-    for support in canonical_supports(field, points.T):
+    for support in CanonicalSupports(field, points.T):
         np.logical_not(unpack_rows(support, len(points)), out=bits[start : start + len(support)])
         start += len(support)
     bits.setflags(write=False)
@@ -77,7 +72,7 @@ def geometric_extension_criterion(code: LinearCode, chosen) -> bool:
     if chosen.ndim != 2 or chosen.shape[1] != code.k:
         raise ValueError(f"chosen points must be vectors of length k={code.k}, got shape {chosen.shape}")
     n, d = code.n, code.d
-    for packed in canonical_supports(code.field, np.concatenate([code.matrix, chosen.T], axis=1)):
+    for packed in CanonicalSupports(code.field, np.concatenate([code.matrix, chosen.T], axis=1)):
         support = unpack_rows(packed, n + len(chosen))
         touches = ~support[:, n:].all(axis=1)
         if np.any(touches & (np.count_nonzero(support[:, :n], axis=1) <= d)):

@@ -266,7 +266,7 @@ def zero_coverage_system(code: LinearCode, l: int, s: int) -> CoverSystem:
     """Covering system over generator positions: position j covers row i when
     the minimum-weight codeword i has letter zero at j."""
     reps = code.min_weight_representatives()
-    letters = code.field.vecmat(reps, code.matrix)
+    letters = code.field._product(reps, code.matrix)
     return CoverSystem.from_bits(letters == 0, l=l, s=s, distinct=True)
 
 

@@ -191,13 +191,13 @@ def test_each_code_is_enumerated_once(hamming, monkeypatch):
     calls = {"code": 0, "extension": 0}
 
     def counting(module, key):
-        original = module.canonical_supports
+        original = module.CanonicalSupports
 
         def wrapper(*args, **kwargs):
             calls[key] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "canonical_supports", wrapper)
+        monkeypatch.setattr(module, "CanonicalSupports", wrapper)
 
     counting(lsext.code, "code")
     counting(lsext.extension, "extension")

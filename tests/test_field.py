@@ -10,16 +10,18 @@ from lsext import field as field_module
 from lsext.bitsets import pack_rows, packed_words, popcounts, row_dtype, unpack_rows
 from lsext.code import LinearCode
 from lsext.errors import EnumerationCapExceeded, RankDeficientError
+from lsext.extension import coverage_matrix
 from lsext.field import (
     GF,
+    CanonicalSupports,
     canonical_count,
     canonical_index,
     canonical_representatives,
-    canonical_supports,
     gf,
     representatives_at,
 )
-from lsext.pipeline import ChainPolicy, chain_search
+from lsext.geometry import geometric_extension_criterion
+from lsext.pipeline import ChainPolicy, chain_search, zero_coverage_system
 
 from conftest import binary_golay
 from oracles import oracle_weight_distribution
@@ -68,11 +70,62 @@ def test_inverse_of_zero_raises():
         gf(5).invert(0)
 
 
-def test_out_of_range_codes_rejected():
-    with pytest.raises(ValueError):
-        gf(3).add(3, 0)
-    with pytest.raises(ValueError):
-        gf(3).add(0, -1)
+def _ternary_code(f):
+    return LinearCode(f, [[1, 0, 1], [0, 1, 1]])
+
+
+# Every entry that checks letters, each with the letter x placed in one operand.
+LETTER_ENTRIES = {
+    "add_a": lambda f, x: f.add(x, 0),
+    "add_b": lambda f, x: f.add(0, x),
+    "mul": lambda f, x: f.mul(x, 1),
+    "invert": lambda f, x: f.invert(x),
+    "vecmat_vecs": lambda f, x: f.vecmat([x, 1], [[1, 0], [0, 1]]),
+    "vecmat_mat": lambda f, x: f.vecmat([1, 1], [[1, 0], [x, 1]]),
+    "inner_a": lambda f, x: f.inner([[x, 1]], [[1, 1]]),
+    "inner_b": lambda f, x: f.inner([[1, 1]], [[1, x]]),
+    "scale_to_canonical": lambda f, x: f.scale_to_canonical([1, x]),
+    "canonical_index": lambda f, x: canonical_index(f, [[1, x]]),
+    "LinearCode": lambda f, x: LinearCode(f, [[1, 0, x], [0, 1, 1]]),
+    "encode": lambda f, x: _ternary_code(f).encode([x, 1]),
+    "geometric_extension_criterion": lambda f, x: geometric_extension_criterion(_ternary_code(f), [[1, x]]),
+}
+
+
+@pytest.mark.parametrize("letter", [3, -1, 0.5])
+@pytest.mark.parametrize("entry", LETTER_ENTRIES.values(), ids=LETTER_ENTRIES.keys())
+def test_out_of_range_codes_rejected(entry, letter):
+    """Each entry accepts the letter 2 in that place, and refuses q, -1 and 0.5."""
+    f = gf(3)
+    entry(f, 2)
+    with pytest.raises(ValueError, match=r"element codes must be integers in 0\.\.2"):
+        entry(f, letter)
+
+
+def test_non_integer_letters_are_refused_not_truncated():
+    # A cast to uint8 would read 0.5 and 2.7 as 0 and 2, and NaN as 0; an
+    # empty array has no letter to refuse, and booleans are the letters 0 and 1.
+    f = gf(3)
+    for letters in ([[1, 0.5, 2.7]], [[1, np.nan, 2]], [[1.0, 0.0, 2.0]]):
+        with pytest.raises(ValueError, match="integers"):
+            LinearCode(f, np.array(letters))
+    assert f.check_codes([]).size == 0
+    assert f.check_codes(np.array([[True, False]])).tolist() == [[1, 0]]
+
+
+def test_letters_are_checked_once_where_they_enter(hamming, monkeypatch):
+    """A code checks its matrix once; the coverage matrix, the zero-coverage
+    system and the kernel on the product path read it without a check."""
+    calls = []
+    real = GF.check_codes
+    monkeypatch.setattr(GF, "check_codes", lambda self, a: calls.append(1) or real(self, a))
+    code = LinearCode(hamming.field, hamming.matrix)
+    assert len(calls) == 1
+    cover = coverage_matrix(code)
+    zero_coverage_system(code, 2, 1)
+    supports = CanonicalSupports(code.field, code.matrix)
+    assert supports._a is None and cover.supports._a is None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("q", [1, 6, 10, 12, 16, 25, 27, 103])
@@ -250,7 +303,7 @@ def test_canonical_supports_are_packed_nonzero_patterns(q, budget, monkeypatch):
         low_rows = q ** (k - k // 2)
         for n in (0, 1, 8, 9, 16, 17, 32, 33, 63, 64, 65, 129):
             mat = rng.integers(0, q, size=(k, n))
-            chunks = list(canonical_supports(f, mat))
+            chunks = list(CanonicalSupports(f, mat))
             for chunk in chunks:
                 assert chunk.dtype == row_dtype(n) and chunk.shape[1] == packed_words(n)
                 assert chunk.size <= field_module._CHUNK_WORDS or len(chunk) == low_rows
@@ -314,7 +367,7 @@ def test_small_enumeration_streams_as_one_chunk(q, k, n):
     f = gf(q)
     mat = np.random.default_rng(k * n).integers(0, q, size=(k, n))
     assert canonical_count(q, k) * packed_words(n) <= field_module._CHUNK_WORDS
-    chunks = list(canonical_supports(f, mat))
+    chunks = list(CanonicalSupports(f, mat))
     assert len(chunks) == 1
     assert np.array_equal(chunks[0], _packed_supports(f, mat))
 
@@ -327,7 +380,7 @@ def test_canonical_supports_chunks_are_read_only(monkeypatch):
     monkeypatch.setattr(field_module, "_CHUNK_WORDS", 6)
     f = gf(3)
     mat = np.random.default_rng(1).integers(0, 3, size=(4, 70))
-    chunks = list(canonical_supports(f, mat))
+    chunks = list(CanonicalSupports(f, mat))
     assert len(chunks) >= 2
     for chunk in chunks:
         with pytest.raises(ValueError):
@@ -345,7 +398,7 @@ def test_canonical_supports_random_access_matches_the_whole_array(q):
     for k in range(1, 6 if q < 7 else 5):
         for n in (1, 9, 33, 70):
             mat = rng.integers(0, q, size=(k, n))
-            supports = canonical_supports(f, mat)
+            supports = CanonicalSupports(f, mat)
             whole = _packed_supports(f, mat)
             h, b_rows = len(whole), q ** (k - k // 2)
             assert supports.shape == whole.shape and supports.dtype == whole.dtype and len(supports) == h
@@ -370,7 +423,7 @@ def test_canonical_supports_builds_the_whole_array_once():
     # while a copy asked for is a fresh array.
     f = gf(3)
     mat = np.random.default_rng(5).integers(0, 3, size=(4, 12))
-    supports = canonical_supports(f, mat)
+    supports = CanonicalSupports(f, mat)
     whole = np.asarray(supports)
     assert np.asarray(supports) is whole and not whole.flags.writeable
     copied = np.array(supports)
@@ -405,7 +458,7 @@ def test_product_path_agrees_with_the_kernel(q, monkeypatch):
     cases = [(k, n, rng.integers(0, q, size=(k, n))) for k in range(1, 6) for n in (0, 1, 9, 17, 33, 65)]
     product = {}
     for k, n, mat in cases:
-        supports = canonical_supports(f, mat)
+        supports = CanonicalSupports(f, mat)
         assert (supports._a is None) == _takes_product(q, k, n)
         reads = product[k, n] = _reads(supports, len(supports), np.random.default_rng(k * 100 + n))
         if supports._a is None:
@@ -417,7 +470,7 @@ def test_product_path_agrees_with_the_kernel(q, monkeypatch):
     assert sum(_takes_product(q, k, n) for k, n, _ in cases) >= 12
     monkeypatch.setattr(field_module, "_CHUNK_WORDS", 0)
     for k, n, mat in cases:
-        supports = canonical_supports(f, mat)
+        supports = CanonicalSupports(f, mat)
         assert supports._a is not None
         kernel = _reads(supports, len(supports), np.random.default_rng(k * 100 + n))
         assert np.array_equal(np.concatenate(kernel["chunks"]), np.concatenate(product[k, n]["chunks"]))
@@ -461,7 +514,7 @@ def test_cap_is_checked_before_any_table_is_built(monkeypatch):
     f = gf(3)
     mat = np.hstack([np.eye(4, dtype=np.int64), np.ones((4, 4), dtype=np.int64)])
     assert _takes_product(3, 4, 8)
-    for build in (lambda: canonical_supports(f, mat), lambda: LinearCode(f, mat), lambda: canonical_representatives(f, 4)):
+    for build in (lambda: CanonicalSupports(f, mat), lambda: LinearCode(f, mat), lambda: canonical_representatives(f, 4)):
         with pytest.raises(EnumerationCapExceeded):
             build()
 
@@ -504,7 +557,7 @@ def test_table_of_representatives_is_read_only_and_never_handed_out(q):
     assert first.flags.writeable and not np.shares_memory(first, second)
     first[:] = 0
     assert np.array_equal(second, expected) and np.array_equal(field_module._table(q, k), expected)
-    assert np.array_equal(np.asarray(canonical_supports(f, np.eye(k, dtype=np.uint8))), pack_rows(expected != 0))
+    assert np.array_equal(np.asarray(CanonicalSupports(f, np.eye(k, dtype=np.uint8))), pack_rows(expected != 0))
 
 
 @pytest.mark.parametrize("q", SUPPORTED + [11])

@@ -45,12 +45,13 @@ def test_parse_accepts_comments_and_blank_lines():
     assert parse_code(text).params() == (2, 1, 2)
 
 
-def test_parse_element_out_of_range_names_line():
-    text = "4 2 3\n1 0 2\n0 1 4\n"
+@pytest.mark.parametrize("letter", ["4", "-1", "0.5"])
+def test_parse_element_out_of_range_names_line(letter):
+    text = f"4 2 3\n1 0 2\n0 1 {letter}\n"
     with pytest.raises(ParseError) as err:
         parse_code(text)
     assert "line 3" in str(err.value)
-    assert "4" in str(err.value)
+    assert letter in str(err.value)
 
 
 def test_parse_header_errors():
