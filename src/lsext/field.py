@@ -121,9 +121,9 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 class GF:
     """Arithmetic tables for GF(q), with vectorized helpers over numpy arrays.
 
-    Attributes p, e, q and modulus mirror the field description; add_table,
-    sub_table and mul_table are (q, q) uint8 lookup tables, neg and inv are
-    length-q vectors (inv[0] is a placeholder and must never be read).
+    Attributes p, e, q and modulus mirror the field description; add_table
+    and mul_table are (q, q) uint8 lookup tables, neg and inv are length-q
+    vectors (inv[0] is a placeholder and must never be read).
     """
 
     def __init__(self, q: int) -> None:
@@ -143,7 +143,7 @@ class GF:
         self.q = q
         self.modulus = modulus
         self._build_tables()
-        for table in (self.add_table, self.sub_table, self.mul_table, self.neg, self.inv):
+        for table in (self.add_table, self.mul_table, self.neg, self.inv):
             table.setflags(write=False)
 
     # -- table construction -------------------------------------------------
@@ -155,7 +155,6 @@ class GF:
         digits = np.arange(q)[:, None] // p ** np.arange(e) % p
         place = p ** np.arange(e)
         add = (digits[:, None] + digits[None]) % p @ place
-        sub = (digits[:, None] - digits[None]) % p @ place
         prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
         for i in range(e):
             prod[:, :, i : i + e] += digits[:, None, i, None] * digits[None]
@@ -164,9 +163,8 @@ class GF:
             prod[:, :, deg - e : deg] -= prod[:, :, deg, None] * np.array(self.modulus[:e])
         mul = prod[:, :, :e] % p @ place
         self.add_table = add.astype(np.uint8)
-        self.sub_table = sub.astype(np.uint8)
         self.mul_table = mul.astype(np.uint8)
-        self.neg = self.sub_table[0].copy()
+        self.neg = (-digits % p @ place).astype(np.uint8)
         inv = np.zeros(q, dtype=np.uint8)
         for a in range(1, q):
             hits = np.nonzero(self.mul_table[a] == 1)[0]

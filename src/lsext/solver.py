@@ -11,8 +11,8 @@ Three strategies share one outcome type:
                 `infeasible` answer is trustworthy whenever the search was
                 not cut off by the node budget.
 * greedy      - l picks of the column covering the most still-deficient rows
-                (ties to the lowest index).  A cheap probe: success yields a
-                valid solution, failure proves nothing.
+                (ties to the lowest position).  A cheap probe: success
+                yields a valid solution, failure proves nothing.
 
 Exhaustive and bnb share one recursion and one last pick; bnb adds its
 bounds and the two-pick node below, which are its alone.  Each keeps its
@@ -20,11 +20,13 @@ own node count (exhaustive counts leaves, bnb counts branches plus the
 columns each last pick tests).  The independent reference both are
 checked against is the brute-force walk in `tests/oracles.py`.
 
-All strategies search `system.packed`, the columns as row bitsets: row i
-of column j is bit i % B of word packed[j, i // B], B being the width in
-bits of `packed.dtype` (8, 16 or 32 for at most that many rows, else 64),
-stored or read through the kernel's tables.  The (rows, columns) uint8
-matrix `system.bits` is only derived from it for display and checks.
+Every strategy picks positions, 0..count-1 for the allowed columns in
+ascending order, and reads them from `system.packed`, the columns as row
+bitsets: row i of column j is bit i % B of word packed[j, i // B], B being
+the width in bits of `packed.dtype` (8, 16 or 32 for at most that many
+rows, else 64), stored or read through the kernel's tables.  The (rows,
+columns) uint8 matrix `system.bits` is only derived from it for display
+and checks.
 A node's state is s deficit levels, U_j = the rows still short of j or
 more covers (j = 1..s), each a t-bit Python int whose bit i is row i (the
 little-endian reading of a packed row), and picking column P maps U_j to
@@ -47,7 +49,8 @@ The parts:
 * the root pass, one stream over the columns recording their OR and the
   weight of the heaviest, which answers both root bounds of bnb;
 * the whole packed array, from which a node below the root reads its
-  column, and the suffix-OR table of the reach bound there.
+  column, and the suffix-OR table of the reach bound there, one row per
+  position.
 
 A wider scan runs in numpy, in blocks of at most `_SCAN_WORDS` words of the
 rows' width so that its temporaries stay small.  A position maps to its
@@ -59,9 +62,10 @@ that `extension.cover_system` builds over more than one chunk of the kernel
 streams: until the whole array exists, each block is built from the
 kernel's tables and tested at once.  So a search decided at its root (every
 l = 1 pick, every root cut) and a greedy search of one pick build no whole
-matrix.  A greedy search of more picks builds it first, in one pass, and
-every pick scans it in place.  The gain bound stops at the first column or
-block that gains enough.  Both forms give the same answers and node counts.
+matrix.  A greedy search of more picks builds it first, in one pass;
+every pick scans it in place, and every pick but the last reads its column
+from it.  The gain bound stops at the first column or block that gains
+enough.  Both forms give the same answers and node counts.
 
 A wide last pick scans blocks of `_NARROW`, 8 `_NARROW`, 64 `_NARROW`,
 ... columns, up to the scan's block width, and stops after the block in
@@ -123,9 +127,6 @@ class SolveStatus(_Text):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     BUDGET_EXHAUSTED = "budget_exhausted"
-
-
-STRATEGIES = ("exhaustive", "bnb", "greedy")
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,10 @@ class _Columns:
     part is built on first use and kept with the view (`_part`), and the
     coverage matrix keeps the view (`_view`).
 
-    Positions 0..count-1 are the allowed columns in ascending order; node
-    charges and the lexicographic order are defined on them.  Position p is
+    Positions 0..count-1 are the allowed columns in ascending order; every
+    strategy picks them, and node charges, the lexicographic order and the
+    suffix-OR table are defined on them.  No method takes a system column;
+    `index` gives the columns of a solution's positions.  Position p is
     system column p + (the masked columns before it), which is p plus the
     number of entries of masked[i] - i (masked sorted) that are <= p.  A
     scan over positions [start, stop) reads the matching column range block
@@ -289,10 +292,9 @@ class _Columns:
 
     @_part
     def suffix_or(self) -> np.ndarray:
-        """Row j ORs the allowed columns >= j: masked rows are zeroed before
-        the suffix OR runs, in place, from the last row up."""
-        table = np.array(self.whole)
-        table[self._masked] = 0
+        """Row p ORs the columns at positions >= p: the allowed rows, ORed in
+        place from the last row up."""
+        table = np.delete(self.whole, self._masked, axis=0)
         suffix = table[::-1]
         np.bitwise_or.accumulate(suffix, axis=0, out=suffix)
         return table
@@ -334,23 +336,11 @@ class _Columns:
             return self.tail_reach[start - self.narrow_from]
         if start == 0:
             return self.root[0]
-        return int.from_bytes(self.suffix_or[start + bisect_right(self._gaps, start)].tobytes(), "little")
+        return int.from_bytes(self.suffix_or[start].tobytes(), "little")
 
     def words(self, level: int) -> np.ndarray:
         """A level as one packed row, for the numpy scans."""
         return np.frombuffer(level.to_bytes(self.nbytes, "little"), dtype=self.packed.dtype)
-
-    def read(self, col: int) -> int:
-        """System column `col` as an int, read from what the scans read."""
-        return int.from_bytes(self._scanned()[0][col : col + 1].tobytes(), "little")
-
-    def gains(self, deficient: int) -> np.ndarray:
-        """Deficient rows covered by each system column, scanned in numpy; -1 for a masked one."""
-        source, block = self._scanned()
-        target = self.words(deficient)
-        gains = np.concatenate([popcounts(source[low : low + block] & target) for low in range(0, len(source), block)])
-        gains[self._masked] = -1
-        return gains
 
     def has_gain(self, start: int, deficient: int, gain: int) -> bool:
         """Whether some column at position >= start covers at least `gain` deficient rows.
@@ -608,7 +598,11 @@ def solve_branch_and_bound(system: CoverSystem, config: SolverConfig | None = No
 
 
 def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutcome:
-    """Pick, l times, the column covering the most deficient rows (ties: lowest index)."""
+    """Pick, l times, the column covering the most deficient rows (ties: lowest position).
+
+    The last pick reads no column: it covers exactly when no row needs two
+    more covers and its gain is every deficient row, the superset test of
+    `_Columns.covering`."""
     columns = _view(system)
     if not columns.count:
         return _outcome([], 0, exhausted=False)
@@ -617,19 +611,21 @@ def solve_greedy(system: CoverSystem, config: SolverConfig | None = None) -> Sol
     nodes = 0
     if system.l > 1:
         columns.whole  # built in one pass, so that every pick scans it in place
-    for _ in range(system.l):
-        gains = columns.gains(levels[0])
+    for left in range(system.l, 0, -1):
+        target, blocks = columns.words(levels[0]), columns._blocks(0, columns.count)
+        gains = np.concatenate([np.delete(popcounts(rows & target), cuts) for _, rows, cuts in blocks])
         skip = chosen if system.distinct else []
         gains[skip] = -1
         nodes += columns.count - len(skip)
-        best = int(np.argmax(gains))  # the first maximum: ties go to the lowest index
+        best = int(np.argmax(gains))  # the first maximum: ties go to the lowest position
         chosen.append(best)
         if system.distinct and len(chosen) == columns.count < system.l:
             return _outcome([], nodes, exhausted=False)
-        levels = _pick(levels, columns.read(best))
-    if levels[0]:
+        if left > 1:
+            levels = _pick(levels, columns.at(best))
+    if any(levels[1:]) or gains[best] < levels[0].bit_count():
         return _outcome([], nodes, exhausted=False)
-    return _outcome(solutions_for(system, [chosen]), nodes, exhausted=False)
+    return _outcome(solutions_for(system, columns.index([chosen])), nodes, exhausted=False)
 
 
 _SOLVERS = {
@@ -637,6 +633,8 @@ _SOLVERS = {
     "bnb": solve_branch_and_bound,
     "greedy": solve_greedy,
 }
+
+STRATEGIES = tuple(_SOLVERS)
 
 
 def solve(system: CoverSystem, config: SolverConfig | None = None) -> SolveOutcome:
